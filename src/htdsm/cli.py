@@ -160,6 +160,11 @@ def _cmd_sample(args) -> int:
         cfg = sampler.SamplerConfig.from_dict(cfg_raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad sampler config {args.config}: {exc}") from exc
+    if cfg.schedule.n != net.data_dim:
+        raise UsageError(
+            f"sampler config {args.config} has schedule.n = {cfg.schedule.n}, "
+            f"but checkpoint {args.ckpt} is a {net.data_dim}-dimensional network"
+        )
     paths = sampler.ald_run(lambda x, ls: net.forward(x, ls), cfg, args.count)
     if cfg.record_paths:
         write_paths_csv(args.out, paths)

@@ -65,6 +65,10 @@ class SamplerConfig:
             raise ValueError(
                 f"init_half_width must be positive, got {self.init_half_width}"
             )
+        if not math.isfinite(self.divergence_radius):
+            raise ValueError(
+                f"divergence_radius must be finite, got {self.divergence_radius}"
+            )
         if self.divergence_radius <= self.init_half_width:
             raise ValueError(
                 "divergence_radius must exceed init_half_width, got "
@@ -151,7 +155,13 @@ def _diffusion_noise(
 
 
 def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
-    """Simulate one block of particles through all schedule levels."""
+    """Simulate one block of particles through all schedule levels.
+
+    The particles still alive are held compacted in `xa`, with their rows of
+    `x` in `alive_rows`; a diverged particle's frozen position is written back
+    to `x` when it diverges, the survivors' at the end (every step when paths
+    are recorded).
+    """
     sigmas = cfg.schedule.sigmas
     dim = cfg.schedule.n
     steps = cfg.steps_per_level
@@ -161,13 +171,16 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     count = len(indices)
 
     x = np.empty((count, dim))
-    noise = np.empty((count, total_steps, dim))
+    # Step-major, so one step's noise for the whole block is contiguous.
+    noise = np.empty((total_steps, count, dim))
     for row, pid in enumerate(indices):
         rng = particle_rng(cfg.seed, pid)
         x[row] = rng.uniform(-cfg.init_half_width, cfg.init_half_width, dim)
-        noise[row] = _diffusion_noise(rng, (total_steps, dim), cfg.beta_diff, alpha_v)
+        noise[:, row] = _diffusion_noise(rng, (total_steps, dim), cfg.beta_diff, alpha_v)
 
-    alive = np.ones(count, dtype=bool)
+    inside = cfg.divergence_radius / (2.0 * math.sqrt(dim))
+    alive_rows = np.arange(count)
+    xa = x.copy()
     if cfg.record_paths:
         positions = np.empty((count, total_steps + 1, dim))
         positions[:, 0] = x
@@ -175,36 +188,37 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
         level_of_step = np.concatenate(
             [np.full(t, i, dtype=int) for i, t in enumerate(steps)]
         )
-    step_base = 0
-    for level, (sigma, t_level) in enumerate(zip(sigmas, steps)):
+    step = 0
+    for sigma, t_level in zip(sigmas, steps):
         eps = cfg.step_size * sigma**2 / sigma_max_sq
         kick = math.sqrt(2.0 * eps)
         log_sigma = math.log(sigma)
-        for t in range(t_level):
-            if alive.any():
+        for _ in range(t_level):
+            if len(alive_rows):
+                z = noise[step] if len(alive_rows) == count else noise[step, alive_rows]
                 # Near-divergent particles may overflow transiently; that is
                 # the signal divergence detection freezes on, not an error.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    score = np.asarray(score_fn(x[alive], log_sigma), dtype=float)
-                    x[alive] = (
-                        x[alive]
-                        + eps * score
-                        + kick * noise[alive, step_base + t, :]
-                    )
+                    score = np.asarray(score_fn(xa, log_sigma), dtype=float)
+                    xa = xa + eps * score + kick * z
                     if cfg.record_paths:
-                        score_norms[alive, step_base + t] = np.linalg.norm(
-                            score, axis=1
-                        )
-                    bad = ~np.isfinite(x[alive]).all(axis=1) | (
-                        np.linalg.norm(x[alive], axis=1) > cfg.divergence_radius
-                    )
-                if bad.any():
-                    alive_idx = np.flatnonzero(alive)
-                    alive[alive_idx[bad]] = False
+                        score_norms[alive_rows, step] = np.linalg.norm(score, axis=1)
+                    # While no coordinate exceeds `inside`, no norm exceeds
+                    # radius / 2. NaN and inf fail both tests.
+                    if not np.abs(xa).max() <= inside:
+                        ok = np.linalg.norm(xa, axis=1) <= cfg.divergence_radius
+                        if not ok.all():
+                            x[alive_rows[~ok]] = xa[~ok]
+                            alive_rows = alive_rows[ok]
+                            xa = xa[ok]
             if cfg.record_paths:
-                positions[:, step_base + t + 1] = x
-        step_base += t_level
+                x[alive_rows] = xa
+                positions[:, step + 1] = x
+            step += 1
+    x[alive_rows] = xa
 
+    alive = np.zeros(count, dtype=bool)
+    alive[alive_rows] = True
     out = []
     for row in range(count):
         status = CONVERGED if alive[row] else DIVERGED

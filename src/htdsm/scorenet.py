@@ -3,12 +3,13 @@ training objective for generalized-normal noise, and analytic score oracles
 used to evaluate trained models.
 
 The network is a small ReLU MLP over [x, log sigma] with a linear output
-head; parameters and gradients are plain numpy arrays so the backward pass
-can be checked against finite differences directly.
+head; parameters and gradients are flat numpy vectors, viewed per layer,
+so the backward pass can be checked against finite differences directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,7 +189,12 @@ class TrainConfig:
 
 
 class ScoreNetwork:
-    """ReLU MLP scoring s(x, log sigma); input width = data dim + 1."""
+    """ReLU MLP scoring s(x, log sigma); input width = data dim + 1.
+
+    Every parameter lives in one flat vector, `params`. `weights` and
+    `biases` are tuples of views into it, so writing into a layer's array
+    changes `params`; gradients from `backward` share the same layout.
+    """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         layer_sizes = [int(s) for s in layer_sizes]
@@ -200,15 +206,24 @@ class ScoreNetwork:
                 f"{layer_sizes[0]} -> {layer_sizes[-1]}"
             )
         self.layer_sizes = layer_sizes
-        self.weights = []
-        self.biases = []
-        for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
-            if rng is None:
-                w = np.zeros((n_in, n_out))
-            else:
-                w = rng.standard_normal((n_in, n_out)) * math.sqrt(2.0 / n_in)
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+        pairs = list(zip(layer_sizes, layer_sizes[1:]))
+        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in pairs))
+        self.weights, self.biases = self.views(self.params)
+        if rng is not None:
+            for w, (n_in, n_out) in zip(self.weights, pairs):
+                w[...] = rng.standard_normal((n_in, n_out)) * math.sqrt(2.0 / n_in)
+
+    def views(self, flat: np.ndarray) -> tuple:
+        """Split a vector laid out like `params` into (weights, biases),
+        tuples of per-layer views into it."""
+        weights, biases = [], []
+        start = 0
+        for n_in, n_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            weights.append(flat[start : start + n_in * n_out].reshape(n_in, n_out))
+            start += n_in * n_out
+            biases.append(flat[start : start + n_out])
+            start += n_out
+        return tuple(weights), tuple(biases)
 
     @property
     def data_dim(self) -> int:
@@ -219,19 +234,21 @@ class ScoreNetwork:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        if x.shape[1] != self.data_dim:
-            raise ValueError(
-                f"expected data dim {self.data_dim}, got {x.shape[1]}"
-            )
-        cond = np.broadcast_to(np.asarray(log_sigma, dtype=float), (x.shape[0],))
-        return np.concatenate([x, cond[:, None]], axis=1), squeeze
+        dim = self.data_dim
+        if x.shape[1] != dim:
+            raise ValueError(f"expected data dim {dim}, got {x.shape[1]}")
+        h = np.empty((x.shape[0], dim + 1))
+        h[:, :dim] = x
+        h[:, dim] = log_sigma
+        return h, squeeze
 
     def forward(self, x, log_sigma):
         """Evaluate s(x, log sigma); accepts (d,) or (N, d) inputs."""
         h, squeeze = self._stack_input(x, log_sigma)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
         return h[0] if squeeze else h
@@ -242,39 +259,36 @@ class ScoreNetwork:
         activations = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h, activations
 
-    def backward(self, activations, grad_out):
-        """Gradients of sum(grad_out * output) w.r.t. every parameter.
+    def backward(self, activations, grad_out) -> np.ndarray:
+        """Gradient of sum(grad_out * output) w.r.t. every parameter.
 
-        Returns (weight_grads, bias_grads) matching self.weights/biases.
+        Returns a new vector laid out like `params`; `views` splits it into
+        per-layer weight and bias gradients.
         """
         grad = np.asarray(grad_out, dtype=float)
-        weight_grads = [None] * len(self.weights)
-        bias_grads = [None] * len(self.biases)
+        flat = np.empty_like(self.params)
+        weight_grads, bias_grads = self.views(flat)
         for i in range(len(self.weights) - 1, -1, -1):
-            inp = activations[i]
-            weight_grads[i] = inp.T @ grad
-            bias_grads[i] = grad.sum(axis=0)
+            np.matmul(activations[i].T, grad, out=weight_grads[i])
+            np.add.reduce(grad, axis=0, out=bias_grads[i])
             if i > 0:
                 grad = grad @ self.weights[i].T
-                grad = grad * (activations[i] > 0.0)
-        return weight_grads, bias_grads
+                grad *= activations[i] > 0.0
+        return flat
 
-    def sgd_step(self, weight_grads, bias_grads, lr: float) -> None:
-        for w, gw in zip(self.weights, weight_grads):
-            w -= lr * gw
-        for b, gb in zip(self.biases, bias_grads):
-            b -= lr * gb
+    def sgd_step(self, grad: np.ndarray, lr: float) -> None:
+        """One plain SGD update from a gradient laid out like `params`."""
+        self.params -= lr * grad
 
     def params_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+        return bool(np.isfinite(self.params).all())
 
     def to_dict(self) -> dict:
         return {
@@ -285,15 +299,44 @@ class ScoreNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreNetwork":
+        """Load a checkpoint; every array must match its layer's shape."""
         net = cls(d["layer_sizes"])
-        net.weights = [np.asarray(w, dtype=float) for w in d["weights"]]
-        net.biases = [np.asarray(b, dtype=float) for b in d["biases"]]
+        for kind, params, values in (
+            ("weight", net.weights, d["weights"]),
+            ("bias", net.biases, d["biases"]),
+        ):
+            if len(values) != len(params):
+                raise ValueError(
+                    f"{len(values)} {kind} arrays for {len(params)} layers "
+                    f"of layer_sizes {net.layer_sizes}"
+                )
+            for layer, (param, value) in enumerate(zip(params, values)):
+                value = np.asarray(value, dtype=float)
+                if value.shape != param.shape:
+                    raise ValueError(
+                        f"layer {layer} {kind} has shape {value.shape}, expected "
+                        f"{param.shape} for layer_sizes {net.layer_sizes}"
+                    )
+                param[...] = value
         return net
 
 
 def forward(net: ScoreNetwork, x, log_sigma):
     """Deterministic evaluation of the score network."""
     return net.forward(x, log_sigma)
+
+
+@functools.lru_cache(maxsize=64)
+def _noise_level(sigma: float, alpha_unit: float, beta_noise: float) -> tuple:
+    """Per-level DSM constants: (noise kernel, log sigma, loss weight).
+
+    Cached so a training run builds and validates each level's kernel once.
+    """
+    return (
+        GeneralizedNormal(0.0, sigma * alpha_unit, beta_noise),
+        math.log(sigma),
+        sigma**2,
+    )
 
 
 def dsm_loss(
@@ -310,12 +353,13 @@ def dsm_loss(
     beta_noise) noise; the target is the conditional score of that kernel,
     and the loss is sigma^2 * mean over the batch of half the squared error.
     The sigma^2 weight cancels the ~1/sigma growth of the target so all
-    levels contribute at a comparable scale. Returns (loss, (weight_grads,
-    bias_grads)).
+    levels contribute at a comparable scale. Returns (loss, gradient), the
+    gradient laid out like `net.params`.
     """
     batch = np.asarray(batch, dtype=float)
-    scale = float(sigma) * float(alpha_unit)
-    noise_dist = GeneralizedNormal(0.0, scale, beta_noise)
+    noise_dist, log_sigma, weight = _noise_level(
+        float(sigma), float(alpha_unit), float(beta_noise)
+    )
     noise = gn_sample(noise_dist, rng, batch.shape)
     noisy = batch + noise
     if beta_noise < 1.0:
@@ -325,15 +369,13 @@ def dsm_loss(
             safe = np.where(noise >= 0.0, SCORE_DELTA_FLOOR, -SCORE_DELTA_FLOOR)
             noise = np.where(tiny, safe, noise)
             noisy = batch + noise
-    target = gn_score(noisy, batch, scale, beta_noise)
+    target = gn_score(noisy, batch, noise_dist.alpha, beta_noise)
 
-    weight = float(sigma) ** 2
-    pred, activations = net.forward_cached(noisy, math.log(sigma))
+    pred, activations = net.forward_cached(noisy, log_sigma)
     err = pred - target
     loss = weight * 0.5 * float((err**2).sum(axis=1).mean())
     grad_out = (weight / batch.shape[0]) * err
-    grads = net.backward(activations, grad_out)
-    return loss, grads
+    return loss, net.backward(activations, grad_out)
 
 
 def train(data, cfg: TrainConfig, rng: np.random.Generator):
@@ -350,21 +392,20 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
     net = ScoreNetwork([dim + 1, *cfg.hidden, dim], rng)
     sigmas = cfg.schedule.sigmas
     alpha_unit = cfg.resolved_alpha_unit()
-    weight_exponent = cfg.loss_weight_exponent
+    # lambda(sigma) = sigma^w; dsm_loss weights by sigma^2.
+    rescales = None
+    if cfg.loss_weight_exponent != 2.0:
+        rescales = [float(s) ** (cfg.loss_weight_exponent - 2.0) for s in sigmas]
     losses = np.empty(cfg.steps)
     for step in range(cfg.steps):
         level = int(rng.integers(len(sigmas)))
         sigma = sigmas[level]
         idx = rng.integers(0, data.shape[0], cfg.batch_size)
-        loss, (wg, bg) = dsm_loss(
-            net, data[idx], sigma, alpha_unit, cfg.beta_noise, rng
-        )
-        if weight_exponent != 2.0:
-            rescale = float(sigma) ** (weight_exponent - 2.0)
-            loss *= rescale
-            wg = [g * rescale for g in wg]
-            bg = [g * rescale for g in bg]
-        net.sgd_step(wg, bg, cfg.learning_rate)
+        loss, grad = dsm_loss(net, data[idx], sigma, alpha_unit, cfg.beta_noise, rng)
+        if rescales is not None:
+            loss *= rescales[level]
+            grad *= rescales[level]
+        net.sgd_step(grad, cfg.learning_rate)
         losses[step] = loss
         if not math.isfinite(loss) or not net.params_finite():
             raise TrainingDivergedError(step, sigma)

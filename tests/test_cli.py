@@ -6,6 +6,7 @@ import pytest
 
 from htdsm.cli import dispatch
 from htdsm.schedule import NoiseSchedule
+from htdsm.scorenet import ScoreNetwork
 
 
 def run_cli(*args):
@@ -38,6 +39,36 @@ class TestExitCodes:
         )
         assert code == 1
         capsys.readouterr()
+
+
+def _sampler_config(tmp_path, n):
+    path = tmp_path / "sampler.json"
+    sigmas = [1.0, 0.25]
+    path.write_text(json.dumps({
+        "schedule": {"kind": "geometric", "beta": 2.0, "n": n, "delta": None, "sigmas": sigmas},
+        "steps_per_level": 5,
+    }))
+    return path
+
+
+class TestSampleInputValidation:
+    def test_wrong_shape_checkpoint_is_usage_error(self, tmp_path, capsys):
+        ckpt = ScoreNetwork([3, 16, 16, 2], np.random.default_rng(0)).to_dict()
+        ckpt["weights"][1] = np.zeros((16, 5)).tolist()
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ckpt))
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 2)),
+                       "--count", "3", "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert "layer 1 weight" in capsys.readouterr().err
+
+    def test_schedule_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 3)),
+                       "--count", "3", "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert "schedule.n = 3" in capsys.readouterr().err
 
 
 class TestScheduleCommand:

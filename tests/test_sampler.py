@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,10 @@ class TestSamplerConfig:
     def test_negative_step_size_rejected(self):
         with pytest.raises(ValueError):
             SamplerConfig(schedule=single_level(), step_size=-0.1)
+
+    def test_infinite_divergence_radius_rejected(self):
+        with pytest.raises(ValueError):
+            SamplerConfig(schedule=single_level(), divergence_radius=math.inf)
 
     def test_zero_step_size_allowed(self):
         cfg = SamplerConfig(schedule=single_level(), step_size=0.0)
@@ -160,6 +165,73 @@ class TestAnnealedLangevinDynamics:
         for pa, pb, pc in zip(a, b, big[:64]):
             assert np.array_equal(pa.final, pb.final)
             assert np.array_equal(pa.final, pc.final)
+
+
+def unstable_score(x, log_sigma):
+    """Pulls particles within radius 5 to the origin and pushes the rest out;
+    escapes to the right turn non-finite before they reach the radius."""
+    r = np.linalg.norm(x, axis=1, keepdims=True)
+    score = np.where(r > 5.0, 0.5 * x, -x)
+    score[x[:, 0] > 50.0] = np.nan
+    return score
+
+
+class TestMidRunDivergence:
+    CFG = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2),
+                        steps_per_level=100, step_size=0.1, beta_diff=1.0, seed=21)
+
+    @staticmethod
+    def same(a, b):
+        return all(pa.status == pb.status and pa.final.tobytes() == pb.final.tobytes()
+                   for pa, pb in zip(a, b))
+
+    def test_block_invariance(self):
+        small = ald_run(unstable_score, self.CFG, 64)
+        big = ald_run(unstable_score, self.CFG, 200)
+        diverged = [p for p in small if p.status == DIVERGED]
+        assert 0 < len(diverged) < len(small)
+        assert any(np.isnan(p.final).any() for p in diverged)
+        assert any(np.linalg.norm(p.final) > self.CFG.divergence_radius for p in diverged)
+        assert self.same(small, big[:64])
+
+    def test_matches_per_particle_reference(self):
+        # Each particle replayed alone from its own stream, frozen at the
+        # first position outside the radius or non-finite.
+        cfg = self.CFG
+        sigmas = cfg.schedule.sigmas
+        alpha_v = dist.unit_variance_alpha(cfg.beta_diff)
+        paths = ald_run(unstable_score, cfg, 64)
+        for pid, p in enumerate(paths):
+            rng = particle_rng(cfg.seed, pid)
+            x = rng.uniform(-6.0, 6.0, 2)
+            z = dist.gn_sample(dist.GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rng,
+                               (sum(cfg.steps_per_level), 2))
+            status, step = CONVERGED, 0
+            for sigma, t_level in zip(sigmas, cfg.steps_per_level):
+                eps = cfg.step_size * sigma**2 / sigmas[0] ** 2
+                for _ in range(t_level):
+                    if status == CONVERGED:
+                        with np.errstate(invalid="ignore"):
+                            score = unstable_score(x[None], math.log(sigma))[0]
+                            x = x + eps * score + math.sqrt(2.0 * eps) * z[step]
+                        if not np.linalg.norm(x[None], axis=1)[0] <= cfg.divergence_radius:
+                            status = DIVERGED
+                    step += 1
+            assert p.status == status
+            assert p.final.tobytes() == x.tobytes()
+
+    def test_record_paths_does_not_change_finals(self):
+        plain = ald_run(unstable_score, self.CFG, 64)
+        recorded = ald_run(unstable_score, dataclasses.replace(self.CFG, record_paths=True), 64)
+        assert self.same(plain, recorded)
+        for p in recorded:
+            assert p.positions[-1].tobytes() == p.final.tobytes()
+            assert p.status == detect_divergence(p.positions, self.CFG.divergence_radius)
+            if p.status == DIVERGED:
+                # Frozen at the first position outside the radius or non-finite.
+                outside = ~(np.linalg.norm(p.positions, axis=1) <= self.CFG.divergence_radius)
+                first = np.flatnonzero(outside)[0]
+                assert all(q.tobytes() == p.final.tobytes() for q in p.positions[first:])
 
 
 class TestDiffusionShapes:

@@ -73,6 +73,25 @@ class TestScoreNetworkForward:
         x = np.random.default_rng(5).standard_normal((6, 2))
         assert np.array_equal(net.forward(x, 0.2), clone.forward(x, 0.2))
 
+    def test_params_finite_sees_every_layer(self):
+        net = sn.ScoreNetwork([3, 4, 4, 2], np.random.default_rng(4))
+        assert net.params_finite()
+        for arr in net.weights + net.biases:
+            arr.flat[-1], old = np.nan, arr.flat[-1]
+            assert not net.params_finite()
+            arr.flat[-1] = old
+        assert net.params_finite()
+
+    def test_checkpoint_shapes_validated(self):
+        ckpt = sn.ScoreNetwork([3, 16, 16, 2], np.random.default_rng(4)).to_dict()
+        ckpt["weights"][1] = np.zeros((16, 5)).tolist()
+        with pytest.raises(ValueError, match="layer 1 weight has shape"):
+            sn.ScoreNetwork.from_dict(ckpt)
+        ckpt = sn.ScoreNetwork([3, 16, 16, 2], np.random.default_rng(4)).to_dict()
+        del ckpt["biases"][-1]
+        with pytest.raises(ValueError, match="2 bias arrays for 3 layers"):
+            sn.ScoreNetwork.from_dict(ckpt)
+
 
 class TestBackward:
     def test_gradients_match_finite_differences(self):
@@ -81,7 +100,7 @@ class TestBackward:
         x = rng.standard_normal((5, 2))
         grad_out = rng.standard_normal((5, 2))
         _, activations = net.forward_cached(x, 0.3)
-        wg, bg = net.backward(activations, grad_out)
+        wg, bg = net.views(net.backward(activations, grad_out))
 
         def objective():
             return float((net.forward(x, 0.3) * grad_out).sum())
@@ -109,7 +128,7 @@ def linear_score_network(alpha: float) -> sn.ScoreNetwork:
     so the DSM loss at clean data fixed to the origin is exactly zero.
     """
     net = sn.ScoreNetwork([3, 4, 2])
-    net.weights[0] = np.array(
+    net.weights[0][...] = np.array(
         [
             [1.0, -1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, -1.0],
@@ -117,7 +136,7 @@ def linear_score_network(alpha: float) -> sn.ScoreNetwork:
         ]
     )
     coeff = -2.0 / alpha**2
-    net.weights[1] = np.array(
+    net.weights[1][...] = np.array(
         [
             [coeff, 0.0],
             [-coeff, 0.0],
@@ -155,8 +174,9 @@ class TestDsmLoss:
                                    np.random.default_rng(123))
             return value
 
-        _, (wg, bg) = sn.dsm_loss(net, batch, 0.7, math.sqrt(2.0), 2.0,
-                                  np.random.default_rng(123))
+        _, grad = sn.dsm_loss(net, batch, 0.7, math.sqrt(2.0), 2.0,
+                              np.random.default_rng(123))
+        wg, bg = net.views(grad)
         h = 1e-6
         for params, grads in ((net.weights, wg), (net.biases, bg)):
             for p, g in zip(params, grads):
@@ -184,6 +204,21 @@ class TestDsmLoss:
         scale = 1.0 / (sigma * alpha_unit)
         assert abs(target.mean()) < 3 * scale / math.sqrt(target.size)
 
+    @pytest.mark.parametrize("beta", [2.0, 1.0])
+    def test_matches_explicit_objective_across_levels(self, beta):
+        net = sn.ScoreNetwork([3, 8, 2], np.random.default_rng(25))
+        batch = np.random.default_rng(26).standard_normal((32, 2))
+        for sigma in (1.0, 0.25, 1.0, 0.5):
+            loss, grad = sn.dsm_loss(net, batch, sigma, 1.3, beta, np.random.default_rng(27))
+            kernel = dist.GeneralizedNormal(0.0, sigma * 1.3, beta)
+            noisy = batch + dist.gn_sample(kernel, np.random.default_rng(27), batch.shape)
+            target = dist.gn_score(noisy, batch, sigma * 1.3, beta)
+            pred, activations = net.forward_cached(noisy, math.log(sigma))
+            err = pred - target
+            assert loss == sigma**2 * 0.5 * float((err**2).sum(axis=1).mean())
+            want = net.backward(activations, (sigma**2 / len(batch)) * err)
+            assert np.array_equal(grad, want)
+
     def test_subunit_shape_clamps_singularity(self):
         net = sn.ScoreNetwork([2, 4, 1], np.random.default_rng(13))
         batch = np.zeros((16, 1))
@@ -191,7 +226,54 @@ class TestDsmLoss:
         assert math.isfinite(loss)
 
 
+def reference_train(data, cfg, rng):
+    """train() spelled out from public pieces: the same draws in the same
+    order, dsm_loss, and plain SGD on each layer's arrays."""
+    dim = data.shape[1]
+    net = sn.ScoreNetwork([dim + 1, *cfg.hidden, dim], rng)
+    params = net.weights + net.biases
+    sigmas = cfg.schedule.sigmas
+    losses = []
+    for step in range(cfg.steps):
+        sigma = sigmas[int(rng.integers(len(sigmas)))]
+        batch = data[rng.integers(0, data.shape[0], cfg.batch_size)]
+        loss, grad = sn.dsm_loss(net, batch, sigma, cfg.resolved_alpha_unit(),
+                                 cfg.beta_noise, rng)
+        wg, bg = net.views(grad)
+        grads = list(wg + bg)
+        if cfg.loss_weight_exponent != 2.0:
+            rescale = sigma ** (cfg.loss_weight_exponent - 2.0)
+            loss *= rescale
+            grads = [g * rescale for g in grads]
+        for p, g in zip(params, grads):
+            p -= cfg.learning_rate * g
+        losses.append(loss)
+        if not math.isfinite(loss) or not all(np.isfinite(p).all() for p in params):
+            raise sn.TrainingDivergedError(step, sigma)
+    return net, np.array(losses)
+
+
 class TestTrain:
+    @pytest.mark.parametrize("beta, exponent", [(2.0, 2.0), (2.0, 1.0), (1.0, 1.0)])
+    def test_matches_reference_loop_bitwise(self, two_level_schedule, beta, exponent):
+        data = sn.MixtureSpec.two_mode(10.0).sample(np.random.default_rng(30), 1000)
+        cfg = sn.TrainConfig(schedule=two_level_schedule, beta_noise=beta, steps=300,
+                             loss_weight_exponent=exponent)
+        net, losses = sn.train(data, cfg, np.random.default_rng(31))
+        ref_net, ref_losses = reference_train(data, cfg, np.random.default_rng(31))
+        assert np.array_equal(losses, ref_losses)
+        assert np.array_equal(net.params, ref_net.params)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_step_and_level_match_reference_loop(self, two_level_schedule):
+        data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
+        cfg = sn.TrainConfig(schedule=two_level_schedule, steps=500, learning_rate=1e12)
+        with pytest.raises(sn.TrainingDivergedError) as got:
+            sn.train(data, cfg, np.random.default_rng(20))
+        with pytest.raises(sn.TrainingDivergedError) as want:
+            reference_train(data, cfg, np.random.default_rng(20))
+        assert (got.value.step, got.value.sigma) == (want.value.step, want.value.sigma)
+
     def test_loss_decreases(self, two_level_schedule):
         mix = sn.MixtureSpec.two_mode(1.0)
         data = mix.sample(np.random.default_rng(15), 4000)

@@ -20,6 +20,7 @@ import numpy as np
 from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest
 from htdsm.experiments import (
     ExperimentConfig,
+    _fmt,
     run_beta_sweep,
     run_convergence_demo,
     run_imbalance_grid,
@@ -33,10 +34,6 @@ log = logging.getLogger("htdsm")
 
 class UsageError(Exception):
     """Malformed config or arguments; maps to exit code 2."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_json(path, payload) -> None:
@@ -178,8 +175,23 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     real = _load_points_csv(args.real)
     fake = _load_points_csv(args.fake)
+    if real.shape[1] != fake.shape[1]:
+        raise UsageError(
+            f"{args.real} has {real.shape[1]} coordinate columns, "
+            f"but {args.fake} has {fake.shape[1]}"
+        )
+    # PRDC needs more than k points per set, FID more than d.
+    need = max(args.k, real.shape[1]) + 1
+    for path, pts in ((args.real, real), (args.fake, fake)):
+        if pts.shape[0] < need:
+            raise UsageError(
+                f"{path} has {pts.shape[0]} usable points; --k {args.k} in "
+                f"{pts.shape[1]} dimensions needs at least {need}"
+            )
     report = metrics.MetricReport()
     p, r, d, c = metrics.prdc(real, fake, args.k)
     report.precision, report.recall, report.density, report.coverage = p, r, d, c
@@ -205,7 +217,12 @@ def _cmd_experiment(args) -> int:
         )
         print(f"wrote {out_dir}/endpoints.csv, paths.csv, record.json")
         return 0
-    cfg = ExperimentConfig.from_dict(_load_json(args.config)) if args.config else ExperimentConfig()
+    cfg = ExperimentConfig()
+    if args.config:
+        try:
+            cfg = ExperimentConfig.from_dict(_load_json(args.config))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"bad experiment config {args.config}: {exc}") from exc
     grid = run_imbalance_grid(cfg, workers=args.workers)
     sweep = None
     if args.sweep_betas:

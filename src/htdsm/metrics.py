@@ -20,6 +20,10 @@ import numpy as np
 from htdsm.sampler import DIVERGED
 from htdsm.scorenet import MixtureSpec
 
+# Entries per row block of a pairwise matrix (8 MB of float64): prdc and kid
+# never hold a full n x n matrix.
+_BLOCK_ENTRIES = 1 << 20
+
 __all__ = [
     "MetricError",
     "FeatureSet",
@@ -86,20 +90,41 @@ def _points(x) -> np.ndarray:
     return pts
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (
-        (a**2).sum(axis=1)[:, None]
-        + (b**2).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+def _row_blocks(rows: int, cols: int):
+    """Slices of at most _BLOCK_ENTRIES // cols rows (at least one) covering
+    range(rows)."""
+    step = max(1, _BLOCK_ENTRIES // cols)
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and b.
+
+    Each entry is sqrt(sum_j (a_j - b_j)^2), accumulated coordinate by
+    coordinate, so its value depends only on the two points: not on the
+    block it is computed in, nor on the BLAS tiling or thread count. Self
+    distances are exactly 0.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    term = np.empty_like(out)
+    for j in range(1, a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=term)
+        term *= term
+        out += term
+    return np.sqrt(out, out=out)
 
 
 def _knn_radii(pts: np.ndarray, k: int) -> np.ndarray:
-    d = _pairwise(pts, pts)
-    # Row-sorted distances include the self distance at index 0, so the
-    # k-th nearest neighbor (self excluded) sits at index k.
-    return np.sort(d, axis=1)[:, k]
+    radii = np.empty(pts.shape[0])
+    for rows in _row_blocks(pts.shape[0], pts.shape[0]):
+        d = _distances(pts[rows], pts)
+        # Each row holds its own zero self distance, so the k-th nearest
+        # neighbor (self excluded) is the row's k-th order statistic.
+        d.partition(k, axis=1)
+        radii[rows] = d[:, k]
+    return radii
 
 
 def prdc(real, fake, k: int):
@@ -107,6 +132,8 @@ def prdc(real, fake, k: int):
 
     Balls are closed, radii are k-th nearest-neighbor distances within each
     set (self excluded). Returns (precision, recall, density, coverage).
+    Pairwise distances are taken in row blocks, so memory is
+    O(_BLOCK_ENTRIES), not O(M_real * M_fake).
     """
     r = _points(real)
     f = _points(fake)
@@ -123,21 +150,41 @@ def prdc(real, fake, k: int):
     if radii_r.max() == 0.0 or radii_f.max() == 0.0:
         raise MetricError("degenerate feature set: all points identical")
 
-    d_rf = _pairwise(r, f)  # (M_real, M_fake)
-    in_real_balls = d_rf <= radii_r[:, None]
-    in_fake_balls = d_rf <= radii_f[None, :]
+    m, n = r.shape[0], f.shape[0]
+    fake_hit = np.zeros(n, dtype=bool)  # fake point inside some real ball
+    memberships = recalled = covered = 0
+    for rows in _row_blocks(m, n):
+        d_rf = _distances(r[rows], f)
+        in_real_balls = d_rf <= radii_r[rows, None]
+        fake_hit |= in_real_balls.any(axis=0)
+        memberships += int(np.count_nonzero(in_real_balls))
+        covered += int(np.count_nonzero(in_real_balls.any(axis=1)))
+        recalled += int(np.count_nonzero((d_rf <= radii_f).any(axis=1)))
 
-    precision = float(in_real_balls.any(axis=0).mean())
-    recall = float(in_fake_balls.any(axis=1).mean())
-    density = float(in_real_balls.sum() / (k * f.shape[0]))
-    coverage = float(in_real_balls.any(axis=1).mean())
-    return precision, recall, density, coverage
+    precision = int(np.count_nonzero(fake_hit)) / n
+    return precision, recalled / m, memberships / (k * n), covered / m
 
 
 def kid_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cubic polynomial kernel (x.y / d + 1)^3 over rows of a and b."""
-    d = a.shape[1]
-    return (a @ b.T / d + 1.0) ** 3
+    t = a @ b.T
+    t /= a.shape[1]
+    t += 1.0
+    cube = t * t
+    cube *= t
+    return cube
+
+
+def _kernel_sum(a: np.ndarray, b: np.ndarray, skip_diagonal: bool) -> float:
+    """Sum of kid_kernel(a, b), without its diagonal if skip_diagonal, taken
+    in row blocks; the block sums are combined exactly with math.fsum."""
+    parts = []
+    for rows in _row_blocks(a.shape[0], b.shape[0]):
+        block = kid_kernel(a[rows], b)
+        parts.append(float(block.sum()))
+        if skip_diagonal:
+            parts.append(-float(np.trace(block, offset=rows.start)))
+    return math.fsum(parts)
 
 
 def kid(real, fake) -> float:
@@ -145,7 +192,9 @@ def kid(real, fake) -> float:
 
     Diagonal terms are excluded from the within-set averages; for equal set
     sizes the cross term also excludes matched pairs (the full U-statistic),
-    which makes kid(A, A) vanish identically. May be slightly negative.
+    which makes kid(A, A) vanish identically: all three sums run through the
+    same code. May be slightly negative. Kernel blocks are summed one at a
+    time, so memory is O(_BLOCK_ENTRIES), not O(m * n).
     """
     x = _points(real)
     y = _points(fake)
@@ -154,16 +203,13 @@ def kid(real, fake) -> float:
         raise ValueError("kid needs at least 2 points per set")
     if x.shape[1] != y.shape[1]:
         raise ValueError("feature dimensions differ")
-    k_xx = kid_kernel(x, x)
-    k_yy = kid_kernel(y, y)
-    k_xy = kid_kernel(x, y)
-    sum_xx = k_xx.sum() - np.trace(k_xx)
-    sum_yy = k_yy.sum() - np.trace(k_yy)
+    sum_xx = _kernel_sum(x, x, skip_diagonal=True)
+    sum_yy = _kernel_sum(y, y, skip_diagonal=True)
+    sum_xy = _kernel_sum(x, y, skip_diagonal=m == n)
     if m == n:
-        sum_xy = k_xy.sum() - np.trace(k_xy)
         return float((sum_xx + sum_yy - 2.0 * sum_xy) / (m * (m - 1)))
     return float(
-        sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * k_xy.mean()
+        sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * (sum_xy / (m * n))
     )
 
 

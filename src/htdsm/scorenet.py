@@ -299,7 +299,8 @@ class ScoreNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreNetwork":
-        """Load a checkpoint; every array must match its layer's shape."""
+        """Load a checkpoint; every array must match its layer's shape and
+        hold finite values."""
         net = cls(d["layer_sizes"])
         for kind, params, values in (
             ("weight", net.weights, d["weights"]),
@@ -317,6 +318,8 @@ class ScoreNetwork:
                         f"layer {layer} {kind} has shape {value.shape}, expected "
                         f"{param.shape} for layer_sizes {net.layer_sizes}"
                     )
+                if not np.isfinite(value).all():
+                    raise ValueError(f"layer {layer} {kind} has non-finite entries")
                 param[...] = value
         return net
 

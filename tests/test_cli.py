@@ -70,6 +70,67 @@ class TestSampleInputValidation:
         assert code == 2
         assert "schedule.n = 3" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_is_usage_error(self, tmp_path, capsys):
+        ckpt = ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()
+        ckpt["weights"][0][1][3] = float("nan")
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ckpt))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 2)),
+                       "--count", "5", "--out", str(out))
+        assert code == 2
+        assert "layer 0 weight has non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _points_csv(path, points):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(points.shape[1])])
+        writer.writerows(points.tolist())
+    return path
+
+
+class TestMetricsInputValidation:
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(0)
+        return {
+            "real": _points_csv(tmp_path / "real.csv", rng.standard_normal((20, 2))),
+            "fake": _points_csv(tmp_path / "fake.csv", rng.standard_normal((20, 2))),
+            "fake3d": _points_csv(tmp_path / "fake3d.csv", rng.standard_normal((20, 3))),
+            "few": _points_csv(tmp_path / "few.csv", rng.standard_normal((5, 2))),
+        }
+
+    def _metrics(self, files, tmp_path, real, fake, k):
+        out = tmp_path / "report.json"
+        code = run_cli("metrics", "--real", str(files[real]), "--fake", str(files[fake]),
+                       "--k", str(k), "--out", str(out))
+        return code, out
+
+    def test_valid_inputs_pass(self, files, tmp_path, capsys):
+        code, out = self._metrics(files, tmp_path, "real", "fake", 5)
+        assert code == 0 and out.exists()
+        capsys.readouterr()
+
+    def test_dimension_mismatch_is_usage_error(self, files, tmp_path, capsys):
+        code, out = self._metrics(files, tmp_path, "real", "fake3d", 5)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "real.csv has 2 coordinate columns" in err and "fake3d.csv has 3" in err
+
+    @pytest.mark.parametrize("real, fake", [("few", "fake"), ("real", "few")])
+    def test_too_few_points_is_usage_error(self, files, tmp_path, capsys, real, fake):
+        code, out = self._metrics(files, tmp_path, real, fake, 5)
+        assert code == 2 and not out.exists()
+        assert "few.csv has 5 usable points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_nonpositive_k_is_usage_error(self, files, tmp_path, capsys, k):
+        code, out = self._metrics(files, tmp_path, "real", "fake", k)
+        assert code == 2 and not out.exists()
+        assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+
 
 class TestScheduleCommand:
     def test_writes_valid_schedule(self, tmp_path, capsys):
@@ -270,3 +331,18 @@ class TestExperimentCommand:
         assert (out_dir / "per_seed.csv").exists()
         assert (out_dir / "sweep.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"particles": 0}, "particles must be >= 1"),
+        ({"seeds": []}, "seeds must be nonempty"),
+        ({"train": {"steps": 10}}, "'schedule'"),
+    ])
+    def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run_cli("experiment", "imbalance", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad experiment config" in err and message in err
+        assert not (tmp_path / "grid").exists()

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from htdsm import metrics
 from htdsm.metrics import (
     FeatureSet,
     MetricError,
@@ -60,6 +62,32 @@ def kid_brute_force(x, y):
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2 * xy / (m * n)
 
 
+def kid_longdouble(x, y):
+    """(kid, scale): the unbiased estimate in np.longdouble, and the sum of
+    the magnitudes of its three normalized terms, the size against which
+    float64 rounding in the kernel sums is measured."""
+    d = x.shape[1]
+    xl, yl = x.astype(np.longdouble), y.astype(np.longdouble)
+
+    def total(a, b, skip_diagonal):
+        k = (a @ b.T / d + 1) ** 3
+        return k.sum() - (np.trace(k) if skip_diagonal else 0)
+
+    m, n = len(x), len(y)
+    sum_xx, sum_yy = total(xl, xl, True), total(yl, yl, True)
+    if m == n:
+        sum_xy = total(xl, yl, True)
+        terms = (sum_xx / (m * (m - 1)), sum_yy / (m * (m - 1)), -2 * sum_xy / (m * (m - 1)))
+    else:
+        sum_xy = total(xl, yl, False)
+        terms = (sum_xx / (m * (m - 1)), sum_yy / (n * (n - 1)), -2 * sum_xy / (m * n))
+    return float(sum(terms)), float(sum(abs(t) for t in terms))
+
+
+# A dense float64 matrix of 4000 x 4000 entries: 122 MiB.
+DENSE_4000_BYTES = 4000 * 4000 * 8
+
+
 class TestPrdc:
     def test_identical_sets(self):
         pts = np.random.default_rng(0).standard_normal((30, 2))
@@ -96,6 +124,73 @@ class TestPrdc:
         a = FeatureSet(pts, "real")
         b = FeatureSet(pts + 0.1, "generated")
         assert prdc(a, b, 2) == prdc(pts, pts + 0.1, 2)
+
+
+class TestBlockedMetrics:
+    """prdc and kid walk the pairwise matrices in row blocks of at most
+    metrics._BLOCK_ENTRIES entries; results must not depend on the block."""
+
+    # Rows per block is _BLOCK_ENTRIES // cols: 1 entry forces 1-row blocks,
+    # the others leave 1-row and odd tails on the 37 x 29, 29 x 29 and
+    # 37 x 37 passes.
+    BLOCK_ENTRIES = (1, 29 * 2, 29 * 5, 29 * 36, 37 * 4, 37 * 36, 37 * 37 - 1)
+
+    @staticmethod
+    def _sets(m, n, d=3):
+        rng = np.random.default_rng(m * 100 + n)
+        return rng.standard_normal((m, d)), rng.standard_normal((n, d)) * 1.2 + 0.2
+
+    @pytest.mark.parametrize("entries", BLOCK_ENTRIES)
+    @pytest.mark.parametrize("m, n", [(37, 29), (29, 37), (37, 37)])
+    def test_block_size_invariance(self, monkeypatch, entries, m, n):
+        real, fake = self._sets(m, n)
+        want_prdc, want_kid = prdc(real, fake, 4), kid(real, fake)
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
+        assert prdc(real, fake, 4) == want_prdc
+        assert kid(real, fake) == pytest.approx(want_kid, rel=1e-12, abs=0.0)
+        assert kid(real, real.copy()) == 0.0
+
+    def test_kid_matches_longdouble_oracle(self):
+        # Bound: 8 float64 epsilons of the summed term magnitudes (the
+        # worst case seen over 40 random instances was 0.8 epsilons), which
+        # at these separations is also a relative error below 1e-12.
+        eps = np.finfo(float).eps
+        for seed, (m, n) in enumerate([(300, 300), (300, 280), (290, 310)]):
+            rng = np.random.default_rng(100 + seed)
+            x = rng.standard_normal((m, 2)) + 2.5
+            y = rng.standard_normal((n, 2)) * 1.1 + 2.8
+            want, scale = kid_longdouble(x, y)
+            got = kid(x, y)
+            assert abs(got - want) <= 8 * eps * scale
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert kid(x, x.copy()) == 0.0
+
+    def test_prdc_ties_on_integer_grid(self):
+        # Integer coordinates make every squared distance an exact integer,
+        # so neighbors sit exactly on ball radii and closed balls matter.
+        ties = 0
+        for trial in range(20):
+            rng = np.random.default_rng(200 + trial)
+            real = rng.integers(-4, 5, size=(int(rng.integers(12, 40)), 2)).astype(float)
+            fake = rng.integers(-3, 6, size=(int(rng.integers(12, 40)), 2)).astype(float)
+            assert prdc(real, fake, 3) == prdc_brute_force(real.tolist(), fake.tolist(), 3)
+            radii = metrics._knn_radii(real, 3)
+            ties += sum(math.dist(f, r) == rad for r, rad in zip(real, radii) for f in fake)
+        assert ties > 0
+
+    @pytest.mark.parametrize("name", ["prdc", "kid"])
+    def test_peak_memory_below_one_dense_matrix(self, name):
+        rng = np.random.default_rng(22)
+        real = rng.standard_normal((4000, 2))
+        fake = rng.standard_normal((4000, 2)) + 0.1
+        args = (real, fake, 5) if name == "prdc" else (real, fake)
+        tracemalloc.start()
+        try:
+            getattr(metrics, name)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DENSE_4000_BYTES
 
 
 class TestKid:

@@ -92,6 +92,18 @@ class TestScoreNetworkForward:
         with pytest.raises(ValueError, match="2 bias arrays for 3 layers"):
             sn.ScoreNetwork.from_dict(ckpt)
 
+    def test_checkpoint_non_finite_values_rejected(self):
+        cases = (("weights", 0, np.nan), ("biases", 2, np.inf), ("weights", 1, -np.inf))
+        for key, layer, bad in cases:
+            ckpt = sn.ScoreNetwork([3, 16, 16, 2], np.random.default_rng(4)).to_dict()
+            arrays = ckpt[key]
+            arrays[layer] = np.asarray(arrays[layer], dtype=float)
+            arrays[layer].flat[-1] = bad
+            arrays[layer] = arrays[layer].tolist()
+            kind = "weight" if key == "weights" else "bias"
+            with pytest.raises(ValueError, match=f"layer {layer} {kind} has non-finite"):
+                sn.ScoreNetwork.from_dict(ckpt)
+
 
 class TestBackward:
     def test_gradients_match_finite_differences(self):

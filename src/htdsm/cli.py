@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -65,10 +66,13 @@ def _load_points_csv(path) -> np.ndarray:
                 raise UsageError(f"{path}: no coordinate columns x0..xd-1")
             status_col = header.index("status") if "status" in header else None
             rows = []
-            for row in reader:
+            for number, row in enumerate(reader, start=1):
                 if status_col is not None and row[status_col] == sampler.DIVERGED:
                     continue
-                rows.append([float(row[i]) for i in cols])
+                point = [float(row[i]) for i in cols]
+                if not all(map(math.isfinite, point)):
+                    raise UsageError(f"{path}: data row {number} has a non-finite coordinate")
+                rows.append(point)
     except FileNotFoundError as exc:
         raise UsageError(f"input file not found: {path}") from exc
     except (ValueError, IndexError) as exc:

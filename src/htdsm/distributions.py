@@ -149,11 +149,8 @@ def gn_cdf(dist: GeneralizedNormal, x):
     """CDF of GN at x via the P(1/beta, (|x-mu|/alpha)^beta) representation."""
     x = np.asarray(x, dtype=float)
     t = (np.abs(x - dist.mu) / dist.alpha) ** dist.beta
-    half_mass = 0.5 * _reg_gamma_vec(1.0 / dist.beta, t)
+    half_mass = 0.5 * reg_lower_inc_gamma(1.0 / dist.beta, t)
     return np.where(x >= dist.mu, 0.5 + half_mass, 0.5 - half_mass)
-
-
-_reg_gamma_vec = np.vectorize(reg_lower_inc_gamma, otypes=[float])
 
 
 def gn_score(x_tilde, x, alpha: float, beta: float):
@@ -236,7 +233,7 @@ def gg_cdf(dist: GeneralizedGamma, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("gg_cdf is supported on x >= 0")
-    return _reg_gamma_vec(dist.d / dist.p, (x / dist.a) ** dist.p)
+    return reg_lower_inc_gamma(dist.d / dist.p, (x / dist.a) ** dist.p)
 
 
 def gg_quantile(dist: GeneralizedGamma, q: float) -> float:

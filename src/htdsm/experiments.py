@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from htdsm._config import reject_unknown_keys
 from htdsm.metrics import MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
 from htdsm.sampler import DIVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
@@ -129,6 +130,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        reject_unknown_keys(cls, d)
         kwargs = {}
         if "mixture" in d:
             kwargs["mixture"] = MixtureSpec.from_dict(d["mixture"])

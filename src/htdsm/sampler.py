@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from htdsm._config import reject_unknown_keys
 from htdsm.distributions import GeneralizedNormal, gn_sample, unit_variance_alpha
 from htdsm.schedule import NoiseSchedule
 
@@ -102,6 +103,7 @@ class SamplerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SamplerConfig":
+        reject_unknown_keys(cls, d)
         steps = d.get("steps_per_level", 1000)
         if isinstance(steps, list):
             steps = tuple(steps)

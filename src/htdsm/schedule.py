@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from htdsm._config import reject_unknown_keys
 from htdsm.distributions import empirical_norm_quantile
 from htdsm.specfun import inv_reg_lower_inc_gamma
 
@@ -70,6 +71,7 @@ class NoiseSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSchedule":
+        reject_unknown_keys(cls, d)
         return cls(
             sigmas=tuple(d["sigmas"]),
             beta=d["beta"],

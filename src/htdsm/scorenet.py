@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from htdsm._config import reject_unknown_keys
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
@@ -105,6 +106,7 @@ class MixtureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureSpec":
+        reject_unknown_keys(cls, d)
         return cls(
             means=tuple(tuple(m) for m in d["means"]),
             stds=tuple(d["stds"]),
@@ -175,6 +177,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        reject_unknown_keys(cls, d)
         return cls(
             schedule=NoiseSchedule.from_dict(d["schedule"]),
             beta_noise=d.get("beta_noise", 2.0),

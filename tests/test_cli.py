@@ -70,6 +70,19 @@ class TestSampleInputValidation:
         assert code == 2
         assert "schedule.n = 3" in capsys.readouterr().err
 
+    def test_misspelled_sampler_key_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
+        config = _sampler_config(tmp_path, 2)
+        raw = json.loads(config.read_text())
+        raw["stepsize"] = 0.5
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(config),
+                       "--count", "3", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert "unknown SamplerConfig key(s): 'stepsize'" in capsys.readouterr().err
+
     def test_non_finite_checkpoint_is_usage_error(self, tmp_path, capsys):
         ckpt = ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()
         ckpt["weights"][0][1][3] = float("nan")
@@ -130,6 +143,25 @@ class TestMetricsInputValidation:
         code, out = self._metrics(files, tmp_path, "real", "fake", k)
         assert code == 2 and not out.exists()
         assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_is_usage_error(self, files, tmp_path, capsys, bad):
+        lines = files["fake"].read_text().splitlines()
+        lines[3] = f"{bad},1.0"
+        files["fake"].write_text("\n".join(lines) + "\n")
+        code, out = self._metrics(files, tmp_path, "real", "fake", 5)
+        assert code == 2 and not out.exists()
+        assert "fake.csv: data row 3 has a non-finite coordinate" in capsys.readouterr().err
+
+    def test_non_finite_diverged_row_is_skipped(self, files, tmp_path, capsys):
+        path = tmp_path / "endpoints.csv"
+        rows = ["particle_id,status,x0,x1", "0,diverged,nan,inf"]
+        rows += [f"{i},converged,{0.1 * i},{-0.05 * i}" for i in range(1, 21)]
+        path.write_text("\n".join(rows) + "\n")
+        files["endpoints"] = path
+        code, out = self._metrics(files, tmp_path, "real", "endpoints", 5)
+        assert code == 0 and out.exists()
+        capsys.readouterr()
 
 
 class TestScheduleCommand:
@@ -208,6 +240,18 @@ def train_config_file(tmp_path):
     path = tmp_path / "train.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.mark.parametrize("section, key", [("train", "batchsize"), ("mixture", "weight")])
+def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file, capsys,
+                                                    section, key):
+    raw = json.loads(train_config_file.read_text())
+    raw[section][key] = 1
+    train_config_file.write_text(json.dumps(raw))
+    out = tmp_path / "ckpt.json"
+    code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 class TestTrainSampleMetricsPipeline:
@@ -336,6 +380,9 @@ class TestExperimentCommand:
         ({"particles": 0}, "particles must be >= 1"),
         ({"seeds": []}, "seeds must be nonempty"),
         ({"train": {"steps": 10}}, "'schedule'"),
+        ({"particle": 10}, "unknown ExperimentConfig key(s): 'particle'"),
+        ({"train": {"schedule": {"kind": "geometric", "beta": 2.0, "n": 2, "delta": None,
+                                 "sigmas": [1.0]}, "learning_rat": 0.1}}, "'learning_rat'"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "exp.json"

@@ -1,0 +1,68 @@
+import dataclasses
+import json
+
+import pytest
+
+from htdsm.experiments import ExperimentConfig
+from htdsm.sampler import SamplerConfig
+from htdsm.schedule import NoiseSchedule, geometric_schedule
+from htdsm.scorenet import MixtureSpec, TrainConfig
+
+
+def configs():
+    """One instance of every config class, with non-default values."""
+    sched = NoiseSchedule(sigmas=(2.0, 0.5, 0.1), beta=1.5, n=3, delta=0.9, kind="quantile_matched")
+    mixture = MixtureSpec(means=((1.0, 2.0), (-1.0, 0.5)), stds=(0.3, 0.7), weights=(0.25, 0.75))
+    train = TrainConfig(schedule=sched, beta_noise=1.0, alpha_unit=1.25, batch_size=32, steps=77,
+                        learning_rate=0.5, loss_weight_exponent=1.0, hidden=(8, 4), seed=9)
+    sampler = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=(5, 7),
+                            step_size=0.05, beta_diff=1.0, init_half_width=3.0,
+                            divergence_radius=50.0, record_paths=True, seed=3)
+    experiment = ExperimentConfig(mixture=mixture, train=train, sampler=sampler, particles=12,
+                                  seeds=(4, 5), metric_names=("prdc",), data_count=500,
+                                  master_seed=7, bootstrap_resamples=100, bootstrap_level=0.9)
+    return [sched, mixture, train, sampler, experiment]
+
+
+IDS = [type(c).__name__ for c in configs()]
+
+
+@pytest.mark.parametrize("cfg", configs(), ids=IDS)
+def test_roundtrip_through_json(cfg):
+    emitted = json.loads(json.dumps(cfg.to_dict()))
+    assert set(emitted) == {f.name for f in dataclasses.fields(cfg)}
+    assert type(cfg).from_dict(emitted) == cfg
+
+
+@pytest.mark.parametrize("cfg", configs(), ids=IDS)
+def test_unknown_key_is_rejected_by_name(cfg):
+    raw = cfg.to_dict()
+    raw["no_such_key"] = 1
+    with pytest.raises(ValueError, match=f"unknown {type(cfg).__name__} key.*'no_such_key'"):
+        type(cfg).from_dict(raw)
+
+
+@pytest.mark.parametrize("cfg", configs(), ids=IDS)
+def test_non_object_is_rejected(cfg):
+    with pytest.raises(TypeError, match="must be an object"):
+        type(cfg).from_dict([["steps", 3]])
+
+
+def test_misspelled_step_size_no_longer_falls_back_to_default():
+    raw = configs()[3].to_dict()
+    raw["stepsize"] = raw.pop("step_size")
+    with pytest.raises(ValueError, match="'stepsize'"):
+        SamplerConfig.from_dict(raw)
+
+
+def test_nested_unknown_key_is_rejected():
+    raw = configs()[4].to_dict()
+    raw["train"]["schedule"]["sigma"] = [1.0]
+    with pytest.raises(ValueError, match="unknown NoiseSchedule key.*'sigma'"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_omitted_keys_keep_their_defaults():
+    sched = geometric_schedule(1.0, 0.25, 2)
+    assert SamplerConfig.from_dict({"schedule": sched.to_dict()}) == SamplerConfig(schedule=sched)
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()

@@ -1,18 +1,41 @@
-"""Strict key check shared by the JSON config loaders (`from_dict`)."""
+"""The JSON format of every config dataclass: fields in declaration order,
+nested configs as objects, tuples as lists. Loading is strict, since a
+misspelled key would otherwise be dropped and its field silently keep the
+default; omitted keys keep theirs, and each `__post_init__` turns lists
+back into tuples.
+"""
 
 from __future__ import annotations
 
 from dataclasses import fields
+from typing import get_args, get_type_hints
 
 
-def reject_unknown_keys(cls, d) -> None:
-    """Raise unless d is a dict whose keys are all fields of dataclass cls.
+def _plain(value):
+    if isinstance(value, Config):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
-    A misspelled key would otherwise be dropped and its field silently keep
-    the default.
-    """
-    if not isinstance(d, dict):
-        raise TypeError(f"{cls.__name__} config must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+
+class Config:
+    """Mixin for dataclasses that round-trip through JSON."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise TypeError(f"{cls.__name__} config must be an object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+        hints = get_type_hints(cls)
+        kwargs = dict(d)
+        for name, value in d.items():
+            for hint in get_args(hints[name]) or (hints[name],):
+                if value is not None and isinstance(hint, type) and issubclass(hint, Config):
+                    kwargs[name] = hint.from_dict(value)
+        return cls(**kwargs)

@@ -14,14 +14,17 @@ import json
 import logging
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest
+from htdsm._config import Config
 from htdsm.experiments import (
     ExperimentConfig,
     _fmt,
+    _loss_deciles,
     run_beta_sweep,
     run_convergence_demo,
     run_imbalance_grid,
@@ -51,6 +54,15 @@ def _load_json(path) -> dict:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _load_config(load, path, what):
+    """load(the JSON in path), with any config error raised as a UsageError."""
+    raw = _load_json(path)
+    try:
+        return load(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what} {path}: {exc}") from exc
 
 
 def _load_points_csv(path) -> np.ndarray:
@@ -83,22 +95,16 @@ def _load_points_csv(path) -> np.ndarray:
 
 
 def _cmd_schedule(args) -> int:
-    if args.empirical:
-        rng = np.random.default_rng(args.seed)
-        sched = schedule.quantile_matched_schedule(
-            args.beta,
-            args.dim,
-            args.delta,
-            args.sigma_min,
-            args.sigma_max,
-            empirical=True,
-            mc_count=args.mc_count,
-            rng=rng,
-        )
-    else:
-        sched = schedule.quantile_matched_schedule(
-            args.beta, args.dim, args.delta, args.sigma_min, args.sigma_max
-        )
+    sched = schedule.quantile_matched_schedule(
+        args.beta,
+        args.dim,
+        args.delta,
+        args.sigma_min,
+        args.sigma_max,
+        empirical=args.empirical,
+        mc_count=args.mc_count,
+        rng=np.random.default_rng(args.seed),
+    )
     _write_json(args.out, sched.to_dict())
     print(f"{len(sched)} levels: {sched.sigmas[0]:.6g} .. {sched.sigmas[-1]:.6g}")
     print(f"wrote {args.out}")
@@ -121,27 +127,29 @@ def _cmd_noise(args) -> int:
     return 0
 
 
-def _train_config_from_file(path) -> tuple:
-    raw = _load_json(path)
-    try:
-        cfg = scorenet.TrainConfig.from_dict(raw["train"])
-        mixture = scorenet.MixtureSpec.from_dict(raw["mixture"])
-        data_count = int(raw.get("data_count", 20_000))
-        data_seed = int(raw.get("data_seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad train config {path}: {exc}") from exc
-    return cfg, mixture, data_count, data_seed
+@dataclass(frozen=True)
+class TrainFile(Config):
+    """The `htdsm train --config` file: training settings, the mixture, and
+    how many data points to draw from it with which seed."""
+
+    train: scorenet.TrainConfig
+    mixture: scorenet.MixtureSpec
+    data_count: int = 20_000
+    data_seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "data_count", int(self.data_count))
+        object.__setattr__(self, "data_seed", int(self.data_seed))
 
 
 def _cmd_train(args) -> int:
-    cfg, mixture, data_count, data_seed = _train_config_from_file(args.config)
-    data = mixture.sample(np.random.default_rng(data_seed), data_count)
+    spec = _load_config(TrainFile.from_dict, args.config, "train config")
+    cfg = spec.train
+    data = spec.mixture.sample(np.random.default_rng(spec.data_seed), spec.data_count)
     net, losses = scorenet.train(data, cfg, np.random.default_rng(cfg.seed))
-    n10 = max(1, len(losses) // 10)
     payload = net.to_dict()
     payload["train"] = cfg.to_dict()
-    payload["loss_first_decile"] = float(losses[:n10].mean())
-    payload["loss_last_decile"] = float(losses[-n10:].mean())
+    payload["loss_first_decile"], payload["loss_last_decile"] = _loss_deciles(losses)
     _write_json(args.out, payload)
     print(
         f"trained {cfg.steps} steps; loss {payload['loss_first_decile']:.4f} -> "
@@ -151,16 +159,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    ckpt = _load_json(args.ckpt)
-    try:
-        net = scorenet.ScoreNetwork.from_dict(ckpt)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad checkpoint {args.ckpt}: {exc}") from exc
-    cfg_raw = _load_json(args.config)
-    try:
-        cfg = sampler.SamplerConfig.from_dict(cfg_raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad sampler config {args.config}: {exc}") from exc
+    net = _load_config(scorenet.ScoreNetwork.from_dict, args.ckpt, "checkpoint")
+    cfg = _load_config(sampler.SamplerConfig.from_dict, args.config, "sampler config")
     if cfg.schedule.n != net.data_dim:
         raise UsageError(
             f"sampler config {args.config} has schedule.n = {cfg.schedule.n}, "
@@ -196,11 +196,8 @@ def _cmd_metrics(args) -> int:
                 f"{path} has {pts.shape[0]} usable points; --k {args.k} in "
                 f"{pts.shape[1]} dimensions needs at least {need}"
             )
-    report = metrics.MetricReport()
     p, r, d, c = metrics.prdc(real, fake, args.k)
-    report.precision, report.recall, report.density, report.coverage = p, r, d, c
-    report.kid = metrics.kid(real, fake)
-    report.fid = metrics.fid(real, fake)
+    report = metrics.MetricReport(p, r, d, c, metrics.kid(real, fake), metrics.fid(real, fake))
     _write_json(args.out, report.to_dict())
     print(
         f"precision {p:.4f} recall {r:.4f} density {d:.4f} coverage {c:.4f} "
@@ -223,10 +220,7 @@ def _cmd_experiment(args) -> int:
         return 0
     cfg = ExperimentConfig()
     if args.config:
-        try:
-            cfg = ExperimentConfig.from_dict(_load_json(args.config))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad experiment config {args.config}: {exc}") from exc
+        cfg = _load_config(ExperimentConfig.from_dict, args.config, "experiment config")
     grid = run_imbalance_grid(cfg, workers=args.workers)
     sweep = None
     if args.sweep_betas:

@@ -73,13 +73,6 @@ class GeneralizedNormal:
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
 
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneralizedNormal":
-        return cls(mu=d["mu"], alpha=d["alpha"], beta=d["beta"])
-
 
 @dataclass(frozen=True)
 class GeneralizedGamma:
@@ -95,13 +88,6 @@ class GeneralizedGamma:
         object.__setattr__(self, "p", _require_positive("p", self.p))
         if self.d / self.p <= 0.0:
             raise ValueError(f"d/p must be positive, got d={self.d}, p={self.p}")
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "d": self.d, "p": self.p}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneralizedGamma":
-        return cls(a=d["a"], d=d["d"], p=d["p"])
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from htdsm._config import reject_unknown_keys
+from htdsm._config import Config
 from htdsm.metrics import MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
 from htdsm.sampler import DIVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
@@ -78,7 +78,7 @@ def _seed_int(master_seed: int, *key: int) -> int:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     """One imbalance experiment: mixture, shared training/sampling settings,
     particle count and the seed list."""
 
@@ -114,48 +114,9 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
 
-    def to_dict(self) -> dict:
-        return {
-            "mixture": self.mixture.to_dict(),
-            "train": self.train.to_dict(),
-            "sampler": self.sampler.to_dict(),
-            "particles": self.particles,
-            "seeds": list(self.seeds),
-            "metric_names": list(self.metric_names),
-            "data_count": self.data_count,
-            "master_seed": self.master_seed,
-            "bootstrap_resamples": self.bootstrap_resamples,
-            "bootstrap_level": self.bootstrap_level,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        reject_unknown_keys(cls, d)
-        kwargs = {}
-        if "mixture" in d:
-            kwargs["mixture"] = MixtureSpec.from_dict(d["mixture"])
-        if "train" in d:
-            kwargs["train"] = TrainConfig.from_dict(d["train"])
-        if "sampler" in d:
-            kwargs["sampler"] = SamplerConfig.from_dict(d["sampler"])
-        for k in (
-            "particles",
-            "data_count",
-            "master_seed",
-            "bootstrap_resamples",
-            "bootstrap_level",
-        ):
-            if k in d:
-                kwargs[k] = d[k]
-        if "seeds" in d:
-            kwargs["seeds"] = tuple(d["seeds"])
-        if "metric_names" in d:
-            kwargs["metric_names"] = tuple(d["metric_names"])
-        return cls(**kwargs)
-
 
 @dataclass
-class RunRecord:
+class RunRecord(Config):
     """Per-run summary; imbalance is None when every particle diverged."""
 
     seed: int
@@ -166,18 +127,6 @@ class RunRecord:
     metrics: MetricReport | None = None
     wall_time: float = 0.0
     mode_capture: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "imbalance": self.imbalance,
-            "diverged": self.diverged,
-            "loss_first_decile": self.loss_first_decile,
-            "loss_last_decile": self.loss_last_decile,
-            "metrics": None if self.metrics is None else self.metrics.to_dict(),
-            "wall_time": self.wall_time,
-            "mode_capture": self.mode_capture,
-        }
 
 
 def _loss_deciles(losses: np.ndarray) -> tuple:
@@ -193,13 +142,32 @@ def _endpoint_metrics(endpoints, statuses, data, names) -> MetricReport | None:
     report = MetricReport()
     if "prdc" in names and pts.shape[0] > 5:
         ref = data[: max(pts.shape[0], 6)]
-        p, r, d, c = prdc(ref, pts, 5)
-        report.precision, report.recall, report.density, report.coverage = p, r, d, c
+        report.precision, report.recall, report.density, report.coverage = prdc(ref, pts, 5)
     if "kid" in names and pts.shape[0] >= 2:
         report.kid = kid(data[: pts.shape[0]], pts)
     if "fid" in names and pts.shape[0] > data.shape[1]:
         report.fid = fid(data[: pts.shape[0]], pts)
     return report
+
+
+def _run_record(cfg: ExperimentConfig, seed: int, data, losses, endpoints, statuses,
+                t0: float, mode_capture: float | None = None) -> RunRecord:
+    """The record of one trained and sampled cell, timed from t0."""
+    first, last = _loss_deciles(losses)
+    try:
+        imbalance = mode_imbalance(endpoints, cfg.mixture, statuses)
+    except ValueError:
+        imbalance = None
+    return RunRecord(
+        seed=seed,
+        imbalance=imbalance,
+        diverged=sum(s == DIVERGED for s in statuses),
+        loss_first_decile=first,
+        loss_last_decile=last,
+        metrics=_endpoint_metrics(endpoints, statuses, data, cfg.metric_names),
+        wall_time=time.perf_counter() - t0,
+        mode_capture=mode_capture,
+    )
 
 
 def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float,
@@ -208,17 +176,7 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float,
     data = cfg.mixture.sample(
         _rng(cfg.master_seed, seed, _STREAM_DATA), cfg.data_count
     )
-    train_cfg = TrainConfig(
-        schedule=cfg.train.schedule,
-        beta_noise=beta_noise,
-        alpha_unit=alpha_unit,
-        batch_size=cfg.train.batch_size,
-        steps=cfg.train.steps,
-        learning_rate=cfg.train.learning_rate,
-        loss_weight_exponent=cfg.train.loss_weight_exponent,
-        hidden=cfg.train.hidden,
-        seed=seed,
-    )
+    train_cfg = replace(cfg.train, beta_noise=beta_noise, alpha_unit=alpha_unit, seed=seed)
     beta_key = int(round(beta_noise * 1_000_000))
     net, losses = train(
         data, train_cfg, _rng(cfg.master_seed, seed, _STREAM_TRAIN, beta_key)
@@ -227,13 +185,9 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float,
 
 
 def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float):
-    sampler_cfg = SamplerConfig(
-        schedule=cfg.sampler.schedule,
-        steps_per_level=cfg.sampler.steps_per_level,
-        step_size=cfg.sampler.step_size,
+    sampler_cfg = replace(
+        cfg.sampler,
         beta_diff=beta_diff,
-        init_half_width=cfg.sampler.init_half_width,
-        divergence_radius=cfg.sampler.divergence_radius,
         record_paths=False,
         seed=_seed_int(cfg.master_seed, seed, _STREAM_SAMPLE),
     )
@@ -260,22 +214,7 @@ def _seed_records(args) -> dict:
             trained[train_key] = _train_for_seed(cfg, seed, beta_noise, alpha_unit)
         data, net, losses = trained[train_key]
         endpoints, statuses = _sample_cell(cfg, seed, net, beta_diff)
-        diverged = sum(s == DIVERGED for s in statuses)
-        first, last = _loss_deciles(losses)
-        try:
-            imbalance = mode_imbalance(endpoints, cfg.mixture, statuses)
-        except ValueError:
-            imbalance = None
-        report = _endpoint_metrics(endpoints, statuses, data, cfg.metric_names)
-        out[name] = RunRecord(
-            seed=seed,
-            imbalance=imbalance,
-            diverged=diverged,
-            loss_first_decile=first,
-            loss_last_decile=last,
-            metrics=report,
-            wall_time=time.perf_counter() - t0,
-        ).to_dict()
+        out[name] = _run_record(cfg, seed, data, losses, endpoints, statuses, t0).to_dict()
     return out
 
 
@@ -402,7 +341,7 @@ def run_convergence_demo(
     if levels not in (1, 2):
         raise ValueError(f"levels must be 1 or 2, got {levels}")
     schedule = (
-        NoiseSchedule(sigmas=(1.0,), beta=2.0, n=2, delta=None, kind="geometric")
+        NoiseSchedule(sigmas=(1.0,), beta=2.0, n=2, kind="geometric")
         if levels == 1
         else geometric_schedule(1.0, 0.25, 2)
     )
@@ -431,33 +370,11 @@ def run_convergence_demo(
         raise ValueError(
             f"steps_per_level {steps} does not fit a {len(schedule)}-level demo"
         )
-    cfg = ExperimentConfig(
-        mixture=cfg.mixture,
-        train=TrainConfig(
-            schedule=schedule,
-            beta_noise=beta_noise,
-            alpha_unit=cfg.train.alpha_unit,
-            batch_size=cfg.train.batch_size,
-            steps=cfg.train.steps,
-            learning_rate=cfg.train.learning_rate,
-            loss_weight_exponent=cfg.train.loss_weight_exponent,
-            hidden=cfg.train.hidden,
-            seed=cfg.train.seed,
-        ),
-        sampler=SamplerConfig(
-            schedule=schedule,
-            steps_per_level=steps,
-            step_size=cfg.sampler.step_size,
-            beta_diff=cfg.sampler.beta_diff,
-            init_half_width=cfg.sampler.init_half_width,
-            divergence_radius=cfg.sampler.divergence_radius,
-            seed=cfg.sampler.seed,
-        ),
-        particles=cfg.particles,
+    cfg = replace(
+        cfg,
+        train=replace(cfg.train, schedule=schedule, beta_noise=beta_noise),
+        sampler=replace(cfg.sampler, schedule=schedule, steps_per_level=steps),
         seeds=cfg.seeds[:1],
-        metric_names=cfg.metric_names,
-        data_count=cfg.data_count,
-        master_seed=cfg.master_seed,
     )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -473,13 +390,8 @@ def run_convergence_demo(
     endpoints, statuses = _sample_cell(cfg, seed, net, cfg.sampler.beta_diff)
     write_endpoints_csv(out_dir / "endpoints.csv", endpoints, statuses)
 
-    paths_cfg = SamplerConfig(
-        schedule=cfg.sampler.schedule,
-        steps_per_level=cfg.sampler.steps_per_level,
-        step_size=cfg.sampler.step_size,
-        beta_diff=cfg.sampler.beta_diff,
-        init_half_width=cfg.sampler.init_half_width,
-        divergence_radius=cfg.sampler.divergence_radius,
+    paths_cfg = replace(
+        cfg.sampler,
         record_paths=True,
         seed=_seed_int(cfg.master_seed, seed, _STREAM_SAMPLE),
     )
@@ -498,21 +410,7 @@ def run_convergence_demo(
             pts[:, None, :] - cfg.mixture.mean_array()[None], axis=2
         ).min(axis=1)
         capture = float((dists <= 3.0 * max(cfg.mixture.stds)).mean())
-    try:
-        imbalance = mode_imbalance(endpoints, cfg.mixture, statuses)
-    except ValueError:
-        imbalance = None
-    first, last = _loss_deciles(losses)
-    record = RunRecord(
-        seed=seed,
-        imbalance=imbalance,
-        diverged=sum(s == DIVERGED for s in statuses),
-        loss_first_decile=first,
-        loss_last_decile=last,
-        metrics=_endpoint_metrics(endpoints, statuses, data, cfg.metric_names),
-        wall_time=time.perf_counter() - t0,
-        mode_capture=capture,
-    )
+    record = _run_record(cfg, seed, data, losses, endpoints, statuses, t0, capture)
     with open(out_dir / "record.json", "w") as fh:
         json.dump(record.to_dict(), fh, indent=2)
         fh.write("\n")

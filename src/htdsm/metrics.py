@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from htdsm._config import Config
 from htdsm.sampler import DIVERGED
 from htdsm.scorenet import MixtureSpec
 
@@ -60,7 +61,7 @@ class FeatureSet:
 
 
 @dataclass
-class MetricReport:
+class MetricReport(Config):
     precision: float | None = None
     recall: float | None = None
     density: float | None = None
@@ -68,17 +69,6 @@ class MetricReport:
     kid: float | None = None
     fid: float | None = None
     feature_map: str = "identity"
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "density": self.density,
-            "coverage": self.coverage,
-            "kid": self.kid,
-            "fid": self.fid,
-            "feature_map": self.feature_map,
-        }
 
 
 def _points(x) -> np.ndarray:

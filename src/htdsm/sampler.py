@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import reject_unknown_keys
+from htdsm._config import Config
 from htdsm.distributions import GeneralizedNormal, gn_sample, unit_variance_alpha
 from htdsm.schedule import NoiseSchedule
 
@@ -40,7 +40,7 @@ _BLOCK_BUDGET = 8_000_000
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Config):
     """Langevin sampling parameters.
 
     steps_per_level may be a single int or one int per schedule level.
@@ -88,35 +88,6 @@ class SamplerConfig:
         if any(t < 1 for t in steps):
             raise ValueError(f"steps per level must be >= 1, got {steps}")
         object.__setattr__(self, "steps_per_level", steps)
-
-    def to_dict(self) -> dict:
-        return {
-            "schedule": self.schedule.to_dict(),
-            "steps_per_level": list(self.steps_per_level),
-            "step_size": self.step_size,
-            "beta_diff": self.beta_diff,
-            "init_half_width": self.init_half_width,
-            "divergence_radius": self.divergence_radius,
-            "record_paths": self.record_paths,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplerConfig":
-        reject_unknown_keys(cls, d)
-        steps = d.get("steps_per_level", 1000)
-        if isinstance(steps, list):
-            steps = tuple(steps)
-        return cls(
-            schedule=NoiseSchedule.from_dict(d["schedule"]),
-            steps_per_level=steps,
-            step_size=d.get("step_size", 0.1),
-            beta_diff=d.get("beta_diff", 2.0),
-            init_half_width=d.get("init_half_width", 6.0),
-            divergence_radius=d.get("divergence_radius", 100.0),
-            record_paths=d.get("record_paths", False),
-            seed=d.get("seed", 0),
-        )
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import reject_unknown_keys
+from htdsm._config import Config
 from htdsm.distributions import empirical_norm_quantile
 from htdsm.specfun import inv_reg_lower_inc_gamma
 
@@ -23,19 +23,19 @@ class ScheduleError(ValueError):
     """Degenerate inputs produced a non-descending or empty schedule."""
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
+@dataclass(frozen=True, kw_only=True)
+class NoiseSchedule(Config):
     """Descending noise scales plus the parameters that generated them.
 
     sigmas is strictly descending; delta is the non-overlap proportion for
     quantile-matched schedules and None for geometric ones.
     """
 
-    sigmas: tuple
+    kind: str
     beta: float
     n: int
-    delta: float | None
-    kind: str
+    delta: float | None = None
+    sigmas: tuple
 
     def __post_init__(self) -> None:
         sigmas = tuple(float(s) for s in self.sigmas)
@@ -59,26 +59,6 @@ class NoiseSchedule:
     @property
     def sigma_min(self) -> float:
         return self.sigmas[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "beta": self.beta,
-            "n": self.n,
-            "delta": self.delta,
-            "sigmas": list(self.sigmas),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSchedule":
-        reject_unknown_keys(cls, d)
-        return cls(
-            sigmas=tuple(d["sigmas"]),
-            beta=d["beta"],
-            n=d["n"],
-            delta=d.get("delta"),
-            kind=d["kind"],
-        )
 
 
 def _matched_ratio_model(beta: float, delta: float) -> float:
@@ -184,6 +164,5 @@ def geometric_schedule(
         sigmas=tuple(float(s) for s in sigmas),
         beta=float(beta),
         n=int(n),
-        delta=None,
         kind="geometric",
     )

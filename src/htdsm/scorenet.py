@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import reject_unknown_keys
+from htdsm._config import Config
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
@@ -30,7 +30,6 @@ __all__ = [
     "MixtureSpec",
     "TrainConfig",
     "ScoreNetwork",
-    "forward",
     "dsm_loss",
     "train",
     "analytic_mixture_score",
@@ -51,7 +50,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MixtureSpec:
+class MixtureSpec(Config):
     """Isotropic Gaussian mixture: component means, stds and weights."""
 
     means: tuple
@@ -97,22 +96,6 @@ class MixtureSpec:
         rng.shuffle(data, axis=0)
         return data
 
-    def to_dict(self) -> dict:
-        return {
-            "means": [list(m) for m in self.means],
-            "stds": list(self.stds),
-            "weights": list(self.weights),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MixtureSpec":
-        reject_unknown_keys(cls, d)
-        return cls(
-            means=tuple(tuple(m) for m in d["means"]),
-            stds=tuple(d["stds"]),
-            weights=tuple(d["weights"]),
-        )
-
     @classmethod
     def two_mode(cls, ratio: float = 1.0) -> "MixtureSpec":
         """The 2D benchmark mixture: modes at (2.5, 2.5) and (-2.5, -2.5),
@@ -128,7 +111,7 @@ class MixtureSpec:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     """Hyperparameters for DSM training.
 
     alpha_unit is the GN scale at sigma = 1; None picks the variance-matched
@@ -161,34 +144,6 @@ class TrainConfig:
         if self.alpha_unit is not None:
             return float(self.alpha_unit)
         return unit_variance_alpha(self.beta_noise)
-
-    def to_dict(self) -> dict:
-        return {
-            "schedule": self.schedule.to_dict(),
-            "beta_noise": self.beta_noise,
-            "alpha_unit": self.alpha_unit,
-            "batch_size": self.batch_size,
-            "steps": self.steps,
-            "learning_rate": self.learning_rate,
-            "loss_weight_exponent": self.loss_weight_exponent,
-            "hidden": list(self.hidden),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        reject_unknown_keys(cls, d)
-        return cls(
-            schedule=NoiseSchedule.from_dict(d["schedule"]),
-            beta_noise=d.get("beta_noise", 2.0),
-            alpha_unit=d.get("alpha_unit"),
-            batch_size=d.get("batch_size", 256),
-            steps=d.get("steps", 20_000),
-            learning_rate=d.get("learning_rate", 1e-3),
-            loss_weight_exponent=d.get("loss_weight_exponent", 2.0),
-            hidden=tuple(d.get("hidden", (16, 16))),
-            seed=d.get("seed", 0),
-        )
 
 
 class ScoreNetwork:
@@ -327,11 +282,6 @@ class ScoreNetwork:
         return net
 
 
-def forward(net: ScoreNetwork, x, log_sigma):
-    """Deterministic evaluation of the score network."""
-    return net.forward(x, log_sigma)
-
-
 @functools.lru_cache(maxsize=64)
 def _noise_level(sigma: float, alpha_unit: float, beta_noise: float) -> tuple:
     """Per-level DSM constants: (noise kernel, log sigma, loss weight).
@@ -418,8 +368,10 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
     return net, losses
 
 
-def mixture_log_density(x, mixture: MixtureSpec, smoothing_sigma: float = 0.0):
-    """Log density of the mixture smoothed by an isotropic Gaussian."""
+def _log_components(x, mixture: MixtureSpec, smoothing_sigma: float):
+    """(squeeze, diffs, variances, log_comp) of the smoothed mixture at x:
+    log_comp[i, k] is the log of weight k times component k's density at
+    row i, and squeeze says x was a single (d,) point."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
@@ -433,6 +385,12 @@ def mixture_log_density(x, mixture: MixtureSpec, smoothing_sigma: float = 0.0):
         - 0.5 * sq / variances[None, :]
         - 0.5 * dim * np.log(2.0 * math.pi * variances)[None, :]
     )
+    return squeeze, diffs, variances, log_comp
+
+
+def mixture_log_density(x, mixture: MixtureSpec, smoothing_sigma: float = 0.0):
+    """Log density of the mixture smoothed by an isotropic Gaussian."""
+    squeeze, _, _, log_comp = _log_components(x, mixture, smoothing_sigma)
     peak = log_comp.max(axis=1, keepdims=True)
     out = peak[:, 0] + np.log(np.exp(log_comp - peak).sum(axis=1))
     return out[0] if squeeze else out
@@ -477,19 +435,7 @@ def analytic_mixture_score(x, mixture: MixtureSpec, smoothing_sigma: float = 0.0
     mixture with inflated component variances, so the smoothed score is in
     closed form: a responsibility-weighted sum of component scores.
     """
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    dim = mixture.dim
-    variances = np.asarray(mixture.stds) ** 2 + float(smoothing_sigma) ** 2
-    diffs = x[:, None, :] - mixture.mean_array()[None, :, :]
-    sq = (diffs**2).sum(axis=2)
-    log_comp = (
-        np.log(np.asarray(mixture.weights))[None, :]
-        - 0.5 * sq / variances[None, :]
-        - 0.5 * dim * np.log(2.0 * math.pi * variances)[None, :]
-    )
+    squeeze, diffs, variances, log_comp = _log_components(x, mixture, smoothing_sigma)
     peak = log_comp.max(axis=1, keepdims=True)
     resp = np.exp(log_comp - peak)
     resp /= resp.sum(axis=1, keepdims=True)

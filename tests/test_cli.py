@@ -254,6 +254,16 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     assert f"'{key}'" in capsys.readouterr().err
 
 
+def test_misspelled_top_level_train_key_is_usage_error(tmp_path, train_config_file, capsys):
+    raw = json.loads(train_config_file.read_text())
+    raw["data_cout"] = raw.pop("data_count")
+    train_config_file.write_text(json.dumps(raw))
+    out = tmp_path / "ckpt.json"
+    code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert "unknown TrainFile key(s): 'data_cout'" in capsys.readouterr().err
+
+
 class TestTrainSampleMetricsPipeline:
     def test_end_to_end(self, tmp_path, train_config_file, capsys):
         ckpt = tmp_path / "ckpt.json"

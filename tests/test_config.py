@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from htdsm.experiments import ExperimentConfig
+from htdsm.experiments import ExperimentConfig, RunRecord
+from htdsm.metrics import MetricReport
 from htdsm.sampler import SamplerConfig
 from htdsm.schedule import NoiseSchedule, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig
@@ -21,17 +22,77 @@ def configs():
     experiment = ExperimentConfig(mixture=mixture, train=train, sampler=sampler, particles=12,
                                   seeds=(4, 5), metric_names=("prdc",), data_count=500,
                                   master_seed=7, bootstrap_resamples=100, bootstrap_level=0.9)
-    return [sched, mixture, train, sampler, experiment]
+    report = MetricReport(precision=0.5, recall=0.25, density=1.5, coverage=0.75, kid=0.001,
+                          fid=2.5)
+    record = RunRecord(seed=3, imbalance=1.5, diverged=2, loss_first_decile=0.9,
+                       loss_last_decile=0.4, metrics=report, wall_time=1.25, mode_capture=None)
+    return [sched, mixture, train, sampler, experiment, report, record]
 
 
 IDS = [type(c).__name__ for c in configs()]
 
 
+# json.dumps(cfg.to_dict()) for each of configs(), recorded before the
+# codec was shared. Checkpoint and schedule files carry these bytes, so
+# the key order is pinned as well as the values.
+WIRE = {
+    "NoiseSchedule": (
+        '{"kind": "quantile_matched", "beta": 1.5, "n": 3, "delta": 0.9, '
+        '"sigmas": [2.0, 0.5, 0.1]}'
+    ),
+    "MixtureSpec": (
+        '{"means": [[1.0, 2.0], [-1.0, 0.5]], "stds": [0.3, 0.7], "weights": [0.25, '
+        '0.75]}'
+    ),
+    "TrainConfig": (
+        '{"schedule": {"kind": "quantile_matched", "beta": 1.5, "n": 3, "delta": 0.9, '
+        '"sigmas": [2.0, 0.5, 0.1]}, "beta_noise": 1.0, "alpha_unit": 1.25, '
+        '"batch_size": 32, "steps": 77, "learning_rate": 0.5, '
+        '"loss_weight_exponent": 1.0, "hidden": [8, 4], "seed": 9}'
+    ),
+    "SamplerConfig": (
+        '{"schedule": {"kind": "geometric", "beta": 2.0, "n": 2, "delta": null, '
+        '"sigmas": [1.0, 0.25]}, "steps_per_level": [5, 7], "step_size": 0.05, '
+        '"beta_diff": 1.0, "init_half_width": 3.0, "divergence_radius": 50.0, '
+        '"record_paths": true, "seed": 3}'
+    ),
+    "ExperimentConfig": (
+        '{"mixture": {"means": [[1.0, 2.0], [-1.0, 0.5]], "stds": [0.3, 0.7], '
+        '"weights": [0.25, 0.75]}, "train": {"schedule": {"kind": "quantile_matched", '
+        '"beta": 1.5, "n": 3, "delta": 0.9, "sigmas": [2.0, 0.5, 0.1]}, '
+        '"beta_noise": 1.0, "alpha_unit": 1.25, "batch_size": 32, "steps": 77, '
+        '"learning_rate": 0.5, "loss_weight_exponent": 1.0, "hidden": [8, 4], '
+        '"seed": 9}, "sampler": {"schedule": {"kind": "geometric", "beta": 2.0, '
+        '"n": 2, "delta": null, "sigmas": [1.0, 0.25]}, "steps_per_level": [5, 7], '
+        '"step_size": 0.05, "beta_diff": 1.0, "init_half_width": 3.0, '
+        '"divergence_radius": 50.0, "record_paths": true, "seed": 3}, "particles": 12, '
+        '"seeds": [4, 5], "metric_names": ["prdc"], "data_count": 500, '
+        '"master_seed": 7, "bootstrap_resamples": 100, "bootstrap_level": 0.9}'
+    ),
+    "MetricReport": (
+        '{"precision": 0.5, "recall": 0.25, "density": 1.5, "coverage": 0.75, "kid": 0.001, '
+        '"fid": 2.5, "feature_map": "identity"}'
+    ),
+    "RunRecord": (
+        '{"seed": 3, "imbalance": 1.5, "diverged": 2, "loss_first_decile": 0.9, '
+        '"loss_last_decile": 0.4, "metrics": {"precision": 0.5, "recall": 0.25, '
+        '"density": 1.5, "coverage": 0.75, "kid": 0.001, "fid": 2.5, '
+        '"feature_map": "identity"}, "wall_time": 1.25, "mode_capture": null}'
+    ),
+}
+
+
 @pytest.mark.parametrize("cfg", configs(), ids=IDS)
 def test_roundtrip_through_json(cfg):
     emitted = json.loads(json.dumps(cfg.to_dict()))
+    assert emitted == cfg.to_dict()  # plain JSON data: lists, not tuples
     assert set(emitted) == {f.name for f in dataclasses.fields(cfg)}
     assert type(cfg).from_dict(emitted) == cfg
+
+
+@pytest.mark.parametrize("cfg", configs(), ids=IDS)
+def test_wire_format_is_byte_stable(cfg):
+    assert json.dumps(cfg.to_dict()) == WIRE[type(cfg).__name__]
 
 
 @pytest.mark.parametrize("cfg", configs(), ids=IDS)
@@ -66,3 +127,5 @@ def test_omitted_keys_keep_their_defaults():
     sched = geometric_schedule(1.0, 0.25, 2)
     assert SamplerConfig.from_dict({"schedule": sched.to_dict()}) == SamplerConfig(schedule=sched)
     assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+    no_delta = {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0, 0.25]}
+    assert NoiseSchedule.from_dict(no_delta) == sched

@@ -41,10 +41,6 @@ class TestGeneralizedNormalDensity:
         with pytest.raises(ValueError):
             dist.GeneralizedNormal(math.inf, 1.0, 1.0)
 
-    def test_json_roundtrip(self):
-        g = dist.GeneralizedNormal(0.2, 1.5, 0.8)
-        assert dist.GeneralizedNormal.from_dict(g.to_dict()) == g
-
 
 class TestScore:
     def test_gaussian_reduction(self):

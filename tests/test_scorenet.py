@@ -45,7 +45,7 @@ class TestScoreNetworkForward:
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0
         x = np.random.default_rng(0).standard_normal((7, 2))
-        assert np.array_equal(sn.forward(net, x, 0.0), np.zeros((7, 2)))
+        assert np.array_equal(net.forward(x, 0.0), np.zeros((7, 2)))
 
     def test_deterministic(self):
         net = sn.ScoreNetwork([3, 16, 16, 2], np.random.default_rng(1))
@@ -371,3 +371,44 @@ class TestAnalyticMixtureScore:
                 ]
             )
             assert np.allclose(got, fd, atol=1e-6)
+
+
+# float.hex values recorded before the two functions shared their
+# log-component code; the sharing must not change a single bit.
+# Keys: smoothing sigma. Values: (log density at X1, at XB, score at X1,
+# score at XB flattened row by row).
+MIXTURE_GOLDEN = {
+    0.0: (
+        ["-0x1.06ed5b1e0bdb0p+2"],
+        ["-0x1.c84be69533b76p+0", "-0x1.471c4e72a43edp+1", "-0x1.6ced2957fb4bap+2",
+         "-0x1.ec0daba6f4610p+5"],
+        ["0x1.3ffe7d2fd85fcp-2", "0x1.17ffdbeee2747p+0"],
+        ["0x1.fffff32b37862p+0", "-0x1.9999a6dfd0810p+0", "0x1.3333a3e563abbp+1",
+         "-0x1.33325c4a8f536p+0", "0x1.4035742f61543p-3", "-0x1.3ffbe8289f9fbp+1",
+         "-0x1.5dfffffffffffp+3", "0x1.f3ffffffffffep+2"],
+    ),
+    0.4: (
+        ["-0x1.0fe43d1e5c844p+2"],
+        ["-0x1.f504a30d04a45p+0", "-0x1.5978b14868700p+1", "-0x1.614c2e175395dp+2",
+         "-0x1.9156ab236e0acp+5"],
+        ["0x1.fc2fe85252189p-3", "0x1.bf9e9476a3190p-1"],
+        ["0x1.38316e3ba6ffcp+0", "-0x1.f3846f1bfb494p-1", "0x1.76a99ab11f88dp+0",
+         "-0x1.7697aa8046da3p-1", "0x1.21a75e9b63109p-3", "-0x1.fa6a3c46dc81fp+0",
+         "-0x1.17fffffffffffp+3", "0x1.8ffffffffffffp+2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("smoothing", sorted(MIXTURE_GOLDEN))
+def test_mixture_density_and_score_match_recorded_bits(smoothing):
+    mix = sn.MixtureSpec(means=((2.5, 2.5), (-2.5, -2.5), (0.5, -1.0)),
+                         stds=(0.5, 0.5, 0.8), weights=(0.6, 0.3, 0.1))
+    x1 = np.array([0.3, -1.7])
+    xb = np.array([[2.0, 2.9], [-3.1, -2.2], [0.4, 0.6], [7.5, -6.0]])
+    got = (
+        [float(sn.mixture_log_density(x1, mix, smoothing)).hex()],
+        [v.hex() for v in sn.mixture_log_density(xb, mix, smoothing).tolist()],
+        [v.hex() for v in sn.analytic_mixture_score(x1, mix, smoothing).tolist()],
+        [v.hex() for v in sn.analytic_mixture_score(xb, mix, smoothing).ravel().tolist()],
+    )
+    assert got == tuple(MIXTURE_GOLDEN[smoothing])

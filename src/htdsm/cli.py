@@ -2,7 +2,8 @@
 
 Subcommands: schedule, noise, train, sample, metrics, experiment, selftest.
 Every command is pure in (config, seed) up to timing fields; outputs are
-JSON or RFC-4180 CSV. Exit codes: 0 success, 1 numerical/runtime failure,
+JSON or CSV (RFC 4180 with CRLF line ends, floats as their shortest
+round-trip repr). Exit codes: 0 success, 1 numerical/runtime failure,
 2 usage or config error.
 """
 
@@ -23,11 +24,11 @@ from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest
 from htdsm._config import Config
 from htdsm.experiments import (
     ExperimentConfig,
-    _fmt,
     _loss_deciles,
     run_beta_sweep,
     run_convergence_demo,
     run_imbalance_grid,
+    write_csv,
     write_endpoints_csv,
     write_grid_outputs,
     write_paths_csv,
@@ -44,6 +45,12 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _require(ok: bool, flag: str, value, need: str) -> None:
+    """A UsageError naming flag and its value unless ok."""
+    if not ok:
+        raise UsageError(f"{flag} must be {need}, got {value!r}")
 
 
 def _load_json(path) -> dict:
@@ -95,6 +102,13 @@ def _load_points_csv(path) -> np.ndarray:
 
 
 def _cmd_schedule(args) -> int:
+    _require(0.0 < args.beta < math.inf, "--beta", args.beta, "finite and positive")
+    _require(args.dim >= 1, "--dim", args.dim, ">= 1")
+    _require(0.0 < args.delta < 1.0, "--delta", args.delta, "in (0, 1)")
+    if args.empirical:
+        _require(args.mc_count >= distributions.MIN_MC_COUNT, "--mc-count", args.mc_count,
+                 f">= {distributions.MIN_MC_COUNT}")
+    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     sched = schedule.quantile_matched_schedule(
         args.beta,
         args.dim,
@@ -112,14 +126,15 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_noise(args) -> int:
+    _require(math.isfinite(args.mu), "--mu", args.mu, "finite")
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        _require(0.0 < value < math.inf, flag, value, "finite and positive")
+    _require(args.count >= 0, "--count", args.count, ">= 0")
+    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     dist = distributions.GeneralizedNormal(args.mu, args.alpha, args.beta)
     rng = np.random.default_rng(args.seed)
     draws = distributions.gn_sample(dist, rng, args.count, method=args.method)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x0"])
-        for v in draws:
-            writer.writerow([_fmt(v)])
+    write_csv(args.out, ["x0"], [draws])
     print(
         f"wrote {args.count} draws of GN(mu={args.mu}, alpha={args.alpha}, "
         f"beta={args.beta}) to {args.out}"
@@ -140,6 +155,8 @@ class TrainFile(Config):
     def __post_init__(self) -> None:
         object.__setattr__(self, "data_count", int(self.data_count))
         object.__setattr__(self, "data_seed", int(self.data_seed))
+        if self.data_count < 1:
+            raise ValueError(f"data_count must be >= 1, got {self.data_count}")
 
 
 def _cmd_train(args) -> int:

@@ -274,6 +274,10 @@ def norm_model_skew(beta: float) -> float:
     return (third - 3.0 * c1 * c2 - c1**3) / c2**1.5
 
 
+# The fewest Monte-Carlo draws empirical_norm_quantile accepts.
+MIN_MC_COUNT = 10_000
+
+
 def empirical_norm_quantile(
     n: int,
     sigma: float,
@@ -287,8 +291,8 @@ def empirical_norm_quantile(
     X_i ~ GN(0, sigma, beta) i.i.d. (unit base scale). This is the honest
     n-fold-sum reference the scaled GG model approximates.
     """
-    if mc_count < 10_000:
-        raise ValueError(f"mc_count must be >= 10000, got {mc_count}")
+    if mc_count < MIN_MC_COUNT:
+        raise ValueError(f"mc_count must be >= {MIN_MC_COUNT}, got {mc_count}")
     dist = GeneralizedNormal(0.0, sigma, beta)
     draws = gn_sample(dist, rng, (int(mc_count), int(n)))
     return float(np.quantile((draws**2).sum(axis=1), q))

@@ -10,7 +10,6 @@ in seed order. Wall times are the only unreproducible fields.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import time
@@ -111,6 +110,8 @@ class ExperimentConfig(Config):
             raise ValueError("seeds must be nonempty")
         if self.particles < 1:
             raise ValueError(f"particles must be >= 1, got {self.particles}")
+        if self.data_count < 1:
+            raise ValueError(f"data_count must be >= 1, got {self.data_count}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
 
@@ -417,19 +418,35 @@ def run_convergence_demo(
     return record
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal representation."""
-    return repr(float(x))
+def _fmt(x) -> str:
+    """Shortest round-trip decimal representation; "" for None."""
+    return "" if x is None else repr(float(x))
+
+
+# Rows per block of write_csv. Formatting a block holds about 100 B per float
+# field, so memory stays bounded for any row count. Blocks of 1024 to 8192
+# rows format equally fast, and 65,536 rows was slower.
+_CSV_ROWS = 1024
+
+
+def write_csv(path, header, columns) -> None:
+    """RFC 4180 CSV with CRLF line ends from equal-length columns: floats as
+    their shortest round-trip repr (nan, inf), anything else (ids, levels,
+    status strings) as str. No field needs quoting. Rows are formatted and
+    written _CSV_ROWS at a time, one write per block."""
+    columns = [np.asarray(col) for col in columns]
+    fmts = [repr if col.dtype.kind == "f" else str for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+            cells = [map(f, col[i : i + _CSV_ROWS].tolist()) for f, col in zip(fmts, columns)]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_endpoints_csv(path, endpoints, statuses) -> None:
     endpoints = np.asarray(endpoints, dtype=float)
-    dim = endpoints.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["particle_id", "status"] + [f"x{i}" for i in range(dim)])
-        for pid, (point, status) in enumerate(zip(endpoints, statuses)):
-            writer.writerow([pid, status] + [_fmt(v) for v in point])
+    header = ["particle_id", "status", *(f"x{i}" for i in range(endpoints.shape[1]))]
+    write_csv(path, header, [np.arange(len(endpoints)), statuses, *endpoints.T])
 
 
 def write_paths_csv(path, particle_paths) -> None:
@@ -437,18 +454,14 @@ def write_paths_csv(path, particle_paths) -> None:
 
     Step 0 is the initial position (level of the first schedule level).
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = particle_paths[0].positions.shape[1]
-        writer.writerow(
-            ["particle_id", "level", "step", *(f"x{i}" for i in range(dim))]
-        )
-        for pid, p in enumerate(particle_paths):
-            if p.positions is None:
-                raise ValueError("paths were not recorded for this run")
-            levels = np.concatenate([[p.levels[0]], p.levels])
-            for step, (lvl, pos) in enumerate(zip(levels, p.positions)):
-                writer.writerow([pid, int(lvl), step] + [_fmt(v) for v in pos])
+    if any(p.positions is None for p in particle_paths):
+        raise ValueError("paths were not recorded for this run")
+    pos = np.concatenate([p.positions for p in particle_paths])
+    ids = np.concatenate([np.full(len(p.positions), i) for i, p in enumerate(particle_paths)])
+    levels = np.concatenate([np.concatenate([p.levels[:1], p.levels]) for p in particle_paths])
+    steps = np.concatenate([np.arange(len(p.positions)) for p in particle_paths])
+    header = ["particle_id", "level", "step", *(f"x{i}" for i in range(pos.shape[1]))]
+    write_csv(path, header, [ids, levels, steps, *pos.T])
 
 
 def write_grid_outputs(out_dir, grid: dict, sweep: dict | None = None) -> None:
@@ -458,30 +471,13 @@ def write_grid_outputs(out_dir, grid: dict, sweep: dict | None = None) -> None:
     with open(out_dir / "grid.json", "w") as fh:
         json.dump(grid, fh, indent=2)
         fh.write("\n")
-    with open(out_dir / "per_seed.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "seed", "imbalance", "diverged"])
-        for name, cell in grid["cells"].items():
-            for rec in cell["per_seed"]:
-                writer.writerow(
-                    [
-                        name,
-                        rec["seed"],
-                        "" if rec["imbalance"] is None else _fmt(rec["imbalance"]),
-                        rec["diverged"],
-                    ]
-                )
+    rows = [
+        (name, rec["seed"], _fmt(rec["imbalance"]), rec["diverged"])
+        for name, cell in grid["cells"].items()
+        for rec in cell["per_seed"]
+    ]
+    write_csv(out_dir / "per_seed.csv", ["cell", "seed", "imbalance", "diverged"], [*zip(*rows)])
     if sweep is not None:
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta", "mean", "ci_lo", "ci_hi", "divergent"])
-            for row in sweep["rows"]:
-                writer.writerow(
-                    [
-                        _fmt(row["beta"]),
-                        "" if row["mean"] is None else _fmt(row["mean"]),
-                        "" if row["ci_lo"] is None else _fmt(row["ci_lo"]),
-                        "" if row["ci_hi"] is None else _fmt(row["ci_hi"]),
-                        row["divergent"],
-                    ]
-                )
+        floats = ("beta", "mean", "ci_lo", "ci_hi")
+        rows = [(*(_fmt(row[k]) for k in floats), row["divergent"]) for row in sweep["rows"]]
+        write_csv(out_dir / "sweep.csv", [*floats, "divergent"], [*zip(*rows)])

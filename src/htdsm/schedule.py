@@ -109,9 +109,9 @@ def quantile_matched_schedule(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not 0.0 < sigma_min < sigma_max:
+    if not 0.0 < sigma_min < sigma_max < math.inf:
         raise ValueError(
-            f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}"
+            f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}"
         )
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

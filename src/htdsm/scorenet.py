@@ -139,6 +139,8 @@ class TrainConfig(Config):
         if self.beta_noise <= 0:
             raise ValueError(f"beta_noise must be positive, got {self.beta_noise}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
     def resolved_alpha_unit(self) -> float:
         if self.alpha_unit is not None:

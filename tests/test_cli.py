@@ -190,6 +190,27 @@ class TestScheduleCommand:
         assert json.loads(out.read_text())["delta"] == 0.9
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "-1"), ("--beta", "0"), ("--beta", "nan"), ("--beta", "inf"),
+        ("--dim", "0"), ("--delta", "1.0"), ("--delta", "nan"), ("--mc-count", "5"),
+        ("--seed", "-1"),
+    ])
+    def test_bad_argument_is_usage_error(self, tmp_path, capsys, flag, value):
+        args = {"--beta": "1", "--dim": "2", "--delta": "0.9", "--sigma-min": "0.25",
+                "--sigma-max": "1.0", "--mc-count": "20000", "--seed": "0", flag: value}
+        out = tmp_path / "sched.json"
+        code = run_cli("schedule", *(t for kv in args.items() for t in kv),
+                       "--empirical", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    def test_infinite_sigma_max_fails_instead_of_looping(self, tmp_path, capsys):
+        code = run_cli("schedule", "--beta", "1", "--dim", "2", "--delta", "0.9",
+                       "--sigma-min", "0.25", "--sigma-max", "inf",
+                       "--out", str(tmp_path / "s.json"))
+        assert code == 1
+        assert "sigma_max < inf" in capsys.readouterr().err
+
 
 class TestNoiseCommand:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -209,6 +230,24 @@ class TestNoiseCommand:
             rows = list(csv.DictReader(fh))
         vals = np.array([float(r["x0"]) for r in rows])
         assert abs(vals.mean()) < 0.15
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "-5"), ("--beta", "0"), ("--beta", "nan"), ("--alpha", "-1"),
+        ("--alpha", "inf"), ("--mu", "inf"), ("--mu", "nan"), ("--seed", "-1"),
+    ])
+    def test_bad_argument_is_usage_error(self, tmp_path, capsys, flag, value):
+        args = {"--beta": "1", "--alpha": "1", "--count": "10", flag: value}
+        out = tmp_path / "n.csv"
+        code = run_cli("noise", *(t for kv in args.items() for t in kv), "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    def test_zero_count_writes_the_header_only(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        assert run_cli("noise", "--beta", "1", "--alpha", "1", "--count", "0",
+                       "--out", str(out)) == 0
+        assert out.read_bytes() == b"x0\r\n"
         capsys.readouterr()
 
 
@@ -252,6 +291,22 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
     assert code == 2 and not out.exists()
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "data_count", 0), (None, "data_count", -5), ("train", "hidden", [0]),
+    ("train", "hidden", [8, -1]),
+])
+def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
+                                                 section, key, value):
+    raw = json.loads(train_config_file.read_text())
+    (raw if section is None else raw[section])[key] = value
+    train_config_file.write_text(json.dumps(raw))
+    out = tmp_path / "ckpt.json"
+    code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "bad train config" in err and key in err and "must be >= 1" in err
 
 
 def test_misspelled_top_level_train_key_is_usage_error(tmp_path, train_config_file, capsys):
@@ -393,6 +448,7 @@ class TestExperimentCommand:
         ({"particle": 10}, "unknown ExperimentConfig key(s): 'particle'"),
         ({"train": {"schedule": {"kind": "geometric", "beta": 2.0, "n": 2, "delta": None,
                                  "sigmas": [1.0]}, "learning_rat": 0.1}}, "'learning_rat'"),
+        ({"data_count": 0}, "data_count must be >= 1"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "exp.json"

@@ -22,7 +22,6 @@ from htdsm.distributions import (
 from htdsm.experiments import (
     ExperimentConfig,
     RunRecord,
-    run_beta_sweep,
     run_convergence_demo,
     run_imbalance_grid,
 )

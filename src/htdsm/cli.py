@@ -25,7 +25,6 @@ from htdsm._config import Config
 from htdsm.experiments import (
     ExperimentConfig,
     _loss_deciles,
-    run_beta_sweep,
     run_convergence_demo,
     run_imbalance_grid,
     write_csv,
@@ -105,6 +104,8 @@ def _cmd_schedule(args) -> int:
     _require(0.0 < args.beta < math.inf, "--beta", args.beta, "finite and positive")
     _require(args.dim >= 1, "--dim", args.dim, ">= 1")
     _require(0.0 < args.delta < 1.0, "--delta", args.delta, "in (0, 1)")
+    _require(0.0 < args.sigma_min < args.sigma_max, "--sigma-min, --sigma-max",
+             (args.sigma_min, args.sigma_max), "positive and increasing")
     if args.empirical:
         _require(args.mc_count >= distributions.MIN_MC_COUNT, "--mc-count", args.mc_count,
                  f">= {distributions.MIN_MC_COUNT}")
@@ -157,6 +158,8 @@ class TrainFile(Config):
         object.__setattr__(self, "data_seed", int(self.data_seed))
         if self.data_count < 1:
             raise ValueError(f"data_count must be >= 1, got {self.data_count}")
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
 
 
 def _cmd_train(args) -> int:
@@ -176,6 +179,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _require(args.count >= 1, "--count", args.count, ">= 1")
     net = _load_config(scorenet.ScoreNetwork.from_dict, args.ckpt, "checkpoint")
     cfg = _load_config(sampler.SamplerConfig.from_dict, args.config, "sampler config")
     if cfg.schedule.n != net.data_dim:
@@ -235,14 +239,14 @@ def _cmd_experiment(args) -> int:
         )
         print(f"wrote {out_dir}/endpoints.csv, paths.csv, record.json")
         return 0
+    _require(args.workers >= 1, "--workers", args.workers, ">= 1")
+    for beta in args.sweep_betas:
+        _require(0.0 < beta <= 2.0, "--sweep-betas", beta, "in (0, 2]")
     cfg = ExperimentConfig()
     if args.config:
         cfg = _load_config(ExperimentConfig.from_dict, args.config, "experiment config")
-    grid = run_imbalance_grid(cfg, workers=args.workers)
-    sweep = None
-    if args.sweep_betas:
-        sweep = run_beta_sweep(cfg, args.sweep_betas, workers=args.workers)
-    write_grid_outputs(out_dir, grid, sweep)
+    grid = run_imbalance_grid(cfg, workers=args.workers, sweep_betas=args.sweep_betas)
+    write_grid_outputs(out_dir, grid)
     for name, cell in grid["cells"].items():
         if cell["divergent"]:
             print(f"{name}: Divergent")
@@ -251,7 +255,7 @@ def _cmd_experiment(args) -> int:
                 f"{name}: {cell['mean']:.2f} ({cell['ci_lo']:.2f}, "
                 f"{cell['ci_hi']:.2f})"
             )
-    print(f"wrote {out_dir}/grid.json, per_seed.csv" + (", sweep.csv" if sweep else ""))
+    print(f"wrote {out_dir}/grid.json, per_seed.csv" + (", sweep.csv" if "sweep" in grid else ""))
     return 0
 
 

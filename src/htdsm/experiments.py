@@ -33,7 +33,6 @@ __all__ = [
     "standard_member_alpha",
     "run_convergence_demo",
     "run_imbalance_grid",
-    "run_beta_sweep",
     "write_endpoints_csv",
     "write_paths_csv",
     "GRID_CELLS",
@@ -113,6 +112,10 @@ class ExperimentConfig(Config):
         if self.data_count < 1:
             raise ValueError(f"data_count must be >= 1, got {self.data_count}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
 
 
@@ -199,23 +202,30 @@ def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float):
 
 
 def _seed_records(args) -> dict:
-    """All requested (training shape, diffusion shape) records for one seed.
+    """One seed's records by name, for shapes (name, beta_noise, beta_diff).
 
-    Module-level so worker processes can pickle it; trains each distinct
-    training shape once and reuses it across diffusion columns.
+    Module-level so worker processes can pickle it. Each distinct training
+    shape is trained once and each distinct (training, diffusion) pair is
+    sampled once; a name repeating a pair gets a copy of its record, wall
+    time included.
     """
     cfg_dict, seed, shapes = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
     trained = {}
+    records = {}
     out = {}
-    for name, beta_noise, alpha_unit, beta_diff in shapes:
-        t0 = time.perf_counter()
-        train_key = (beta_noise, alpha_unit)
-        if train_key not in trained:
-            trained[train_key] = _train_for_seed(cfg, seed, beta_noise, alpha_unit)
-        data, net, losses = trained[train_key]
-        endpoints, statuses = _sample_cell(cfg, seed, net, beta_diff)
-        out[name] = _run_record(cfg, seed, data, losses, endpoints, statuses, t0).to_dict()
+    for name, beta_noise, beta_diff in shapes:
+        pair = (beta_noise, beta_diff)
+        if pair not in records:
+            t0 = time.perf_counter()
+            if beta_noise not in trained:
+                trained[beta_noise] = _train_for_seed(
+                    cfg, seed, beta_noise, standard_member_alpha(beta_noise)
+                )
+            data, net, losses = trained[beta_noise]
+            endpoints, statuses = _sample_cell(cfg, seed, net, beta_diff)
+            records[pair] = _run_record(cfg, seed, data, losses, endpoints, statuses, t0)
+        out[name] = records[pair].to_dict()
     return out
 
 
@@ -261,8 +271,9 @@ def _aggregate_cell(cfg: ExperimentConfig, records: list) -> dict:
     return cell
 
 
-def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1) -> dict:
-    """The {DSM, HTDSM} x {Gaussian, Laplace} table.
+def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1, sweep_betas=()) -> dict:
+    """The {DSM, HTDSM} x {Gaussian, Laplace} table, plus the matched
+    noise/diffusion sweep when sweep_betas is not empty.
 
     Per cell and seed the model is retrained with the cell's noise shape,
     1,000 (cfg.particles) particles are annealed, and non-diverged
@@ -270,24 +281,22 @@ def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1) -> dict:
     a percentile bootstrap. A cell is Divergent when more than half the
     seeds lose more than half their particles; divergence is an outcome,
     never an error.
+
+    Each sweep beta in (0, 2] trains and samples with that same shape and
+    becomes one row of grid["sweep"]. The grid and the sweep run as one set
+    of shapes, so beta = 2 reuses the dsm_gaussian cell's run and beta = 1
+    the htdsm_laplace cell's.
     """
-    shapes = []
-    for row, col in GRID_CELLS:
-        beta_noise = _TRAIN_BETA[row]
-        shapes.append(
-            (
-                f"{row}_{col}",
-                beta_noise,
-                standard_member_alpha(beta_noise),
-                _DIFF_BETA[col],
-            )
-        )
-    per_shape = _run_shapes(cfg, shapes, workers)
-    cells = {name: _aggregate_cell(cfg, recs) for name, recs in per_shape.items()}
-    return {
+    betas = [float(b) for b in sweep_betas]
+    if any(not 0.0 < b <= 2.0 for b in betas):
+        raise ValueError(f"sweep betas must lie in (0, 2], got {betas}")
+    cell_shapes = [(f"{row}_{col}", _TRAIN_BETA[row], _DIFF_BETA[col]) for row, col in GRID_CELLS]
+    sweep_shapes = [(f"beta_{b!r}", b, b) for b in betas]
+    per_shape = _run_shapes(cfg, cell_shapes + sweep_shapes, workers)
+    grid = {
         "rows": ["dsm", "htdsm"],
         "cols": ["gaussian", "laplace"],
-        "cells": cells,
+        "cells": {name: _aggregate_cell(cfg, per_shape[name]) for name, *_ in cell_shapes},
         "seeds": list(cfg.seeds),
         "particles": cfg.particles,
         "bootstrap": {
@@ -295,33 +304,11 @@ def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1) -> dict:
             "level": cfg.bootstrap_level,
         },
     }
-
-
-def run_beta_sweep(cfg: ExperimentConfig, betas, workers: int = 1) -> dict:
-    """Matched noise/diffusion sweep: each beta trains and samples with the
-    same shape. beta = 2 coincides with the dsm_gaussian grid cell and
-    beta = 1 with htdsm_laplace."""
-    betas = [float(b) for b in betas]
-    if any(not 0.0 < b <= 2.0 for b in betas):
-        raise ValueError(f"sweep betas must lie in (0, 2], got {betas}")
-    shapes = [
-        (f"beta_{b:g}", b, standard_member_alpha(b), b) for b in betas
-    ]
-    per_shape = _run_shapes(cfg, shapes, workers)
-    rows = []
-    for b, (name, *_rest) in zip(betas, shapes):
-        cell = _aggregate_cell(cfg, per_shape[name])
-        rows.append(
-            {
-                "beta": b,
-                "mean": cell["mean"],
-                "ci_lo": cell["ci_lo"],
-                "ci_hi": cell["ci_hi"],
-                "divergent": cell["divergent"],
-                "per_seed": cell["per_seed"],
-            }
-        )
-    return {"rows": rows, "seeds": list(cfg.seeds), "particles": cfg.particles}
+    if betas:
+        grid["sweep"] = [
+            {"beta": b, **_aggregate_cell(cfg, per_shape[name])} for name, b, _ in sweep_shapes
+        ]
+    return grid
 
 
 def run_convergence_demo(
@@ -336,8 +323,11 @@ def run_convergence_demo(
 
     levels = 1 uses the single sigma = 1.0 level; levels = 2 the
     [1.0, 0.25] pair. Endpoints for every particle and full paths for the
-    first path_particles particles (bitwise the same particles, by the
-    per-particle stream construction) land in out_dir.
+    first path_particles particles land in out_dir. The paths come from a
+    second ALD run of path_particles particles on the same per-particle
+    streams, so they follow the first endpoints' particles, but the network
+    rounds a row differently with the batch's row count and the two runs
+    can drift apart in the last bits.
     """
     if levels not in (1, 2):
         raise ValueError(f"levels must be 1 or 2, got {levels}")
@@ -464,12 +454,13 @@ def write_paths_csv(path, particle_paths) -> None:
     write_csv(path, header, [ids, levels, steps, *pos.T])
 
 
-def write_grid_outputs(out_dir, grid: dict, sweep: dict | None = None) -> None:
-    """grid.json, per-seed CSV and (when a sweep is present) sweep.csv."""
+def write_grid_outputs(out_dir, grid: dict) -> None:
+    """grid.json (without the sweep rows), the per-seed CSV and, when the
+    grid holds a sweep, sweep.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "grid.json", "w") as fh:
-        json.dump(grid, fh, indent=2)
+        json.dump({k: v for k, v in grid.items() if k != "sweep"}, fh, indent=2)
         fh.write("\n")
     rows = [
         (name, rec["seed"], _fmt(rec["imbalance"]), rec["diverged"])
@@ -477,7 +468,7 @@ def write_grid_outputs(out_dir, grid: dict, sweep: dict | None = None) -> None:
         for rec in cell["per_seed"]
     ]
     write_csv(out_dir / "per_seed.csv", ["cell", "seed", "imbalance", "diverged"], [*zip(*rows)])
-    if sweep is not None:
+    if "sweep" in grid:
         floats = ("beta", "mean", "ci_lo", "ci_hi")
-        rows = [(*(_fmt(row[k]) for k in floats), row["divergent"]) for row in sweep["rows"]]
+        rows = [(*(_fmt(row[k]) for k in floats), row["divergent"]) for row in grid["sweep"]]
         write_csv(out_dir / "sweep.csv", [*floats, "divergent"], [*zip(*rows)])

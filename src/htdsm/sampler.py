@@ -87,6 +87,8 @@ class SamplerConfig(Config):
                 )
         if any(t < 1 for t in steps):
             raise ValueError(f"steps per level must be >= 1, got {steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "steps_per_level", steps)
 
 
@@ -94,15 +96,14 @@ class SamplerConfig(Config):
 class ParticlePath:
     """One particle's trajectory summary.
 
-    positions has shape (total steps + 1, d) and score_norms (total steps,)
-    when paths were recorded, else both are None. levels aligns positions
-    with the schedule level that produced each step.
+    positions has shape (total steps + 1, d) when paths were recorded, else
+    it is None, and so is levels, which aligns positions with the schedule
+    level that produced each step.
     """
 
     final: np.ndarray
     status: str
     positions: np.ndarray | None = None
-    score_norms: np.ndarray | None = None
     levels: np.ndarray | None = None
 
 
@@ -157,7 +158,6 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     if cfg.record_paths:
         positions = np.empty((count, total_steps + 1, dim))
         positions[:, 0] = x
-        score_norms = np.zeros((count, total_steps))
         level_of_step = np.concatenate(
             [np.full(t, i, dtype=int) for i, t in enumerate(steps)]
         )
@@ -174,8 +174,6 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
                 with np.errstate(over="ignore", invalid="ignore"):
                     score = np.asarray(score_fn(xa, log_sigma), dtype=float)
                     xa = xa + eps * score + kick * z
-                    if cfg.record_paths:
-                        score_norms[alive_rows, step] = np.linalg.norm(score, axis=1)
                     # While no coordinate exceeds `inside`, no norm exceeds
                     # radius / 2. NaN and inf fail both tests.
                     if not np.abs(xa).max() <= inside:
@@ -201,7 +199,6 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
                     final=x[row].copy(),
                     status=status,
                     positions=positions[row].copy(),
-                    score_norms=score_norms[row].copy(),
                     levels=level_of_step.copy(),
                 )
             )

@@ -141,6 +141,8 @@ class TrainConfig(Config):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_alpha_unit(self) -> float:
         if self.alpha_unit is not None:

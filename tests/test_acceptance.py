@@ -260,9 +260,10 @@ def test_dsm_laplace_divergence_present_in_most_seeds(default_grid):
 
 
 def test_criterion_9_shape_sweep_interval_separation(default_grid):
-    # The matched-shape sweep endpoints coincide with grid cells by
-    # construction (asserted exactly in the experiments tests): beta = 2 is
-    # dsm_gaussian, beta = 1 is htdsm_laplace.
+    # The matched-shape sweep endpoints are grid cells: run_imbalance_grid
+    # samples each (training, diffusion) pair once, so the sweep rows for
+    # beta = 2 and beta = 1 are the dsm_gaussian and htdsm_laplace cells
+    # (test_sweep_rows_equal_their_grid_cells in the experiments tests).
     beta1 = default_grid["cells"]["htdsm_laplace"]
     beta2 = default_grid["cells"]["dsm_gaussian"]
     ok = beta1["ci_hi"] < beta2["ci_lo"]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from htdsm import cli
 from htdsm.cli import dispatch
 from htdsm.schedule import NoiseSchedule
 from htdsm.scorenet import ScoreNetwork
@@ -32,9 +33,10 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_numerical_failure_is_exit_one(self, tmp_path, capsys):
+        # A tiny shape stalls the incomplete-gamma series.
         code = run_cli(
-            "schedule", "--beta", "1", "--dim", "2", "--delta", "0.9",
-            "--sigma-min", "2.0", "--sigma-max", "1.0",
+            "schedule", "--beta", "1e-6", "--dim", "2", "--delta", "0.9",
+            "--sigma-min", "0.25", "--sigma-max", "1.0",
             "--out", str(tmp_path / "s.json"),
         )
         assert code == 1
@@ -94,6 +96,28 @@ class TestSampleInputValidation:
         assert code == 2
         assert "layer 0 weight has non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_sampler_seed_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
+        config = _sampler_config(tmp_path, 2)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "seed": -1}))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(config),
+                       "--count", "3", "--out", str(out))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "bad sampler config" in err and "seed must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_nonpositive_count_is_usage_error(self, tmp_path, capsys, count):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 2)),
+                       "--count", count, "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
 
 
 def _points_csv(path, points):
@@ -204,6 +228,17 @@ class TestScheduleCommand:
         assert code == 2 and not out.exists()
         assert f"{flag} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma_min, sigma_max", [
+        ("2.0", "1.0"), ("1.0", "1.0"), ("0", "1.0"), ("-0.5", "1.0"), ("nan", "1.0"),
+        ("0.25", "nan"),
+    ])
+    def test_bad_sigma_bounds_are_usage_errors(self, tmp_path, capsys, sigma_min, sigma_max):
+        out = tmp_path / "s.json"
+        code = run_cli("schedule", "--beta", "1", "--dim", "2", "--delta", "0.9",
+                       "--sigma-min", sigma_min, "--sigma-max", sigma_max, "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert "--sigma-min, --sigma-max must be" in capsys.readouterr().err
+
     def test_infinite_sigma_max_fails_instead_of_looping(self, tmp_path, capsys):
         code = run_cli("schedule", "--beta", "1", "--dim", "2", "--delta", "0.9",
                        "--sigma-min", "0.25", "--sigma-max", "inf",
@@ -307,6 +342,18 @@ def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, ca
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "bad train config" in err and key in err and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("section, key", [(None, "data_seed"), ("train", "seed")])
+def test_negative_train_seed_is_usage_error(tmp_path, train_config_file, capsys, section, key):
+    raw = json.loads(train_config_file.read_text())
+    (raw if section is None else raw[section])[key] = -3
+    train_config_file.write_text(json.dumps(raw))
+    out = tmp_path / "ckpt.json"
+    code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "bad train config" in err and f"{key} must be >= 0, got -3" in err
 
 
 def test_misspelled_top_level_train_key_is_usage_error(tmp_path, train_config_file, capsys):
@@ -441,6 +488,21 @@ class TestExperimentCommand:
         assert (out_dir / "sweep.csv").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [
+        ["--sweep-betas", "3"], ["--sweep-betas", "1.0", "0"], ["--sweep-betas", "nan"],
+        ["--workers", "0"], ["--workers", "-2"],
+    ])
+    def test_imbalance_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      flags):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid ran despite a bad flag")
+
+        monkeypatch.setattr(cli, "run_imbalance_grid", no_run)
+        out_dir = tmp_path / "grid"
+        code = run_cli("experiment", "imbalance", "--out", str(out_dir), *flags)
+        assert code == 2 and not out_dir.exists()
+        assert f"{flags[0]} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cfg, message", [
         ({"particles": 0}, "particles must be >= 1"),
         ({"seeds": []}, "seeds must be nonempty"),
@@ -449,6 +511,8 @@ class TestExperimentCommand:
         ({"train": {"schedule": {"kind": "geometric", "beta": 2.0, "n": 2, "delta": None,
                                  "sigmas": [1.0]}, "learning_rat": 0.1}}, "'learning_rat'"),
         ({"data_count": 0}, "data_count must be >= 1"),
+        ({"seeds": [0, -1]}, "seeds must be >= 0"),
+        ({"master_seed": -1}, "master_seed must be >= 0"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "exp.json"

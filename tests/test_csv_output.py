@@ -95,10 +95,10 @@ def grid_fixture():
                             for s in (0, 1, 2)]}
         for k, name in enumerate(["dsm_gaussian", "dsm_laplace", "htdsm_laplace"])
     }
-    sweep = {"rows": [
+    sweep = [
         {"beta": 1.0, "mean": None, "ci_lo": None, "ci_hi": None, "divergent": True},
         {"beta": 2.0, "mean": 0.125, "ci_lo": -0.0, "ci_hi": 1e300, "divergent": False},
-    ]}
+    ]
     return {"cells": cells}, sweep
 
 
@@ -107,8 +107,8 @@ def write_all(tmp_path) -> dict:
     write_endpoints_csv(tmp_path / "endpoints.csv", *endpoint_fixture())
     write_paths_csv(tmp_path / "paths.csv", paths_fixture())
     grid, sweep = grid_fixture()
-    experiments.write_grid_outputs(tmp_path / "grid", grid, sweep)
-    experiments.write_grid_outputs(tmp_path / "empty", grid, {"rows": []})
+    experiments.write_grid_outputs(tmp_path / "grid", {**grid, "sweep": sweep})
+    experiments.write_grid_outputs(tmp_path / "empty", {**grid, "sweep": []})
     return {
         "endpoints": sha256(tmp_path / "endpoints.csv"),
         "paths": sha256(tmp_path / "paths.csv"),

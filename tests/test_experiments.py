@@ -2,12 +2,13 @@ import copy
 import csv
 import json
 import math
+import re
 
 import pytest
 
+from htdsm import experiments
 from htdsm.experiments import (
     ExperimentConfig,
-    run_beta_sweep,
     run_convergence_demo,
     run_imbalance_grid,
     standard_member_alpha,
@@ -39,7 +40,7 @@ def tiny_config(**overrides):
 
 def strip_wall_times(grid):
     grid = copy.deepcopy(grid)
-    for cell in grid["cells"].values():
+    for cell in [*grid["cells"].values(), *grid.get("sweep", ())]:
         for rec in cell["per_seed"]:
             rec["wall_time"] = 0.0
     return grid
@@ -48,6 +49,25 @@ def strip_wall_times(grid):
 @pytest.fixture(scope="module")
 def small_grid():
     return run_imbalance_grid(tiny_config())
+
+
+@pytest.fixture(scope="module")
+def swept_grid():
+    return run_imbalance_grid(tiny_config(), sweep_betas=(1.0, 1.5, 2.0))
+
+
+def count_runs(monkeypatch):
+    """Wrap experiments.train and experiments.ald_run with call counters."""
+    calls = {"train": 0, "ald_run": 0}
+    for name in calls:
+        real = getattr(experiments, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    return calls
 
 
 class TestImbalanceGrid:
@@ -85,8 +105,8 @@ class TestImbalanceGrid:
         assert strip_wall_times(parallel) == strip_wall_times(small_grid)
 
     def test_sweep_endpoints_coincide_with_grid_cells(self, small_grid):
-        sweep = run_beta_sweep(tiny_config(), [1.0, 2.0])
-        by_beta = {row["beta"]: row for row in sweep["rows"]}
+        sweep = run_imbalance_grid(tiny_config(), sweep_betas=[1.0, 2.0])["sweep"]
+        by_beta = {row["beta"]: row for row in sweep}
         # beta = 2 is dsm_gaussian, beta = 1 is htdsm_laplace: identical
         # configuration and streams, so identical records.
         want_b2 = [r["imbalance"] for r in small_grid["cells"]["dsm_gaussian"]["per_seed"]]
@@ -98,7 +118,59 @@ class TestImbalanceGrid:
 
     def test_sweep_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            run_beta_sweep(tiny_config(), [2.5])
+            run_imbalance_grid(tiny_config(), sweep_betas=[2.5])
+
+    @pytest.mark.parametrize("beta", [2.5, 0.0, -1.0, math.nan])
+    def test_sweep_range_is_checked_before_any_work(self, monkeypatch, beta):
+        calls = count_runs(monkeypatch)
+        with pytest.raises(ValueError, match="sweep betas must lie in"):
+            run_imbalance_grid(tiny_config(), sweep_betas=[1.0, beta])
+        assert calls == {"train": 0, "ald_run": 0}
+
+    @pytest.mark.parametrize("betas, trainings, samplings", [
+        ((), 2, 4), ((1.0, 2.0), 2, 4), ((2.0, 1.0, 2.0), 2, 4), ((1.0, 1.5, 2.0), 3, 5),
+    ])
+    def test_each_shape_runs_once_per_seed(self, monkeypatch, betas, trainings, samplings):
+        # The grid needs two training shapes and four (training, diffusion)
+        # pairs; matched betas 1 and 2 repeat grid pairs, 1.5 adds one of each.
+        calls = count_runs(monkeypatch)
+        run_imbalance_grid(tiny_config(seeds=(0,)), sweep_betas=betas)
+        assert calls == {"train": trainings, "ald_run": samplings}
+
+    def test_sweep_rows_equal_their_grid_cells(self, swept_grid):
+        stripped = strip_wall_times(swept_grid)
+        by_beta = {row.pop("beta"): row for row in stripped["sweep"]}
+        assert list(by_beta) == [1.0, 1.5, 2.0]
+        assert by_beta[1.0] == stripped["cells"]["htdsm_laplace"]
+        assert by_beta[2.0] == stripped["cells"]["dsm_gaussian"]
+        assert by_beta[1.5]["per_seed"] != by_beta[1.0]["per_seed"]
+        # A repeated pair is a copy of the first record, wall time included.
+        cell_recs = swept_grid["cells"]["dsm_gaussian"]["per_seed"]
+        sweep_recs = swept_grid["sweep"][2]["per_seed"]
+        assert [r["wall_time"] for r in sweep_recs] == [r["wall_time"] for r in cell_recs]
+        assert all(a is not b for a, b in zip(sweep_recs, cell_recs))
+
+    def test_close_sweep_betas_keep_their_own_records(self):
+        # 1.0 and 1.0 + 1e-7 print alike with %g; each row keeps its own run.
+        grid = strip_wall_times(
+            run_imbalance_grid(tiny_config(seeds=(0,)), sweep_betas=(1.0, 1.0 + 1e-7))
+        )
+        assert grid["sweep"][0]["per_seed"] == grid["cells"]["htdsm_laplace"]["per_seed"]
+        assert grid["sweep"][1]["per_seed"] != grid["sweep"][0]["per_seed"]
+
+    def test_sweep_with_workers_matches_serial(self, swept_grid):
+        parallel = run_imbalance_grid(tiny_config(), workers=2, sweep_betas=(1.0, 1.5, 2.0))
+        assert strip_wall_times(parallel) == strip_wall_times(swept_grid)
+
+    def test_grid_json_bytes_ignore_the_sweep(self, small_grid, swept_grid, tmp_path):
+        def grid_json(grid, name):
+            write_grid_outputs(tmp_path / name, grid)
+            text = (tmp_path / name / "grid.json").read_text()
+            return re.sub(r'"wall_time": [^,\n]+', '"wall_time": 0', text)
+
+        assert grid_json(swept_grid, "swept") == grid_json(small_grid, "plain")
+        assert (tmp_path / "swept" / "sweep.csv").exists()
+        assert not (tmp_path / "plain" / "sweep.csv").exists()
 
     def test_metric_selection_fills_report(self):
         grid = run_imbalance_grid(
@@ -111,7 +183,7 @@ class TestImbalanceGrid:
             assert rec["metrics"][key] is not None
 
     def test_grid_outputs_written(self, small_grid, tmp_path):
-        write_grid_outputs(tmp_path, small_grid, run_beta_sweep(tiny_config(), [2.0]))
+        write_grid_outputs(tmp_path, run_imbalance_grid(tiny_config(), sweep_betas=[2.0]))
         assert json.loads((tmp_path / "grid.json").read_text())["rows"] == ["dsm", "htdsm"]
         with open(tmp_path / "per_seed.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -201,3 +273,7 @@ class TestConfigRoundtrip:
             tiny_config(seeds=())
         with pytest.raises(ValueError):
             tiny_config(particles=0)
+        with pytest.raises(ValueError, match="seeds must be >= 0"):
+            tiny_config(seeds=(0, -1))
+        with pytest.raises(ValueError, match="master_seed must be >= 0"):
+            tiny_config(master_seed=-1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -104,8 +105,8 @@ def _cmd_schedule(args) -> int:
     _require(0.0 < args.beta < math.inf, "--beta", args.beta, "finite and positive")
     _require(args.dim >= 1, "--dim", args.dim, ">= 1")
     _require(0.0 < args.delta < 1.0, "--delta", args.delta, "in (0, 1)")
-    _require(0.0 < args.sigma_min < args.sigma_max, "--sigma-min, --sigma-max",
-             (args.sigma_min, args.sigma_max), "positive and increasing")
+    _require(0.0 < args.sigma_min < args.sigma_max < math.inf, "--sigma-min, --sigma-max",
+             (args.sigma_min, args.sigma_max), "0 < sigma_min < sigma_max < inf")
     if args.empirical:
         _require(args.mc_count >= distributions.MIN_MC_COUNT, "--mc-count", args.mc_count,
                  f">= {distributions.MIN_MC_COUNT}")
@@ -272,7 +273,10 @@ def _cmd_selftest(args) -> int:
     return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The htdsm argument parser, built once per process: parse_args keeps
+    no state between calls, each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="htdsm",
         description=(
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-betas",
         type=float,
         nargs="*",
-        default=[1.0, 2.0],
+        default=(1.0, 2.0),
         help="matched noise/diffusion sweep grid (empty to skip)",
     )
     pim.set_defaults(func=_cmd_experiment, mode="imbalance")

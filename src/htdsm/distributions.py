@@ -222,9 +222,15 @@ def gg_cdf(dist: GeneralizedGamma, x):
     return reg_lower_inc_gamma(dist.d / dist.p, (x / dist.a) ** dist.p)
 
 
-def gg_quantile(dist: GeneralizedGamma, q: float) -> float:
-    """Quantile a * (Pinv(d/p, q))^{1/p} for q in [0, 1)."""
-    return dist.a * inv_reg_lower_inc_gamma(dist.d / dist.p, q) ** (1.0 / dist.p)
+def gg_quantile(dist: GeneralizedGamma, q):
+    """Quantile a * (Pinv(d/p, q))^{1/p} for q in [0, 1).
+
+    q is a scalar or an array; a scalar gives a float. The power is numpy's
+    for both, so an array call equals its elementwise scalar calls bit for
+    bit.
+    """
+    x = dist.a * np.power(inv_reg_lower_inc_gamma(dist.d / dist.p, q), 1.0 / dist.p)
+    return float(x) if np.ndim(q) == 0 else x
 
 
 def gg_raw_moment(dist: GeneralizedGamma, r: int) -> float:
@@ -282,17 +288,20 @@ def empirical_norm_quantile(
     n: int,
     sigma: float,
     beta: float,
-    q: float,
+    q,
     mc_count: int,
     rng: np.random.Generator,
-) -> float:
+):
     """Monte-Carlo q-quantile of the true squared norm sum_i X_i^2.
 
     X_i ~ GN(0, sigma, beta) i.i.d. (unit base scale). This is the honest
-    n-fold-sum reference the scaled GG model approximates.
+    n-fold-sum reference the scaled GG model approximates. Each X_i^2 is
+    drawn directly as sigma^2 G^{2/beta}, G ~ Gamma(1/beta) (the n = 1
+    norm model, which is exact), so one (mc_count, n) gamma draw serves
+    every level in q: a scalar q gives a float, an array q an array.
     """
     if mc_count < MIN_MC_COUNT:
         raise ValueError(f"mc_count must be >= {MIN_MC_COUNT}, got {mc_count}")
-    dist = GeneralizedNormal(0.0, sigma, beta)
-    draws = gn_sample(dist, rng, (int(mc_count), int(n)))
-    return float(np.quantile((draws**2).sum(axis=1), q))
+    squares = gg_sample(NormModel(1, sigma, beta).gg, rng, (int(mc_count), int(n)))
+    quantiles = np.quantile(squares.sum(axis=1), q)
+    return float(quantiles) if np.ndim(q) == 0 else quantiles

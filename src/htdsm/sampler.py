@@ -3,8 +3,12 @@ diffusion-noise shape, the forward noising chain, and divergence detection.
 
 Particles are independent: every particle draws its initial position and
 its entire diffusion-noise stream from a generator seeded by
-(master seed, particle index), so results are bitwise identical however
-particles are batched or fanned across workers. Diffusion noise of any
+(master seed, particle index). With an elementwise score (one that treats
+each row on its own, like -x) results are therefore bitwise identical
+however particles are batched or fanned across workers. A network score is
+not yet row-stable: BLAS rounds a row differently with the batch's row
+count, so its results move by ulps with the number of alive rows in a
+block. Diffusion noise of any
 shape is rescaled to unit per-coordinate variance, keeping the sqrt(2 eps)
 coefficient of the update comparable across shapes.
 """

@@ -68,9 +68,9 @@ def _matched_ratio_model(beta: float, delta: float) -> float:
     u = Pinv(1/beta, (1+delta)/2); equating it to the lower quantile of the
     next level gives sigma_{i+1} = sigma_i (u/l)^{1/beta}, a constant ratio.
     """
-    upper = inv_reg_lower_inc_gamma(1.0 / beta, (1.0 + delta) / 2.0)
-    lower = inv_reg_lower_inc_gamma(1.0 / beta, (1.0 - delta) / 2.0)
-    return (upper / lower) ** (1.0 / beta)
+    levels = [(1.0 + delta) / 2.0, (1.0 - delta) / 2.0]
+    upper, lower = inv_reg_lower_inc_gamma(1.0 / beta, levels).tolist()
+    return (upper / lower) ** (1.0 / beta) if lower > 0.0 else math.inf
 
 
 def _matched_ratio_empirical(
@@ -79,11 +79,13 @@ def _matched_ratio_empirical(
     """Same ratio with quantiles taken from the true-sum Monte Carlo.
 
     The true squared-norm sum scales exactly as sigma^2, so two unit-scale
-    quantiles determine the whole sequence.
+    quantiles determine the whole sequence. Both come from one sample: their
+    errors are positively correlated, so the ratio varies less than with two
+    independent samples.
     """
-    upper = empirical_norm_quantile(n, 1.0, beta, (1.0 + delta) / 2.0, mc_count, rng)
-    lower = empirical_norm_quantile(n, 1.0, beta, (1.0 - delta) / 2.0, mc_count, rng)
-    return math.sqrt(upper / lower)
+    levels = [(1.0 + delta) / 2.0, (1.0 - delta) / 2.0]
+    upper, lower = empirical_norm_quantile(n, 1.0, beta, levels, mc_count, rng).tolist()
+    return math.sqrt(upper / lower) if lower > 0.0 else math.inf
 
 
 def quantile_matched_schedule(

@@ -21,11 +21,11 @@ __all__ = ["run_selftest"]
 
 
 def _check_specfun_roundtrip() -> bool:
+    q = np.linspace(0.01, 0.99, 50)
     for s in (0.25, 0.5, 1.0, 2.0, 5.0):
-        for q in np.linspace(0.01, 0.99, 50):
-            x = specfun.inv_reg_lower_inc_gamma(s, float(q))
-            if abs(specfun.reg_lower_inc_gamma(s, x) - q) > 1e-8:
-                return False
+        x = specfun.inv_reg_lower_inc_gamma(s, q)
+        if np.any(np.abs(specfun.reg_lower_inc_gamma(s, x) - q) > 1e-8):
+            return False
     return True
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from htdsm import cli
+from htdsm import cli, schedule
 from htdsm.cli import dispatch
 from htdsm.schedule import NoiseSchedule
 from htdsm.scorenet import ScoreNetwork
@@ -243,8 +243,22 @@ class TestScheduleCommand:
         code = run_cli("schedule", "--beta", "1", "--dim", "2", "--delta", "0.9",
                        "--sigma-min", "0.25", "--sigma-max", "inf",
                        "--out", str(tmp_path / "s.json"))
-        assert code == 1
+        assert code == 2
         assert "sigma_max < inf" in capsys.readouterr().err
+
+    def test_empirical_flag_does_not_leak_into_the_next_call(self, tmp_path, capsys):
+        # The parser is built once per process; each call must parse afresh.
+        args = ["schedule", "--beta", "1", "--dim", "8", "--delta", "0.9",
+                "--sigma-min", "0.25", "--sigma-max", "4.0"]
+        emp, plain = tmp_path / "emp.json", tmp_path / "plain.json"
+        assert run_cli(*args, "--empirical", "--mc-count", "20000", "--seed", "1",
+                       "--out", str(emp)) == 0
+        assert run_cli(*args, "--out", str(plain)) == 0
+        model = schedule.quantile_matched_schedule(1.0, 8, 0.9, 0.25, 4.0)
+        assert NoiseSchedule.from_dict(json.loads(plain.read_text())) == model
+        assert json.loads(emp.read_text())["sigmas"] != list(model.sigmas)
+        assert cli.build_parser() is cli.build_parser()
+        capsys.readouterr()
 
 
 class TestNoiseCommand:

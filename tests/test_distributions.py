@@ -138,6 +138,14 @@ class TestGeneralizedGamma:
         g = dist.GeneralizedGamma(3.0, 0.5, 0.5)
         assert dist.gg_quantile(g, 0.0) == 0.0
 
+    def test_quantile_array_equals_scalar_calls(self):
+        g = dist.NormModel(2, 1.0, 1.3).gg
+        levels = [0.0, *np.linspace(0.001, 0.999, 200).tolist()]
+        got = dist.gg_quantile(g, np.array(levels))
+        one_by_one = [dist.gg_quantile(g, q) for q in levels]
+        assert all(type(v) is float for v in one_by_one)
+        assert got.tolist() == one_by_one
+
     def test_cdf_quantile_roundtrip(self):
         g = dist.GeneralizedGamma(2.5, 0.5, 0.75)
         for q in (0.05, 0.37, 0.8):
@@ -236,6 +244,15 @@ class TestEmpiricalNormQuantile:
         draws = dist.gn_sample(dist.GeneralizedNormal(0.0, 1.0, 1.0), rng, (50_000, 64))
         total = (draws**2).sum(axis=1)
         assert total.mean() == pytest.approx(128.0, rel=0.02)
+
+    def test_array_levels_share_one_sample(self):
+        levels = [0.05, 0.5, 0.95]
+        got = dist.empirical_norm_quantile(4, 1.0, 1.3, np.array(levels), 20_000,
+                                           np.random.default_rng(4))
+        one_by_one = [dist.empirical_norm_quantile(4, 1.0, 1.3, q, 20_000, np.random.default_rng(4))
+                      for q in levels]
+        assert isinstance(got, np.ndarray) and all(type(v) is float for v in one_by_one)
+        assert got.tolist() == one_by_one
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -109,6 +111,42 @@ class TestQuantileMatched:
         )
         assert len(empirical) >= len(model)
         assert empirical.sigmas[-1] == 0.25
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_empirical_ratio_matches_chi_squared(self, n):
+        # At beta = 2 with sigma = 1 each squared coordinate is chi^2(1) / 2,
+        # so the true-sum quantile ratio is the chi^2(n) one. The bound is
+        # four Monte-Carlo standard errors of log(ratio), from the asymptotic
+        # variance q(1-q) / (m f(x)^2) of each sample quantile (their
+        # positive covariance is ignored, which only widens it).
+        delta, mc_count = 0.9, 100_000
+        s = quantile_matched_schedule(2.0, n, delta, 0.25, 50.0, empirical=True,
+                                      mc_count=mc_count, rng=np.random.default_rng(n))
+        chi = stats.chi2(n)
+        levels = ((1.0 + delta) / 2.0, (1.0 - delta) / 2.0)
+        upper, lower = (chi.ppf(q) for q in levels)
+        rel_sd = [math.sqrt(q * (1.0 - q) / mc_count) / (chi.pdf(x) * x)
+                  for q, x in zip(levels, (upper, lower))]
+        log_ratio_sd = 0.5 * math.hypot(*rel_sd)
+        assert math.log(s.sigmas[-2] / s.sigmas[-1]) == pytest.approx(
+            0.5 * math.log(upper / lower), abs=4.0 * log_ratio_sd)
+
+    def test_empirical_schedule_draws_one_gamma_sample(self):
+        beta, n, mc_count = 1.3, 4, 20_000
+        rng = np.random.default_rng(3)
+        quantile_matched_schedule(beta, n, 0.9, 0.25, 4.0, empirical=True,
+                                  mc_count=mc_count, rng=rng)
+        reference = np.random.default_rng(3)
+        reference.gamma(1.0 / beta, 1.0, size=(mc_count, n))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("empirical", [False, True])
+    def test_underflowing_lower_quantile_is_a_schedule_error(self, empirical):
+        # At beta = 1000 the lower quantile of G^(2/beta), G ~ Gamma(1e-3),
+        # underflows to 0: the ratio is reported as degenerate.
+        with pytest.raises(ScheduleError, match="degenerate level ratio inf"):
+            quantile_matched_schedule(1000.0, 2, 0.9, 0.25, 1.0, empirical=empirical,
+                                      mc_count=10_000, rng=np.random.default_rng(0))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

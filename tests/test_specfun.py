@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from htdsm import specfun
@@ -109,6 +111,77 @@ class TestInverse:
             specfun.inv_reg_lower_inc_gamma(1.0, -0.01)
         with pytest.raises(ValueError):
             specfun.inv_reg_lower_inc_gamma(-2.0, 0.5)
+
+
+# The inverse's stated relative bound against scipy.special.gammaincinv over
+# the supported domain (measured worst on a dense grid: 3e-13, at s = 0.01
+# where the root's condition number is 1/s). Roots below the smallest
+# normal double are compared absolutely at that scale.
+INVERSE_RTOL = 1e-11
+TINY = 2.2250738585072014e-308
+
+shapes = st.floats(min_value=0.01, max_value=1e3)
+levels = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
+
+
+def assert_close_to_scipy(s, q, got):
+    want = special.gammaincinv(s, q)
+    assert np.all(np.abs(got - want) <= INVERSE_RTOL * np.maximum(want, TINY)), (s, q, got, want)
+
+
+class TestInverseProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(s=shapes, q=levels)
+    def test_relative_error_against_scipy(self, s, q):
+        assert_close_to_scipy(s, q, specfun.inv_reg_lower_inc_gamma(s, q))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(s=shapes, qs=st.lists(st.one_of(levels, st.just(0.0)), min_size=1, max_size=12))
+    def test_array_equals_elementwise_scalar_calls_bitwise(self, s, qs):
+        got = specfun.inv_reg_lower_inc_gamma(s, np.array(qs))
+        scalars = [specfun.inv_reg_lower_inc_gamma(s, q) for q in qs]
+        assert all(type(x) is float for x in scalars)
+        assert np.array_equal(bits(got), bits(scalars))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(s=shapes, qs=st.lists(levels, min_size=2, max_size=12))
+    def test_monotone_in_q(self, s, qs):
+        qs = np.sort(qs)
+        x = specfun.inv_reg_lower_inc_gamma(s, qs)
+        assert np.all(np.diff(x) >= 0.0)
+        assert_close_to_scipy(s, qs, x)
+
+    @pytest.mark.parametrize("s, q", [(0.01, 0.5), (10.0, 1e-12), (0.5, 1.0 - 1e-15),
+                                      (0.01, 1.0 - 1e-15)])
+    def test_tail_regressions(self, s, q):
+        # The bisection-Newton inverse this replaced returned 2.2e-16 (true
+        # 4.5e-31), was off by 2.3e-3 relative, returned 48 (true 32.2) and
+        # 24 (true 26.7) at these points.
+        assert_close_to_scipy(s, q, specfun.inv_reg_lower_inc_gamma(s, q))
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e-2, 1e2, 1e6])
+    def test_converges_from_poor_starting_values(self, monkeypatch, factor):
+        # Capped steps and bisection of the bracket carry a start that is
+        # off by orders of magnitude to the root.
+        monkeypatch.setattr(specfun, "_inverse_start",
+                            lambda s, p, log_gamma_s: factor * special.gammaincinv(s, p))
+        q = np.array([1e-12, 0.3, 0.7, 1.0 - 1e-12])
+        for s in (0.1, 1.0, 30.0, 1000.0):
+            assert_close_to_scipy(s, q, specfun.inv_reg_lower_inc_gamma(s, q))
+
+    def test_shape_and_type(self):
+        q = np.array([[0.0, 0.1, 0.5], [0.9, 0.99, 1e-300]])
+        got = specfun.inv_reg_lower_inc_gamma(0.7, q)
+        assert got.shape == (2, 3) and got[0, 0] == 0.0
+        assert specfun.inv_reg_lower_inc_gamma(0.7, np.empty((0, 2))).shape == (0, 2)
+        assert type(specfun.inv_reg_lower_inc_gamma(0.7, np.float64(0.3))) is float
+
+    @pytest.mark.parametrize("bad", [1.0, -1e-300, math.nan, math.inf])
+    def test_bad_element_anywhere_raises(self, bad):
+        q = np.linspace(0.0, 0.9, 6)
+        q[4] = bad
+        with pytest.raises(ValueError, match="0 <= q < 1"):
+            specfun.inv_reg_lower_inc_gamma(0.5, q)
 
 
 def scalar_reference(s, x):

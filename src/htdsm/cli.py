@@ -102,7 +102,8 @@ def _load_points_csv(path) -> np.ndarray:
 
 
 def _cmd_schedule(args) -> int:
-    _require(0.0 < args.beta < math.inf, "--beta", args.beta, "finite and positive")
+    # The quantile inverse's domain, s = 1/beta in [0.01, 1e3].
+    _require(1e-3 <= args.beta <= 100.0, "--beta", args.beta, "in [1e-3, 100]")
     _require(args.dim >= 1, "--dim", args.dim, ">= 1")
     _require(0.0 < args.delta < 1.0, "--delta", args.delta, "in (0, 1)")
     _require(0.0 < args.sigma_min < args.sigma_max < math.inf, "--sigma-min, --sigma-max",

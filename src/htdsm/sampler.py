@@ -11,6 +11,11 @@ count, so its results move by ulps with the number of alive rows in a
 block. Diffusion noise of any
 shape is rescaled to unit per-coordinate variance, keeping the sqrt(2 eps)
 coefficient of the update comparable across shapes.
+
+A block's diffusion noise is drawn before its first step by one stacked
+`gn_sample` call over the block's generators, on a thread pool with one
+thread per core the process may use. Each generator is drawn by one thread
+only, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -126,12 +131,6 @@ def detect_divergence(positions, divergence_radius: float = 100.0) -> str:
     return CONVERGED
 
 
-def _diffusion_noise(
-    rng: np.random.Generator, shape, beta: float, alpha_unit_var: float
-) -> np.ndarray:
-    return gn_sample(GeneralizedNormal(0.0, alpha_unit_var, beta), rng, shape)
-
-
 def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     """Simulate one block of particles through all schedule levels.
 
@@ -149,12 +148,15 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     count = len(indices)
 
     x = np.empty((count, dim))
-    # Step-major, so one step's noise for the whole block is contiguous.
-    noise = np.empty((total_steps, count, dim))
+    rngs = []
     for row, pid in enumerate(indices):
         rng = particle_rng(cfg.seed, pid)
         x[row] = rng.uniform(-cfg.init_half_width, cfg.init_half_width, dim)
-        noise[:, row] = _diffusion_noise(rng, (total_steps, dim), cfg.beta_diff, alpha_v)
+        rngs.append(rng)
+    # Step-major, so one step's noise for the whole block is contiguous.
+    noise = gn_sample(
+        GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rngs, (total_steps, dim), axis=1
+    )
 
     inside = cfg.divergence_radius / (2.0 * math.sqrt(dim))
     alive_rows = np.arange(count)
@@ -172,7 +174,9 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
         log_sigma = math.log(sigma)
         for _ in range(t_level):
             if len(alive_rows):
-                z = noise[step] if len(alive_rows) == count else noise[step, alive_rows]
+                z = noise[step]
+                if len(alive_rows) < count:
+                    z = z.take(alive_rows, axis=0)
                 # Near-divergent particles may overflow transiently; that is
                 # the signal divergence detection freezes on, not an error.
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -263,12 +267,12 @@ def forward_chain(x0, sigmas, rng: np.random.Generator, beta: float = 2.0):
     if sigmas[0] <= 0.0 or any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"sigmas must be positive and strictly ascending: {sigmas}")
     x = np.asarray(x0, dtype=float)
-    alpha_v = unit_variance_alpha(beta)
+    noise = GeneralizedNormal(0.0, unit_variance_alpha(beta), beta)
     states = [x.copy()]
     prev = 0.0
     for sigma in sigmas:
         scale = math.sqrt(sigma**2 - prev**2)
-        z = _diffusion_noise(rng, x.shape, beta, alpha_v)
+        z = gn_sample(noise, rng, x.shape)
         x = x + scale * z
         states.append(x.copy())
         prev = sigma

@@ -32,15 +32,16 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
-    def test_numerical_failure_is_exit_one(self, tmp_path, capsys):
-        # A tiny shape stalls the incomplete-gamma series.
-        code = run_cli(
-            "schedule", "--beta", "1e-6", "--dim", "2", "--delta", "0.9",
-            "--sigma-min", "0.25", "--sigma-max", "1.0",
-            "--out", str(tmp_path / "s.json"),
-        )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_is_exit_one(self, tmp_path, train_config_file, capsys):
+        # A valid train file whose learning rate blows the parameters up.
+        raw = json.loads(train_config_file.read_text())
+        raw["train"]["learning_rate"] = 1e12
+        train_config_file.write_text(json.dumps(raw))
+        out = tmp_path / "ckpt.json"
+        code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
         assert code == 1
-        capsys.readouterr()
+        assert "non-finite loss/parameters" in capsys.readouterr().err and not out.exists()
 
 
 def _sampler_config(tmp_path, n):
@@ -216,6 +217,7 @@ class TestScheduleCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--beta", "-1"), ("--beta", "0"), ("--beta", "nan"), ("--beta", "inf"),
+        ("--beta", "1e-4"), ("--beta", "1000"),
         ("--dim", "0"), ("--delta", "1.0"), ("--delta", "nan"), ("--mc-count", "5"),
         ("--seed", "-1"),
     ])

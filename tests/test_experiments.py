@@ -2,7 +2,12 @@ import copy
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +197,38 @@ class TestImbalanceGrid:
         with open(tmp_path / "sweep.csv") as fh:
             srows = list(csv.DictReader(fh))
         assert srows[0]["beta"] == "2.0"
+
+
+FORK_AFTER_THREADED_DRAW = textwrap.dedent("""
+    import sys
+    import threading
+
+    from htdsm import distributions
+    from htdsm.experiments import run_imbalance_grid
+    from htdsm.sampler import SamplerConfig, ald_run
+    from htdsm.schedule import geometric_schedule
+    from tests.test_experiments import strip_wall_times, tiny_config
+
+    # 3000 steps x 2 coordinates fill tiles of 21 particles, so the parent's
+    # 64 particles and every grid run's 60 draw on three threads.
+    distributions._draw_threads = lambda: 3
+    cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=1500)
+    ald_run(lambda x, ls: -x, cfg, 64)
+    if threading.active_count() != 1:
+        sys.exit("the draw left threads running")
+    grid = tiny_config(sampler=cfg)
+    forked = run_imbalance_grid(grid, workers=2)
+    serial = run_imbalance_grid(grid, workers=1)
+    sys.exit(0 if strip_wall_times(forked) == strip_wall_times(serial) else "workers=2 differs")
+""")
+
+
+def test_grid_workers_fork_after_a_threaded_draw():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    proc = subprocess.run([sys.executable, "-c", FORK_AFTER_THREADED_DRAW], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestStandardMemberAlpha:

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from htdsm import distributions as dist
+from htdsm.experiments import write_endpoints_csv
 from htdsm.sampler import (
     CONVERGED,
     DIVERGED,
@@ -16,6 +18,7 @@ from htdsm.sampler import (
     particle_rng,
 )
 from htdsm.schedule import NoiseSchedule, geometric_schedule
+from htdsm.scorenet import MixtureSpec, TrainConfig, train
 
 
 def single_level(sigma=1.0, n=2):
@@ -232,6 +235,27 @@ class TestMidRunDivergence:
                 outside = ~(np.linalg.norm(p.positions, axis=1) <= self.CFG.divergence_radius)
                 first = np.flatnonzero(outside)[0]
                 assert all(q.tobytes() == p.final.tobytes() for q in p.positions[first:])
+
+
+# sha256 of the endpoint CSV below, recorded when each particle's noise came
+# from its own gn_sample call. The network's rounding depends on the BLAS
+# kernel, so the pin holds per host and BLAS build (x86-64 OpenBLAS).
+NETWORK_ENDPOINTS_SHA256 = "3c7e278c43cc5bef99c1953bc094b0a6f13f5a64370ce5d04a9570001a66dab4"
+
+
+def test_network_score_endpoints_are_pinned(tmp_path):
+    # 400 particles x 400 steps x 2 coordinates draw in three tiles, and a
+    # radius of 12 makes 8 particles diverge mid-run.
+    sched = geometric_schedule(1.0, 0.25, 2)
+    data = MixtureSpec.two_mode(10.0).sample(np.random.default_rng(3), 2000)
+    net, _ = train(data, TrainConfig(schedule=sched, steps=300, seed=4), np.random.default_rng(4))
+    cfg = SamplerConfig(schedule=sched, steps_per_level=200, step_size=0.1, beta_diff=1.0,
+                        divergence_radius=12.0, seed=5)
+    paths = ald_run(lambda x, ls: net.forward(x, ls), cfg, 400)
+    assert sum(p.status == DIVERGED for p in paths) == 8
+    out = tmp_path / "endpoints.csv"
+    write_endpoints_csv(out, [p.final for p in paths], [p.status for p in paths])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_ENDPOINTS_SHA256
 
 
 class TestDiffusionShapes:

@@ -12,10 +12,10 @@ block. Diffusion noise of any
 shape is rescaled to unit per-coordinate variance, keeping the sqrt(2 eps)
 coefficient of the update comparable across shapes.
 
-A block's diffusion noise is drawn before its first step by one stacked
-`gn_sample` call over the block's generators, on a thread pool with one
-thread per core the process may use. Each generator is drawn by one thread
-only, so the bits do not depend on the thread count.
+A block's diffusion noise is drawn before its first step, step-major, by
+`distributions._block_noise` over the block's generators, on a thread pool
+with one thread per core the process may use. Each generator is drawn by one
+thread only, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from htdsm._config import Config
-from htdsm.distributions import GeneralizedNormal, gn_sample, unit_variance_alpha
+from htdsm.distributions import (
+    GeneralizedNormal,
+    _block_noise,
+    gn_sample,
+    unit_variance_alpha,
+)
 from htdsm.schedule import NoiseSchedule
 
 __all__ = [
@@ -154,9 +159,7 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
         x[row] = rng.uniform(-cfg.init_half_width, cfg.init_half_width, dim)
         rngs.append(rng)
     # Step-major, so one step's noise for the whole block is contiguous.
-    noise = gn_sample(
-        GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rngs, (total_steps, dim), axis=1
-    )
+    noise = _block_noise(GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rngs, total_steps, dim)
 
     inside = cfg.divergence_radius / (2.0 * math.sqrt(dim))
     alive_rows = np.arange(count)

@@ -110,53 +110,47 @@ def generators(n, seed=0):
     return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
-class TestStackedSampling:
-    """gn_sample over a sequence of generators against one call per generator."""
+class TestBlockNoise:
+    """_block_noise against one gn_sample call per generator, in the
+    sampler's step-major (steps, n, dim) layout."""
 
-    # (count, generators): 700 x 3 draws fill 16 800 bytes, so tiles of 62
-    # generators and 70 = 62 + 8; 50 001 draws fill tiles of 2, and 5 = 2 + 2 + 1.
-    CASES = [((700, 3), 70), (50_001, 5)]
+    # (steps, dim, generators): 700 x 3 draws fill 16 800 bytes, so tiles of
+    # 62 generators and 70 = 62 + 8; 50 001 x 1 draws fill tiles of 2, and
+    # 5 = 2 + 2 + 1.
+    CASES = [(700, 3, 70), (50_001, 1, 5)]
 
-    @pytest.mark.parametrize("count, n", CASES)
-    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @staticmethod
+    def per_generator(g, steps, dim, n):
+        return np.stack([dist.gn_sample(g, r, (steps, dim)) for r in generators(n)], axis=1)
+
+    @pytest.mark.parametrize("steps, dim, n", CASES)
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5])
-    @pytest.mark.parametrize("method", ["gamma_power", "uniform_mixture"])
-    def test_bit_equal_to_per_generator_calls(self, method, beta, axis, count, n):
+    def test_bit_equal_to_per_generator_calls(self, beta, steps, dim, n):
         g = dist.GeneralizedNormal(0.25, 1.5, beta)
-        values = math.prod(np.atleast_1d(count))
-        tile = dist._TILE_BYTES // (8 * values)
+        tile = dist._TILE_BYTES // (8 * steps * dim)
         assert tile < n and n % tile
-        got = dist.gn_sample(g, generators(n), count, method, axis=axis)
-        want = np.stack([dist.gn_sample(g, r, count, method) for r in generators(n)], axis=axis)
-        assert got.shape == want.shape and got.flags.c_contiguous
+        got = dist._block_noise(g, generators(n), steps, dim)
+        want = self.per_generator(g, steps, dim, n)
+        assert got.shape == want.shape == (steps, n, dim) and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
     def test_one_and_no_generators(self):
         g = dist.GeneralizedNormal(0.0, 1.0, 1.0)
-        one = dist.gn_sample(g, generators(1), (4, 3), axis=1)
+        one = dist._block_noise(g, generators(1), 4, 3)
         assert one.shape == (4, 1, 3)
-        assert one[:, 0].tobytes() == dist.gn_sample(g, generators(1)[0], (4, 3)).tobytes()
-        assert dist.gn_sample(g, [], (4, 3), axis=1).shape == (4, 0, 3)
-        assert dist.gn_sample(g, (), 5).shape == (0, 5)
-
-    def test_bad_method_and_axis(self):
-        g = dist.GeneralizedNormal(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="unknown gn_sample method"):
-            dist.gn_sample(g, [], 3, method="nope")
-        for axis in (3, -4):
-            with pytest.raises(ValueError, match="out of bounds"):
-                dist.gn_sample(g, generators(2), (2, 2), axis=axis)
+        assert one.tobytes() == self.per_generator(g, 4, 3, 1).tobytes()
+        assert dist._block_noise(g, [], 4, 3).shape == (4, 0, 3)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bits_do_not_depend_on_thread_count(self, monkeypatch, threads):
         g = dist.GeneralizedNormal(0.0, 1.0, 1.0)
-        want = dist.gn_sample(g, generators(70), (700, 3), axis=1)
+        want = dist._block_noise(g, generators(70), 700, 3)
         monkeypatch.setattr(dist, "_draw_threads", lambda: threads)
         # More threads than cores, switching as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = dist.gn_sample(g, generators(70), (700, 3), axis=1)
+            got = dist._block_noise(g, generators(70), 700, 3)
         finally:
             sys.setswitchinterval(interval)
         assert got.tobytes() == want.tobytes()
@@ -168,16 +162,16 @@ class TestStackedSampling:
         monkeypatch.setattr(dist, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(dist, "_draw_threads", lambda: 3)
         g = dist.GeneralizedNormal(0.0, 1.0, 2.0)
-        assert dist.gn_sample(g, generators(62), (700, 3)).shape == (62, 700, 3)
+        assert dist._block_noise(g, generators(62), 700, 3).shape == (700, 62, 3)
         with pytest.raises(AssertionError, match="created a pool"):
-            dist.gn_sample(g, generators(63), (700, 3))
+            dist._block_noise(g, generators(63), 700, 3)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(dist, "_draw_threads", lambda: 2)
         rngs = generators(70)
         rngs[65] = None
         with pytest.raises(AttributeError):
-            dist.gn_sample(dist.GeneralizedNormal(0.0, 1.0, 1.0), rngs, (700, 3))
+            dist._block_noise(dist.GeneralizedNormal(0.0, 1.0, 1.0), rngs, 700, 3)
 
 
 class TestVariance:

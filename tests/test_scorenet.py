@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htdsm import distributions as dist
 from htdsm import scorenet as sn
@@ -133,6 +136,22 @@ class TestBackward:
                     assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 300), hidden=st.integers(1, 32), width=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bias_gradients_equal_axis0_add_reduce(self, rows, hidden, width, seed):
+        rng = np.random.default_rng(seed)
+        net = sn.ScoreNetwork([width + 1, hidden, width], rng)
+        net.biases[0][:] = rng.standard_normal(hidden)
+        x = rng.standard_normal((rows, width))
+        grad_out = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-9, 9, (rows, width))
+        _, activations = net.forward_cached(x, 0.1)
+        _, bias_grads = net.views(net.backward(activations, grad_out))
+        hidden_grad = (grad_out @ net.weights[1].T) * (activations[1] > 0.0)
+        for got, want in zip(bias_grads, (hidden_grad, grad_out)):
+            assert got.tobytes() == np.add.reduce(want, axis=0).tobytes()
+
+
 def linear_score_network(alpha: float) -> sn.ScoreNetwork:
     """Exact network for the beta=2 conditional score -2 delta / alpha^2.
 
@@ -231,6 +250,16 @@ class TestDsmLoss:
             want = net.backward(activations, (sigma**2 / len(batch)) * err)
             assert np.array_equal(grad, want)
 
+    def test_successive_gradients_do_not_share_memory(self):
+        net = sn.ScoreNetwork([3, 8, 2], np.random.default_rng(25))
+        batch = np.random.default_rng(26).standard_normal((32, 2))
+        _, first = sn.dsm_loss(net, batch, 0.5, 1.3, 2.0, np.random.default_rng(27))
+        kept = first.copy()
+        _, second = sn.dsm_loss(net, batch, 1.0, 1.3, 2.0, np.random.default_rng(28))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
     def test_subunit_shape_clamps_singularity(self):
         net = sn.ScoreNetwork([2, 4, 1], np.random.default_rng(13))
         batch = np.zeros((16, 1))
@@ -266,11 +295,22 @@ def reference_train(data, cfg, rng):
 
 
 class TestTrain:
-    @pytest.mark.parametrize("beta, exponent", [(2.0, 2.0), (2.0, 1.0), (1.0, 1.0)])
-    def test_matches_reference_loop_bitwise(self, two_level_schedule, beta, exponent):
-        data = sn.MixtureSpec.two_mode(10.0).sample(np.random.default_rng(30), 1000)
+    @pytest.mark.parametrize("beta, exponent, dim, hidden", [
+        (2.0, 2.0, 2, (16, 16)),
+        (2.0, 1.0, 2, (16, 16)),
+        (1.0, 1.0, 2, (16, 16)),
+        (0.7, 1.0, 2, (16, 16)),
+        (1.0, 2.0, 3, (8,)),
+    ])
+    def test_matches_reference_loop_bitwise(self, two_level_schedule, beta, exponent,
+                                            dim, hidden):
+        mix = sn.MixtureSpec.two_mode(10.0)
+        if dim == 3:
+            mix = sn.MixtureSpec(means=((1.0, 0.0, -1.0), (-2.0, 0.5, 2.0)),
+                                 stds=(0.5, 0.8), weights=(0.7, 0.3))
+        data = mix.sample(np.random.default_rng(30), 1000)
         cfg = sn.TrainConfig(schedule=two_level_schedule, beta_noise=beta, steps=300,
-                             loss_weight_exponent=exponent)
+                             loss_weight_exponent=exponent, hidden=hidden)
         net, losses = sn.train(data, cfg, np.random.default_rng(31))
         ref_net, ref_losses = reference_train(data, cfg, np.random.default_rng(31))
         assert np.array_equal(losses, ref_losses)
@@ -342,6 +382,30 @@ class TestTrain:
         cfg = sn.TrainConfig(schedule=two_level_schedule, beta_noise=1.0,
                              alpha_unit=1.0, steps=77, learning_rate=0.5)
         assert sn.TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# sha256 of net.params bytes followed by the loss array's bytes, recorded
+# before the training step moved onto per-run buffers. reference_train shares
+# dsm_loss with train, so only a recorded digest sees a change to the bits.
+# The network's rounding depends on the BLAS kernel, so the pins hold per
+# host and BLAS build (x86-64 OpenBLAS). Keys: (beta, loss weight exponent,
+# batch size); beta = 0.7 runs the clamp check of the singular score.
+TRAIN_SHA256 = {
+    (2.0, 2.0, 256): "189726fc930ce300c01abbea47f1ca36bd077d0e5c10b79476b3ecef42f5c003",
+    (1.0, 1.0, 37): "050f261803309e40c856b0a3e45c1b9b85f7826bf576f5fed338a2a0f0b66d7b",
+    (0.7, 1.0, 37): "e60f51af3774bad8c0714f699cd422d77a38982acc5c284d1971f32d23353bca",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TRAIN_SHA256))
+def test_train_bits_are_pinned(two_level_schedule, key):
+    beta, exponent, batch_size = key
+    data = sn.MixtureSpec.two_mode(10.0).sample(np.random.default_rng(30), 1000)
+    cfg = sn.TrainConfig(schedule=two_level_schedule, beta_noise=beta, steps=300,
+                         batch_size=batch_size, loss_weight_exponent=exponent)
+    net, losses = sn.train(data, cfg, np.random.default_rng(31))
+    digest = hashlib.sha256(net.params.tobytes() + losses.tobytes()).hexdigest()
+    assert digest == TRAIN_SHA256[key]
 
 
 class TestAnalyticMixtureScore:

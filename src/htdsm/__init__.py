@@ -38,7 +38,6 @@ from htdsm.sampler import (
     ParticlePath,
     SamplerConfig,
     ald_run,
-    detect_divergence,
     forward_chain,
     ld_run,
 )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest
+from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest, specfun
 from htdsm._config import Config
 from htdsm.experiments import (
     ExperimentConfig,
@@ -128,12 +128,30 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _log_largest_draw(alpha: float, beta: float) -> float:
+    """log of alpha G^(1/beta) at G's 1 - 1e-12 quantile, G ~ Gamma(1/beta):
+    the largest |x - mu| of a GN draw. The power is formed before alpha
+    scales it, so alpha < 1 does not keep it finite. Below beta = 1e-3, the
+    inverse's domain, the log is above 7000."""
+    if beta < 1e-3:
+        return math.inf
+    top = specfun.inv_reg_lower_inc_gamma(1.0 / beta, 1.0 - 1e-12)
+    return (math.log(top) / beta if top > 0.0 else -math.inf) + max(math.log(alpha), 0.0)
+
+
 def _cmd_noise(args) -> int:
     _require(math.isfinite(args.mu), "--mu", args.mu, "finite")
     for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
         _require(0.0 < value < math.inf, flag, value, "finite and positive")
     _require(args.count >= 0, "--count", args.count, ">= 0")
     _require(args.seed >= 0, "--seed", args.seed, ">= 0")
+    log_top = _log_largest_draw(args.alpha, args.beta)
+    _require(log_top <= _LOG_DBL_MAX, "--beta", args.beta,
+             f"large enough that the draws stay finite at --alpha {args.alpha} "
+             f"(log of the largest magnitude is {log_top:.6g} > {_LOG_DBL_MAX:.6g})")
     dist = distributions.GeneralizedNormal(args.mu, args.alpha, args.beta)
     rng = np.random.default_rng(args.seed)
     draws = distributions.gn_sample(dist, rng, args.count, method=args.method)

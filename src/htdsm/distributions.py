@@ -152,12 +152,25 @@ def gn_score(x_tilde, x, alpha: float, beta: float):
     alpha = _require_positive("alpha", alpha)
     beta = _require_positive("beta", beta)
     delta = np.asarray(x_tilde, dtype=float) - np.asarray(x, dtype=float)
+    return _score_of_delta(delta, beta / alpha**beta, beta)
+
+
+def _score_of_delta(delta, coeff: float, beta: float, out=None):
+    """gn_score from delta = x_tilde - x and coeff = beta / alpha^beta, into
+    `out` if given; the caller has checked alpha and beta.
+
+    At beta = 2 and 1 the power |delta|^(beta-1) is exactly |delta| and 1,
+    so the product is formed without it, with the general form's bits.
+    """
+    if beta == 2.0:
+        return np.multiply(delta, -coeff, out=out)
+    if beta == 1.0:
+        return np.multiply(np.sign(delta, out=out), -coeff, out=out)
     if beta < 1.0 and np.any(delta == 0.0):
         raise SingularScoreError(
             f"score of GN(beta={beta}) is singular at x_tilde == x"
         )
-    coeff = beta / alpha**beta
-    return -coeff * np.sign(delta) * np.abs(delta) ** (beta - 1.0)
+    return np.multiply(-coeff * np.sign(delta), np.abs(delta) ** (beta - 1.0), out=out)
 
 
 def _gamma_power(dist: GeneralizedNormal, rng: np.random.Generator, shape) -> np.ndarray:

@@ -43,7 +43,6 @@ __all__ = [
     "ld_run",
     "ald_run",
     "forward_chain",
-    "detect_divergence",
 ]
 
 CONVERGED = "converged"
@@ -124,16 +123,6 @@ class ParticlePath:
 def particle_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one particle, derived from (seed, index)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-
-
-def detect_divergence(positions, divergence_radius: float = 100.0) -> str:
-    """Diverged iff any position is non-finite or leaves the given radius."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    if not np.all(np.isfinite(positions)):
-        return DIVERGED
-    if np.any(np.linalg.norm(positions, axis=-1) > divergence_radius):
-        return DIVERGED
-    return CONVERGED
 
 
 def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:

@@ -9,7 +9,6 @@ so the backward pass can be checked against finite differences directly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,8 @@ from htdsm._config import Config
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
+    _score_of_delta,
     gn_sample,
-    gn_score,
     unit_variance_alpha,
 )
 from htdsm.schedule import NoiseSchedule
@@ -191,7 +190,7 @@ class ScoreNetwork:
     def data_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def _stack_input(self, x: np.ndarray, log_sigma) -> np.ndarray:
+    def _stack_input(self, x: np.ndarray, log_sigma, out=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         if squeeze:
@@ -199,7 +198,7 @@ class ScoreNetwork:
         dim = self.data_dim
         if x.shape[1] != dim:
             raise ValueError(f"expected data dim {dim}, got {x.shape[1]}")
-        h = np.empty((x.shape[0], dim + 1))
+        h = np.empty((x.shape[0], dim + 1)) if out is None else out
         h[:, :dim] = x
         h[:, dim] = log_sigma
         return h, squeeze
@@ -215,35 +214,46 @@ class ScoreNetwork:
                 np.maximum(h, 0.0, out=h)
         return h[0] if squeeze else h
 
-    def forward_cached(self, x, log_sigma):
-        """Forward pass keeping pre/post activations for backprop."""
-        h, _ = self._stack_input(x, log_sigma)
+    def forward_cached(self, x, log_sigma, *, buffers: "_StepBuffers | None" = None):
+        """Forward pass keeping the input and post-activations for backprop.
+
+        With `buffers`, the input and every activation are written into
+        its arrays, which the next call with the same buffers overwrites.
+        """
+        if buffers is None:
+            buffers = _StepBuffers(self, np.atleast_2d(x).shape)
+        h, _ = self._stack_input(x, log_sigma, buffers.input)
         activations = [h]
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
+        for i, (w, b, out) in enumerate(zip(self.weights, self.biases, buffers.layers)):
+            h = np.matmul(h, w, out=out)
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h, activations
 
-    def backward(self, activations, grad_out) -> np.ndarray:
+    def backward(self, activations, grad_out, *, buffers: "_StepBuffers | None" = None):
         """Gradient of sum(grad_out * output) w.r.t. every parameter.
 
-        Returns a new vector laid out like `params`; `views` splits it into
-        per-layer weight and bias gradients.
+        Returns a vector laid out like `params`; `views` splits it into
+        per-layer weight and bias gradients. Without `buffers` the vector
+        is new; with them it is `buffers.grad`, overwritten by the next
+        call with the same buffers. Each bias gradient is the column sum
+        of the layer's output gradient, bit-equal to
+        `np.add.reduce(grad, axis=0)`.
         """
         grad = np.asarray(grad_out, dtype=float)
-        flat = np.empty_like(self.params)
-        weight_grads, bias_grads = self.views(flat)
+        if buffers is None:
+            buffers = _StepBuffers(self, grad.shape)
+        weight_grads, bias_grads = buffers.grad_views
         for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[i].T, grad, out=weight_grads[i])
-            np.add.reduce(grad, axis=0, out=bias_grads[i])
+            _column_sums(grad, bias_grads[i])
             if i > 0:
-                grad = grad @ self.weights[i].T
-                grad *= activations[i] > 0.0
-        return flat
+                grad = np.matmul(grad, self.weights[i].T, out=buffers.back[i - 1])
+                grad *= np.greater(activations[i], 0.0, out=buffers.masks[i - 1])
+        return buffers.grad
 
     def sgd_step(self, grad: np.ndarray, lr: float) -> None:
         """One plain SGD update from a gradient laid out like `params`."""
@@ -286,17 +296,48 @@ class ScoreNetwork:
         return net
 
 
-@functools.lru_cache(maxsize=64)
-def _noise_level(sigma: float, alpha_unit: float, beta_noise: float) -> tuple:
-    """Per-level DSM constants: (noise kernel, log sigma, loss weight).
+def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
+    """out = np.add.reduce(a, axis=0), bit for bit. On a C-ordered array of
+    two or more columns both add each column in row order, and einsum skips
+    the reduction's set-up; on one column add.reduce sums pairwise."""
+    if a.shape[1] == 1 or not a.flags.c_contiguous:
+        np.add.reduce(a, axis=0, out=out)
+    else:
+        np.einsum("ij->j", a, out=out)
 
-    Cached so a training run builds and validates each level's kernel once.
+
+class _StepBuffers:
+    """Every array one DSM step writes, for one network and batch shape,
+    and the constants of each noise level it has seen.
+
+    train makes one per run and hands it to dsm_loss, forward_cached and
+    backward, which fill it with `out=`; each step overwrites all of it,
+    the returned gradient included. A call without buffers makes its own.
     """
-    return (
-        GeneralizedNormal(0.0, sigma * alpha_unit, beta_noise),
-        math.log(sigma),
-        sigma**2,
-    )
+
+    def __init__(self, net: ScoreNetwork, data_shape: tuple):
+        rows, sizes = data_shape[0], net.layer_sizes
+        self.input = np.empty((rows, sizes[0]))
+        self.layers = [np.empty((rows, n)) for n in sizes[1:]]
+        self.back = [np.empty((rows, n)) for n in sizes[1:-1]]
+        self.masks = [np.empty((rows, n), dtype=bool) for n in sizes[1:-1]]
+        self.grad = np.empty_like(net.params)
+        self.grad_views = net.views(self.grad)
+        self.noisy, self.target, self.squares = (np.empty(data_shape) for _ in range(3))
+        self.row_sums = np.empty(rows)
+        self.levels: dict[tuple, tuple] = {}
+
+    def level(self, sigma, alpha_unit, beta_noise) -> tuple:
+        """(noise kernel, log sigma, sigma^2 / 2, sigma^2 / rows, score
+        coefficient beta / alpha^beta), computed on the level's first step."""
+        key = (sigma, alpha_unit, beta_noise)
+        if key not in self.levels:
+            sigma = float(sigma)
+            kernel = GeneralizedNormal(0.0, sigma * float(alpha_unit), float(beta_noise))
+            coeff = kernel.beta / kernel.alpha**kernel.beta
+            self.levels[key] = (kernel, math.log(sigma), sigma**2 * 0.5,
+                                sigma**2 / len(self.row_sums), coeff)
+        return self.levels[key]
 
 
 def dsm_loss(
@@ -306,6 +347,8 @@ def dsm_loss(
     alpha_unit: float,
     beta_noise: float,
     rng: np.random.Generator,
+    *,
+    buffers: _StepBuffers | None = None,
 ):
     """One DSM step at a fixed level: perturb, score-match, return gradients.
 
@@ -315,27 +358,35 @@ def dsm_loss(
     The sigma^2 weight cancels the ~1/sigma growth of the target so all
     levels contribute at a comparable scale. Returns (loss, gradient), the
     gradient laid out like `net.params`.
+
+    Without `buffers` every call returns a new gradient vector; with
+    train's (see _StepBuffers) it returns `buffers.grad`, valid until the
+    next call with them. The bits are the same either way.
     """
     batch = np.asarray(batch, dtype=float)
-    noise_dist, log_sigma, weight = _noise_level(
-        float(sigma), float(alpha_unit), float(beta_noise)
+    if buffers is None:
+        buffers = _StepBuffers(net, batch.shape)
+    kernel, log_sigma, half_weight, grad_scale, coeff = buffers.level(
+        sigma, alpha_unit, beta_noise
     )
-    noise = gn_sample(noise_dist, rng, batch.shape)
-    noisy = batch + noise
-    if beta_noise < 1.0:
+    noise = gn_sample(kernel, rng, batch.shape)
+    if kernel.beta < 1.0:
         # Clamp exact hits of the score singularity (distributions policy).
         tiny = np.abs(noise) < SCORE_DELTA_FLOOR
         if np.any(tiny):
             safe = np.where(noise >= 0.0, SCORE_DELTA_FLOOR, -SCORE_DELTA_FLOOR)
             noise = np.where(tiny, safe, noise)
-            noisy = batch + noise
-    target = gn_score(noisy, batch, noise_dist.alpha, beta_noise)
+    noisy = np.add(batch, noise, out=buffers.noisy)
+    delta = np.subtract(noisy, batch, out=buffers.target)
+    target = _score_of_delta(delta, coeff, kernel.beta, out=delta)
 
-    pred, activations = net.forward_cached(noisy, log_sigma)
-    err = pred - target
-    loss = weight * 0.5 * float((err**2).sum(axis=1).mean())
-    grad_out = (weight / batch.shape[0]) * err
-    return loss, net.backward(activations, grad_out)
+    pred, activations = net.forward_cached(noisy, log_sigma, buffers=buffers)
+    err = np.subtract(pred, target, out=target)
+    row_sums = np.add.reduce(np.square(err, out=buffers.squares), axis=1, out=buffers.row_sums)
+    # The batch mean as ndarray.mean forms it: one sum, then one division.
+    loss = half_weight * (float(np.add.reduce(row_sums)) / len(row_sums))
+    grad_out = np.multiply(err, grad_scale, out=err)
+    return loss, net.backward(activations, grad_out, buffers=buffers)
 
 
 def train(data, cfg: TrainConfig, rng: np.random.Generator):
@@ -343,7 +394,10 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
 
     Returns (trained network, per-step loss array). Raises
     TrainingDivergedError with the offending step and level if the loss or
-    any parameter goes non-finite.
+    any parameter goes non-finite. The step's arrays (see _StepBuffers) are
+    allocated once per call, as the batch shape is fixed, and every step
+    overwrites them; the params and losses are bit-equal to allocating them
+    afresh on each step.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -356,12 +410,14 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
     rescales = None
     if cfg.loss_weight_exponent != 2.0:
         rescales = [float(s) ** (cfg.loss_weight_exponent - 2.0) for s in sigmas]
+    buffers = _StepBuffers(net, (cfg.batch_size, dim))
     losses = np.empty(cfg.steps)
     for step in range(cfg.steps):
         level = int(rng.integers(len(sigmas)))
         sigma = sigmas[level]
-        idx = rng.integers(0, data.shape[0], cfg.batch_size)
-        loss, grad = dsm_loss(net, data[idx], sigma, alpha_unit, cfg.beta_noise, rng)
+        batch = data.take(rng.integers(0, data.shape[0], cfg.batch_size), axis=0)
+        loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, rng,
+                              buffers=buffers)
         if rescales is not None:
             loss *= rescales[level]
             grad *= rescales[level]

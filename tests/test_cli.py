@@ -294,6 +294,21 @@ class TestNoiseCommand:
         assert code == 2 and not out.exists()
         assert f"{flag} must be" in capsys.readouterr().err
 
+    def test_overflowing_draws_are_usage_error(self, tmp_path, capsys):
+        # log of the largest magnitude, log(G_q)/beta with G_q the 1 - 1e-12
+        # quantile of Gamma(1/beta): 1151 at beta 0.005, 523 at beta 0.01.
+        out = tmp_path / "n.csv"
+        code = run_cli("noise", "--alpha", "1", "--beta", "0.005", "--count", "100",
+                       "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert "--beta must be large enough" in capsys.readouterr().err
+        assert run_cli("noise", "--alpha", "1", "--beta", "0.01", "--count", "1000",
+                       "--out", str(out)) == 0
+        with open(out) as fh:
+            vals = np.array([float(r["x0"]) for r in csv.DictReader(fh)])
+        assert vals.size == 1000 and np.isfinite(vals).all()
+        capsys.readouterr()
+
     def test_zero_count_writes_the_header_only(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
         assert run_cli("noise", "--beta", "1", "--alpha", "1", "--count", "0",

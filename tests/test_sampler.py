@@ -12,13 +12,23 @@ from htdsm.sampler import (
     DIVERGED,
     SamplerConfig,
     ald_run,
-    detect_divergence,
     forward_chain,
     ld_run,
     particle_rng,
 )
 from htdsm.schedule import NoiseSchedule, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig, train
+
+
+def detect_divergence(positions, divergence_radius: float = 100.0) -> str:
+    """Oracle for a recorded path: diverged iff any position is non-finite or
+    leaves the given radius."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    if not np.all(np.isfinite(positions)):
+        return DIVERGED
+    if np.any(np.linalg.norm(positions, axis=-1) > divergence_radius):
+        return DIVERGED
+    return CONVERGED
 
 
 def single_level(sigma=1.0, n=2):

@@ -70,6 +70,20 @@ class TestScore:
         with pytest.raises(dist.SingularScoreError):
             dist.gn_score(np.array([0.5, 0.0]), 0.0, 1.0, 0.7)
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_exact_forms_equal_the_power_form_bitwise(self, beta):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(4000) * 10.0 ** rng.uniform(-300, 300, 4000)
+        x_tilde = x + rng.standard_normal(4000) * 10.0 ** rng.uniform(-9, 9, 4000)
+        x_tilde[:6] = [x[0], np.inf, -np.inf, np.nan, x[4] + 5e-324, -0.0]
+        for alpha in (0.3, 1.0, 7.5):
+            delta = x_tilde - x
+            coeff = beta / alpha**beta
+            want = -coeff * np.sign(delta) * np.abs(delta) ** (beta - 1.0)
+            with np.errstate(invalid="ignore"):
+                got = dist.gn_score(x_tilde, x, alpha, beta)
+            assert got.tobytes() == want.tobytes()
+
     def test_no_singularity_at_one_and_above(self):
         assert float(dist.gn_score(0.0, 0.0, 1.0, 1.0)) == 0.0
         assert float(dist.gn_score(0.0, 0.0, 1.0, 2.0)) == 0.0

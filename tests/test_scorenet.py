@@ -296,11 +296,11 @@ def reference_train(data, cfg, rng):
 
 class TestTrain:
     @pytest.mark.parametrize("beta, exponent, dim, hidden", [
-        (2.0, 2.0, 2, (16, 16)),
-        (2.0, 1.0, 2, (16, 16)),
-        (1.0, 1.0, 2, (16, 16)),
-        (0.7, 1.0, 2, (16, 16)),
-        (1.0, 2.0, 3, (8,)),
+        pytest.param(2.0, 2.0, 2, (16, 16), id="2.0-2.0"),
+        pytest.param(2.0, 1.0, 2, (16, 16), id="2.0-1.0"),
+        pytest.param(1.0, 1.0, 2, (16, 16), id="1.0-1.0"),
+        pytest.param(0.7, 1.0, 2, (16, 16), id="0.7-1.0"),
+        pytest.param(1.0, 2.0, 3, (8,), id="1.0-2.0-dim3-hidden8"),
     ])
     def test_matches_reference_loop_bitwise(self, two_level_schedule, beta, exponent,
                                             dim, hidden):

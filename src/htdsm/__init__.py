@@ -2,7 +2,7 @@
 
 Generalized-normal noising and score targets, quantile-matched noise
 schedules, a small dense score network trained with DSM, (annealed)
-Langevin samplers with configurable diffusion shape, generative metrics,
+Langevin sampler with configurable diffusion shape, generative metrics,
 and the 2D mode-balance experiments built on top of them.
 """
 
@@ -26,7 +26,6 @@ from htdsm.experiments import (
     run_imbalance_grid,
 )
 from htdsm.metrics import (
-    FeatureSet,
     MetricReport,
     bootstrap_ci,
     fid,
@@ -39,7 +38,6 @@ from htdsm.sampler import (
     SamplerConfig,
     ald_run,
     forward_chain,
-    ld_run,
 )
 from htdsm.schedule import NoiseSchedule, geometric_schedule, quantile_matched_schedule
 from htdsm.scorenet import (

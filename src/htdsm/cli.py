@@ -31,6 +31,7 @@ from htdsm.experiments import (
     write_csv,
     write_endpoints_csv,
     write_grid_outputs,
+    write_json,
     write_paths_csv,
 )
 
@@ -39,12 +40,6 @@ log = logging.getLogger("htdsm")
 
 class UsageError(Exception):
     """Malformed config or arguments; maps to exit code 2."""
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _require(ok: bool, flag: str, value, need: str) -> None:
@@ -111,6 +106,10 @@ def _cmd_schedule(args) -> int:
     if args.empirical:
         _require(args.mc_count >= distributions.MIN_MC_COUNT, "--mc-count", args.mc_count,
                  f">= {distributions.MIN_MC_COUNT}")
+        # The Monte Carlo oracle sums dim squared coordinates G^(2/beta).
+        log_top = 2.0 * _log_largest_draw(1.0, args.beta) + math.log(args.dim)
+        _require(log_top <= _LOG_DBL_MAX, "--beta", args.beta,
+                 f"large enough that --empirical squared norms stay finite at --dim {args.dim}")
     _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     sched = schedule.quantile_matched_schedule(
         args.beta,
@@ -122,7 +121,7 @@ def _cmd_schedule(args) -> int:
         mc_count=args.mc_count,
         rng=np.random.default_rng(args.seed),
     )
-    _write_json(args.out, sched.to_dict())
+    write_json(args.out, sched.to_dict())
     print(f"{len(sched)} levels: {sched.sigmas[0]:.6g} .. {sched.sigmas[-1]:.6g}")
     print(f"wrote {args.out}")
     return 0
@@ -190,7 +189,7 @@ def _cmd_train(args) -> int:
     payload = net.to_dict()
     payload["train"] = cfg.to_dict()
     payload["loss_first_decile"], payload["loss_last_decile"] = _loss_deciles(losses)
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     print(
         f"trained {cfg.steps} steps; loss {payload['loss_first_decile']:.4f} -> "
         f"{payload['loss_last_decile']:.4f}; wrote {args.out}"
@@ -239,7 +238,7 @@ def _cmd_metrics(args) -> int:
             )
     p, r, d, c = metrics.prdc(real, fake, args.k)
     report = metrics.MetricReport(p, r, d, c, metrics.kid(real, fake), metrics.fid(real, fake))
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
     print(
         f"precision {p:.4f} recall {r:.4f} density {d:.4f} coverage {c:.4f} "
         f"kid {report.kid:.6g} fid {report.fid:.6g}"
@@ -284,7 +283,7 @@ def _cmd_selftest(args) -> int:
     for check in report["checks"]:
         print(("PASS " if check["passed"] else "FAIL ") + check["name"])
     if args.out:
-        _write_json(args.out, report)
+        write_json(args.out, report)
     if report["all_pass"]:
         print(f"selftest: {len(report['checks'])} checks passed")
         return 0

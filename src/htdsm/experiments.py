@@ -78,7 +78,9 @@ def _seed_int(master_seed: int, *key: int) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
     """One imbalance experiment: mixture, shared training/sampling settings,
-    particle count and the seed list."""
+    particle count and the seed list. The grid sets train.beta_noise,
+    train.alpha_unit, train.seed, sampler.beta_diff, sampler.seed and
+    sampler.record_paths per cell and seed, so their values here are unread."""
 
     mixture: MixtureSpec = field(default_factory=lambda: MixtureSpec.two_mode(10.0))
     train: TrainConfig = field(
@@ -188,17 +190,19 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float,
     return data, net, losses
 
 
-def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float):
+def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float,
+                 record_paths: bool = False):
+    """(endpoints, statuses, paths) of one cell's ALD run."""
     sampler_cfg = replace(
         cfg.sampler,
         beta_diff=beta_diff,
-        record_paths=False,
+        record_paths=record_paths,
         seed=_seed_int(cfg.master_seed, seed, _STREAM_SAMPLE),
     )
     paths = ald_run(lambda x, ls: net.forward(x, ls), sampler_cfg, cfg.particles)
     endpoints = np.array([p.final for p in paths])
     statuses = [p.status for p in paths]
-    return endpoints, statuses
+    return endpoints, statuses, paths
 
 
 def _seed_records(args) -> dict:
@@ -209,8 +213,7 @@ def _seed_records(args) -> dict:
     sampled once; a name repeating a pair gets a copy of its record, wall
     time included.
     """
-    cfg_dict, seed, shapes = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, seed, shapes = args
     trained = {}
     records = {}
     out = {}
@@ -223,7 +226,7 @@ def _seed_records(args) -> dict:
                     cfg, seed, beta_noise, standard_member_alpha(beta_noise)
                 )
             data, net, losses = trained[beta_noise]
-            endpoints, statuses = _sample_cell(cfg, seed, net, beta_diff)
+            endpoints, statuses = _sample_cell(cfg, seed, net, beta_diff)[:2]
             records[pair] = _run_record(cfg, seed, data, losses, endpoints, statuses, t0)
         out[name] = records[pair].to_dict()
     return out
@@ -231,7 +234,7 @@ def _seed_records(args) -> dict:
 
 def _run_shapes(cfg: ExperimentConfig, shapes, workers: int = 1) -> dict:
     """Records per shape name, seed-ordered. Seeds fan across workers."""
-    tasks = [(cfg.to_dict(), seed, shapes) for seed in cfg.seeds]
+    tasks = [(cfg, seed, shapes) for seed in cfg.seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_seed_records, tasks))
@@ -323,14 +326,11 @@ def run_convergence_demo(
 
     levels = 1 uses the single sigma = 1.0 level; levels = 2 the
     [1.0, 0.25] pair. Endpoints for every particle and full paths for the
-    first path_particles particles land in out_dir. The paths come from a
-    second ALD run of path_particles particles on the same per-particle
-    streams, so they follow the first endpoints' particles, but the network
-    rounds a row differently with the batch's row count and the two runs
-    can drift apart in the last bits.
+    first path_particles particles land in out_dir. Both come from one ALD
+    run, so each path ends at its particle's endpoint.
     """
-    if levels not in (1, 2):
-        raise ValueError(f"levels must be 1 or 2, got {levels}")
+    if levels not in (1, 2) or path_particles < 1:
+        raise ValueError(f"need levels 1 or 2, path_particles >= 1; got {levels}, {path_particles}")
     schedule = (
         NoiseSchedule(sigmas=(1.0,), beta=2.0, n=2, kind="geometric")
         if levels == 1
@@ -378,20 +378,11 @@ def run_convergence_demo(
         else standard_member_alpha(beta_noise)
     )
     data, net, losses = _train_for_seed(cfg, seed, beta_noise, alpha_unit)
-    endpoints, statuses = _sample_cell(cfg, seed, net, cfg.sampler.beta_diff)
+    endpoints, statuses, paths = _sample_cell(
+        cfg, seed, net, cfg.sampler.beta_diff, record_paths=True
+    )
     write_endpoints_csv(out_dir / "endpoints.csv", endpoints, statuses)
-
-    paths_cfg = replace(
-        cfg.sampler,
-        record_paths=True,
-        seed=_seed_int(cfg.master_seed, seed, _STREAM_SAMPLE),
-    )
-    paths = ald_run(
-        lambda x, ls: net.forward(x, ls),
-        paths_cfg,
-        min(path_particles, cfg.particles),
-    )
-    write_paths_csv(out_dir / "paths.csv", paths)
+    write_paths_csv(out_dir / "paths.csv", paths[:path_particles])
 
     keep = np.asarray([s != DIVERGED for s in statuses], dtype=bool)
     capture = None
@@ -402,10 +393,15 @@ def run_convergence_demo(
         ).min(axis=1)
         capture = float((dists <= 3.0 * max(cfg.mixture.stds)).mean())
     record = _run_record(cfg, seed, data, losses, endpoints, statuses, t0, capture)
-    with open(out_dir / "record.json", "w") as fh:
-        json.dump(record.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "record.json", record.to_dict())
     return record
+
+
+def write_json(path, payload) -> None:
+    """payload as JSON indented by 2, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _fmt(x) -> str:
@@ -459,9 +455,7 @@ def write_grid_outputs(out_dir, grid: dict) -> None:
     grid holds a sweep, sweep.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "grid.json", "w") as fh:
-        json.dump({k: v for k, v in grid.items() if k != "sweep"}, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "grid.json", {k: v for k, v in grid.items() if k != "sweep"})
     rows = [
         (name, rec["seed"], _fmt(rec["imbalance"]), rec["diverged"])
         for name, cell in grid["cells"].items()

@@ -1,12 +1,12 @@
-"""Generative-model metrics over pluggable feature vectors.
+"""Generative-model metrics over (M, d) point matrices.
 
 Precision/recall/density/coverage (kNN-ball form), polynomial-kernel
 squared MMD (the KID form), Fréchet distance between moment-matched
 Gaussians, percentile bootstrap confidence intervals, and the
 mode-imbalance statistic for mixture experiments.
 
-Identity features (raw points) are the only built-in extractor; reports
-carry the feature-map label so downstream consumers know the values are
+The metrics take the raw points as their features (the identity feature
+map); reports carry that label so downstream consumers know the values are
 not classifier-feature metrics.
 """
 
@@ -27,7 +27,6 @@ _BLOCK_ENTRIES = 1 << 20
 
 __all__ = [
     "MetricError",
-    "FeatureSet",
     "MetricReport",
     "prdc",
     "kid",
@@ -42,24 +41,6 @@ class MetricError(ValueError):
     """Degenerate inputs made a metric undefined."""
 
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """A matrix of feature vectors plus its provenance tag."""
-
-    points: np.ndarray
-    source: str = "real"
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"points must be a nonempty (M, d) matrix, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("feature vectors must be finite")
-        if self.source not in ("real", "generated"):
-            raise ValueError(f"source must be 'real' or 'generated', got {self.source!r}")
-        object.__setattr__(self, "points", pts)
-
-
 @dataclass
 class MetricReport(Config):
     precision: float | None = None
@@ -72,8 +53,6 @@ class MetricReport(Config):
 
 
 def _points(x) -> np.ndarray:
-    if isinstance(x, FeatureSet):
-        return x.points
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2:
         raise ValueError(f"expected an (M, d) matrix, got shape {pts.shape}")

@@ -1,5 +1,6 @@
-"""Langevin dynamics, annealed Langevin dynamics with configurable
-diffusion-noise shape, the forward noising chain, and divergence detection.
+"""Annealed Langevin dynamics (`ald_run`; a one-level schedule is plain
+Langevin dynamics) with configurable diffusion-noise shape, and the forward
+noising chain.
 
 Particles are independent: every particle draws its initial position and
 its entire diffusion-noise stream from a generator seeded by
@@ -40,7 +41,6 @@ __all__ = [
     "SamplerConfig",
     "ParticlePath",
     "particle_rng",
-    "ld_run",
     "ald_run",
     "forward_chain",
 ]
@@ -111,7 +111,8 @@ class ParticlePath:
 
     positions has shape (total steps + 1, d) when paths were recorded, else
     it is None, and so is levels, which aligns positions with the schedule
-    level that produced each step.
+    level that produced each step. final and positions are views of their
+    block's arrays; levels is one read-only array shared by the block.
     """
 
     final: np.ndarray
@@ -153,12 +154,14 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     inside = cfg.divergence_radius / (2.0 * math.sqrt(dim))
     alive_rows = np.arange(count)
     xa = x.copy()
+    positions = level_of_step = None
     if cfg.record_paths:
         positions = np.empty((count, total_steps + 1, dim))
         positions[:, 0] = x
         level_of_step = np.concatenate(
             [np.full(t, i, dtype=int) for i, t in enumerate(steps)]
         )
+        level_of_step.flags.writeable = False
     step = 0
     for sigma, t_level in zip(sigmas, steps):
         eps = cfg.step_size * sigma**2 / sigma_max_sq
@@ -190,24 +193,26 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
 
     alive = np.zeros(count, dtype=bool)
     alive[alive_rows] = True
-    out = []
-    for row in range(count):
-        status = CONVERGED if alive[row] else DIVERGED
-        if cfg.record_paths:
-            out.append(
-                ParticlePath(
-                    final=x[row].copy(),
-                    status=status,
-                    positions=positions[row].copy(),
-                    levels=level_of_step.copy(),
-                )
-            )
-        else:
-            out.append(ParticlePath(final=x[row].copy(), status=status))
-    return out
+    return [
+        ParticlePath(
+            x[row],
+            CONVERGED if alive[row] else DIVERGED,
+            None if positions is None else positions[row],
+            level_of_step,
+        )
+        for row in range(count)
+    ]
 
 
-def _run(score_fn, cfg: SamplerConfig, count: int) -> list:
+def ald_run(score_fn, cfg: SamplerConfig, count: int) -> list:
+    """Annealed Langevin dynamics over the descending schedule; a one-level
+    schedule is plain Langevin dynamics. score_fn(x, log_sigma) maps an
+    (N, d) batch to (N, d) scores. Level i uses step size
+    step_size * sigma_i^2 / sigma_1^2, receives log sigma_i and starts from
+    the previous level's final positions. Particles start uniform in the init
+    box; one that leaves the divergence radius (or goes non-finite) is frozen
+    and reported as diverged rather than raising.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     total_steps = sum(cfg.steps_per_level)
@@ -218,30 +223,6 @@ def _run(score_fn, cfg: SamplerConfig, count: int) -> list:
         indices = range(start, min(start + block, count))
         paths.extend(_run_block(score_fn, cfg, indices))
     return paths
-
-
-def ld_run(score_fn, cfg: SamplerConfig, count: int) -> list:
-    """Langevin dynamics at the schedule's single noise level.
-
-    score_fn(x, log_sigma) maps an (N, d) batch to (N, d) scores. Particles
-    start uniform in the init box; a particle that leaves the divergence
-    radius (or goes non-finite) is frozen and reported as diverged rather
-    than raising.
-    """
-    if len(cfg.schedule) != 1:
-        raise ValueError(
-            f"ld_run needs a single-level schedule, got {len(cfg.schedule)} levels"
-        )
-    return _run(score_fn, cfg, count)
-
-
-def ald_run(score_fn, cfg: SamplerConfig, count: int) -> list:
-    """Annealed Langevin dynamics over the descending schedule.
-
-    Level i uses step size step_size * sigma_i^2 / sigma_1^2 and starts from
-    the previous level's final positions; score_fn receives log sigma_i.
-    """
-    return _run(score_fn, cfg, count)
 
 
 def forward_chain(x0, sigmas, rng: np.random.Generator, beta: float = 2.0):

@@ -52,14 +52,6 @@ class NoiseSchedule(Config):
     def __len__(self) -> int:
         return len(self.sigmas)
 
-    @property
-    def sigma_max(self) -> float:
-        return self.sigmas[0]
-
-    @property
-    def sigma_min(self) -> float:
-        return self.sigmas[-1]
-
 
 def _matched_ratio_model(beta: float, delta: float) -> float:
     """sigma_{i+1}/sigma_i under the GG norm model.

@@ -13,7 +13,7 @@ import numpy as np
 
 from htdsm import distributions as dist
 from htdsm import metrics, specfun
-from htdsm.sampler import CONVERGED, SamplerConfig, forward_chain, ld_run
+from htdsm.sampler import CONVERGED, SamplerConfig, ald_run, forward_chain
 from htdsm.schedule import NoiseSchedule, geometric_schedule, quantile_matched_schedule
 from htdsm.scorenet import MixtureSpec, ScoreNetwork, analytic_mixture_score
 
@@ -107,7 +107,7 @@ def _check_ld_frozen_at_zero_step() -> bool:
     cfg = SamplerConfig(
         schedule=sched, steps_per_level=20, step_size=0.0, record_paths=True, seed=5
     )
-    paths = ld_run(lambda x, ls: -x, cfg, 8)
+    paths = ald_run(lambda x, ls: -x, cfg, 8)
     return all(
         p.status == CONVERGED and np.array_equal(p.positions[0], p.positions[-1])
         for p in paths

@@ -16,7 +16,7 @@ from scipy import stats
 from htdsm import distributions as dist
 from htdsm import metrics, specfun
 from htdsm.experiments import ExperimentConfig, run_imbalance_grid
-from htdsm.sampler import SamplerConfig, forward_chain, ld_run
+from htdsm.sampler import SamplerConfig, ald_run, forward_chain
 from htdsm.schedule import NoiseSchedule, geometric_schedule, quantile_matched_schedule
 from htdsm.scorenet import (
     MixtureSpec,
@@ -184,7 +184,7 @@ def test_criterion_7_sampler_physics():
     eps = 0.05
     sched = NoiseSchedule(sigmas=(1.0,), beta=2.0, n=2, delta=None, kind="geometric")
     cfg = SamplerConfig(schedule=sched, steps_per_level=500, step_size=eps, seed=400)
-    paths = ld_run(lambda x, ls: -x, cfg, 10_000)
+    paths = ald_run(lambda x, ls: -x, cfg, 10_000)
     finals = np.array([p.final for p in paths])
     exact = 2 * eps / (1 - (1 - eps) ** 2)
     var = finals.ravel().var(ddof=1)

@@ -219,7 +219,7 @@ class TestScheduleCommand:
         ("--beta", "-1"), ("--beta", "0"), ("--beta", "nan"), ("--beta", "inf"),
         ("--beta", "1e-4"), ("--beta", "1000"),
         ("--dim", "0"), ("--delta", "1.0"), ("--delta", "nan"), ("--mc-count", "5"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--beta", "0.01"),
     ])
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, flag, value):
         args = {"--beta": "1", "--dim": "2", "--delta": "0.9", "--sigma-min": "0.25",

@@ -281,6 +281,8 @@ class TestConvergenceDemo:
     def test_invalid_levels(self, tmp_path):
         with pytest.raises(ValueError):
             run_convergence_demo(3, 2.0, tmp_path)
+        with pytest.raises(ValueError, match="path_particles"):
+            run_convergence_demo(2, 2.0, tmp_path, path_particles=0)
 
 
 class TestFullScaleDemo:
@@ -297,6 +299,15 @@ class TestFullScaleDemo:
         record = run_convergence_demo(2, 1.0, tmp_path / "l")
         assert record.diverged == 0
         assert record.loss_last_decile < record.loss_first_decile
+        # paths.csv and endpoints.csv come from one run: each path ends at
+        # its particle's endpoint, bit for bit.
+        with open(tmp_path / "l" / "paths.csv") as fh:
+            last = {row["particle_id"]: row for row in csv.DictReader(fh)}
+        with open(tmp_path / "l" / "endpoints.csv") as fh:
+            ends = list(csv.DictReader(fh))
+        assert len(last) == 10
+        for pid, row in last.items():
+            assert (row["x0"], row["x1"]) == (ends[int(pid)]["x0"], ends[int(pid)]["x1"])
 
 
 class TestConfigRoundtrip:

@@ -6,7 +6,6 @@ import pytest
 
 from htdsm import metrics
 from htdsm.metrics import (
-    FeatureSet,
     MetricError,
     bootstrap_ci,
     fid,
@@ -118,12 +117,6 @@ class TestPrdc:
         pts = np.random.default_rng(3).standard_normal((4, 2))
         with pytest.raises(ValueError):
             prdc(pts, pts, 5)
-
-    def test_accepts_feature_sets(self):
-        pts = np.random.default_rng(4).standard_normal((12, 2))
-        a = FeatureSet(pts, "real")
-        b = FeatureSet(pts + 0.1, "generated")
-        assert prdc(a, b, 2) == prdc(pts, pts + 0.1, 2)
 
 
 class TestBlockedMetrics:
@@ -318,13 +311,3 @@ class TestModeImbalance:
         pts = mix.sample(rng, 5000)
         value = mode_imbalance(pts, mix)
         assert 50.0 <= value <= 100.0
-
-
-class TestFeatureSet:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FeatureSet(np.array([[math.nan, 0.0]]), "real")
-        with pytest.raises(ValueError):
-            FeatureSet(np.zeros((0, 2)), "real")
-        with pytest.raises(ValueError):
-            FeatureSet(np.zeros((3, 2)), "fake-tag")

@@ -13,7 +13,6 @@ from htdsm.sampler import (
     SamplerConfig,
     ald_run,
     forward_chain,
-    ld_run,
     particle_rng,
 )
 from htdsm.schedule import NoiseSchedule, geometric_schedule
@@ -67,7 +66,7 @@ class TestLangevinDynamics:
     def test_zero_step_paths_constant(self):
         cfg = SamplerConfig(schedule=single_level(), steps_per_level=10,
                             step_size=0.0, record_paths=True, seed=5)
-        paths = ld_run(lambda x, ls: -x, cfg, 6)
+        paths = ald_run(lambda x, ls: -x, cfg, 6)
         for p in paths:
             assert p.status == CONVERGED
             assert np.array_equal(p.positions[0], p.positions[-1])
@@ -75,7 +74,7 @@ class TestLangevinDynamics:
     def test_init_from_particle_stream(self):
         cfg = SamplerConfig(schedule=single_level(), steps_per_level=1,
                             step_size=0.0, record_paths=True, seed=7)
-        paths = ld_run(lambda x, ls: -x, cfg, 3)
+        paths = ald_run(lambda x, ls: -x, cfg, 3)
         for pid, p in enumerate(paths):
             want = particle_rng(7, pid).uniform(-6.0, 6.0, 2)
             assert np.array_equal(p.positions[0], want)
@@ -87,7 +86,7 @@ class TestLangevinDynamics:
         eps = 0.13
         cfg = SamplerConfig(schedule=single_level(), steps_per_level=50,
                             step_size=eps, record_paths=True, seed=11)
-        paths = ld_run(lambda x, ls: -x, cfg, 4)
+        paths = ald_run(lambda x, ls: -x, cfg, 4)
         alpha_v = dist.unit_variance_alpha(2.0)
         for pid, p in enumerate(paths):
             rng = particle_rng(11, pid)
@@ -103,33 +102,20 @@ class TestLangevinDynamics:
         eps = 0.05
         cfg = SamplerConfig(schedule=single_level(), steps_per_level=500,
                             step_size=eps, seed=1)
-        paths = ld_run(lambda x, ls: -x, cfg, 10_000)
+        paths = ald_run(lambda x, ls: -x, cfg, 10_000)
         finals = np.array([p.final for p in paths])
         exact = 2 * eps / (1 - (1 - eps) ** 2)
         # Coordinates are i.i.d.; pooling them halves the Monte Carlo error.
         assert finals.ravel().var(ddof=1) == pytest.approx(exact, rel=0.05)
 
-    def test_requires_single_level(self):
-        cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2))
-        with pytest.raises(ValueError):
-            ld_run(lambda x, ls: -x, cfg, 2)
-
     def test_all_diverged_reported_not_raised(self):
         cfg = SamplerConfig(schedule=single_level(), steps_per_level=300,
                             step_size=0.1, seed=2)
-        paths = ld_run(lambda x, ls: 5.0 * x, cfg, 20)
+        paths = ald_run(lambda x, ls: 5.0 * x, cfg, 20)
         assert all(p.status == DIVERGED for p in paths)
 
 
 class TestAnnealedLangevinDynamics:
-    def test_single_level_matches_ld(self):
-        cfg = SamplerConfig(schedule=single_level(), steps_per_level=40,
-                            step_size=0.1, seed=3)
-        a = ld_run(lambda x, ls: -x, cfg, 10)
-        b = ald_run(lambda x, ls: -x, cfg, 10)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.final, pb.final)
-
     def test_score_evaluation_count_and_conditioning(self):
         calls = []
 
@@ -278,7 +264,7 @@ class TestDiffusionShapes:
     def test_laplace_diffusion_runs(self):
         cfg = SamplerConfig(schedule=single_level(), steps_per_level=100,
                             step_size=0.05, beta_diff=1.0, seed=12)
-        paths = ld_run(lambda x, ls: -x, cfg, 100)
+        paths = ald_run(lambda x, ls: -x, cfg, 100)
         assert all(p.status == CONVERGED for p in paths)
 
 
@@ -328,6 +314,6 @@ class TestDivergenceDetection:
     def test_matches_online_flag(self):
         cfg = SamplerConfig(schedule=single_level(), steps_per_level=200,
                             step_size=0.1, record_paths=True, seed=16)
-        paths = ld_run(lambda x, ls: 3.0 * x, cfg, 30)
+        paths = ald_run(lambda x, ls: 3.0 * x, cfg, 30)
         for p in paths:
             assert p.status == detect_divergence(p.positions, cfg.divergence_radius)

@@ -26,6 +26,7 @@ from htdsm._config import Config
 from htdsm.experiments import (
     ExperimentConfig,
     _loss_deciles,
+    _sample_network,
     run_convergence_demo,
     run_imbalance_grid,
     write_csv,
@@ -128,6 +129,9 @@ def _cmd_schedule(args) -> int:
 
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+# numpy's Gamma(1/beta) is exactly 0 (its U^beta underflows) for 2^(-1074/beta)
+# of the draws; above this beta, more than 1e-12 of gamma_power draws land on mu.
+_GAMMA_POWER_MAX_BETA = 1074.0 * math.log(2.0) / -math.log(1e-12)
 
 
 def _log_largest_draw(alpha: float, beta: float) -> float:
@@ -147,6 +151,9 @@ def _cmd_noise(args) -> int:
         _require(0.0 < value < math.inf, flag, value, "finite and positive")
     _require(args.count >= 0, "--count", args.count, ">= 0")
     _require(args.seed >= 0, "--seed", args.seed, ">= 0")
+    _require(args.method != "gamma_power" or args.beta <= _GAMMA_POWER_MAX_BETA, "--beta",
+             args.beta, f"<= {_GAMMA_POWER_MAX_BETA:.4g} with --method gamma_power, above "
+             "which more than 1e-12 of the draws underflow onto --mu")
     log_top = _log_largest_draw(args.alpha, args.beta)
     _require(log_top <= _LOG_DBL_MAX, "--beta", args.beta,
              f"large enough that the draws stay finite at --alpha {args.alpha} "
@@ -206,15 +213,12 @@ def _cmd_sample(args) -> int:
             f"sampler config {args.config} has schedule.n = {cfg.schedule.n}, "
             f"but checkpoint {args.ckpt} is a {net.data_dim}-dimensional network"
         )
-    paths = sampler.ald_run(lambda x, ls: net.forward(x, ls), cfg, args.count)
+    paths, endpoints, diverged = _sample_network(net, cfg, args.count)
     if cfg.record_paths:
-        write_paths_csv(args.out, paths)
+        write_paths_csv(args.out, paths, cfg.steps_per_level)
     else:
-        endpoints = np.array([p.final for p in paths])
-        statuses = [p.status for p in paths]
-        write_endpoints_csv(args.out, endpoints, statuses)
-    diverged = sum(p.status == sampler.DIVERGED for p in paths)
-    print(f"{args.count} particles, {diverged} diverged; wrote {args.out}")
+        write_endpoints_csv(args.out, endpoints, diverged)
+    print(f"{args.count} particles, {diverged.sum()} diverged; wrote {args.out}")
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from htdsm._config import Config
 from htdsm.metrics import MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
-from htdsm.sampler import DIVERGED, SamplerConfig, ald_run
+from htdsm.sampler import CONVERGED, DIVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig, train
 
@@ -80,7 +80,8 @@ class ExperimentConfig(Config):
     """One imbalance experiment: mixture, shared training/sampling settings,
     particle count and the seed list. The grid sets train.beta_noise,
     train.alpha_unit, train.seed, sampler.beta_diff, sampler.seed and
-    sampler.record_paths per cell and seed, so their values here are unread."""
+    sampler.record_paths per cell and seed, so their values here are unread.
+    The demo sets train.alpha_unit too, to the standard member's."""
 
     mixture: MixtureSpec = field(default_factory=lambda: MixtureSpec.two_mode(10.0))
     train: TrainConfig = field(
@@ -140,11 +141,9 @@ def _loss_deciles(losses: np.ndarray) -> tuple:
     return float(losses[:n10].mean()), float(losses[-n10:].mean())
 
 
-def _endpoint_metrics(endpoints, statuses, data, names) -> MetricReport | None:
+def _endpoint_metrics(pts, data, names) -> MetricReport | None:
     if not names:
         return None
-    keep = np.asarray([s != DIVERGED for s in statuses], dtype=bool)
-    pts = np.asarray(endpoints, dtype=float)[keep]
     report = MetricReport()
     if "prdc" in names and pts.shape[0] > 5:
         ref = data[: max(pts.shape[0], 6)]
@@ -156,33 +155,30 @@ def _endpoint_metrics(endpoints, statuses, data, names) -> MetricReport | None:
     return report
 
 
-def _run_record(cfg: ExperimentConfig, seed: int, data, losses, endpoints, statuses,
+def _run_record(cfg: ExperimentConfig, seed: int, data, losses, kept, diverged: int,
                 t0: float, mode_capture: float | None = None) -> RunRecord:
-    """The record of one trained and sampled cell, timed from t0."""
+    """The record of one cell from its kept endpoints and diverged count, timed from t0."""
     first, last = _loss_deciles(losses)
-    try:
-        imbalance = mode_imbalance(endpoints, cfg.mixture, statuses)
-    except ValueError:
-        imbalance = None
     return RunRecord(
         seed=seed,
-        imbalance=imbalance,
-        diverged=sum(s == DIVERGED for s in statuses),
+        imbalance=mode_imbalance(kept, cfg.mixture) if len(kept) else None,
+        diverged=diverged,
         loss_first_decile=first,
         loss_last_decile=last,
-        metrics=_endpoint_metrics(endpoints, statuses, data, cfg.metric_names),
+        metrics=_endpoint_metrics(kept, data, cfg.metric_names),
         wall_time=time.perf_counter() - t0,
         mode_capture=mode_capture,
     )
 
 
-def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float,
-                    alpha_unit: float):
-    """Deterministic (data, net, losses) for one seed and training shape."""
+def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float):
+    """Deterministic (data, net, losses) for one seed and training shape,
+    with noise scaled by the shape's standard member."""
     data = cfg.mixture.sample(
         _rng(cfg.master_seed, seed, _STREAM_DATA), cfg.data_count
     )
-    train_cfg = replace(cfg.train, beta_noise=beta_noise, alpha_unit=alpha_unit, seed=seed)
+    train_cfg = replace(cfg.train, beta_noise=beta_noise,
+                        alpha_unit=standard_member_alpha(beta_noise), seed=seed)
     beta_key = int(round(beta_noise * 1_000_000))
     net, losses = train(
         data, train_cfg, _rng(cfg.master_seed, seed, _STREAM_TRAIN, beta_key)
@@ -190,19 +186,26 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float,
     return data, net, losses
 
 
+def _sample_network(net, sampler_cfg: SamplerConfig, count: int):
+    """(paths, endpoints, diverged) of one ALD run of count particles under net's
+    score; diverged is the boolean mask of the particles that diverged. The one
+    place a particle's status becomes a mask."""
+    paths = ald_run(lambda x, ls: net.forward(x, ls), sampler_cfg, count)
+    endpoints = np.array([p.final for p in paths])
+    diverged = np.array([p.status == DIVERGED for p in paths])
+    return paths, endpoints, diverged
+
+
 def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float,
                  record_paths: bool = False):
-    """(endpoints, statuses, paths) of one cell's ALD run."""
+    """(paths, endpoints, diverged) of one cell's ALD run."""
     sampler_cfg = replace(
         cfg.sampler,
         beta_diff=beta_diff,
         record_paths=record_paths,
         seed=_seed_int(cfg.master_seed, seed, _STREAM_SAMPLE),
     )
-    paths = ald_run(lambda x, ls: net.forward(x, ls), sampler_cfg, cfg.particles)
-    endpoints = np.array([p.final for p in paths])
-    statuses = [p.status for p in paths]
-    return endpoints, statuses, paths
+    return _sample_network(net, sampler_cfg, cfg.particles)
 
 
 def _seed_records(args) -> dict:
@@ -222,12 +225,11 @@ def _seed_records(args) -> dict:
         if pair not in records:
             t0 = time.perf_counter()
             if beta_noise not in trained:
-                trained[beta_noise] = _train_for_seed(
-                    cfg, seed, beta_noise, standard_member_alpha(beta_noise)
-                )
+                trained[beta_noise] = _train_for_seed(cfg, seed, beta_noise)
             data, net, losses = trained[beta_noise]
-            endpoints, statuses = _sample_cell(cfg, seed, net, beta_diff)[:2]
-            records[pair] = _run_record(cfg, seed, data, losses, endpoints, statuses, t0)
+            _, endpoints, diverged = _sample_cell(cfg, seed, net, beta_diff)
+            records[pair] = _run_record(cfg, seed, data, losses, endpoints[~diverged],
+                                        int(diverged.sum()), t0)
         out[name] = records[pair].to_dict()
     return out
 
@@ -372,27 +374,21 @@ def run_convergence_demo(
 
     t0 = time.perf_counter()
     seed = cfg.seeds[0]
-    alpha_unit = (
-        cfg.train.alpha_unit
-        if cfg.train.alpha_unit is not None
-        else standard_member_alpha(beta_noise)
-    )
-    data, net, losses = _train_for_seed(cfg, seed, beta_noise, alpha_unit)
-    endpoints, statuses, paths = _sample_cell(
+    data, net, losses = _train_for_seed(cfg, seed, beta_noise)
+    paths, endpoints, diverged = _sample_cell(
         cfg, seed, net, cfg.sampler.beta_diff, record_paths=True
     )
-    write_endpoints_csv(out_dir / "endpoints.csv", endpoints, statuses)
-    write_paths_csv(out_dir / "paths.csv", paths[:path_particles])
+    write_endpoints_csv(out_dir / "endpoints.csv", endpoints, diverged)
+    write_paths_csv(out_dir / "paths.csv", paths[:path_particles], cfg.sampler.steps_per_level)
 
-    keep = np.asarray([s != DIVERGED for s in statuses], dtype=bool)
+    kept = endpoints[~diverged]
     capture = None
-    if keep.any():
-        pts = endpoints[keep]
+    if len(kept):
         dists = np.linalg.norm(
-            pts[:, None, :] - cfg.mixture.mean_array()[None], axis=2
+            kept[:, None, :] - cfg.mixture.mean_array()[None], axis=2
         ).min(axis=1)
         capture = float((dists <= 3.0 * max(cfg.mixture.stds)).mean())
-    record = _run_record(cfg, seed, data, losses, endpoints, statuses, t0, capture)
+    record = _run_record(cfg, seed, data, losses, kept, int(diverged.sum()), t0, capture)
     write_json(out_dir / "record.json", record.to_dict())
     return record
 
@@ -429,23 +425,32 @@ def write_csv(path, header, columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def write_endpoints_csv(path, endpoints, statuses) -> None:
+def write_endpoints_csv(path, endpoints, diverged) -> None:
+    """One row per particle: particle_id, status (from the diverged mask), x0..xd-1."""
     endpoints = np.asarray(endpoints, dtype=float)
     header = ["particle_id", "status", *(f"x{i}" for i in range(endpoints.shape[1]))]
+    statuses = np.where(diverged, DIVERGED, CONVERGED)
     write_csv(path, header, [np.arange(len(endpoints)), statuses, *endpoints.T])
 
 
-def write_paths_csv(path, particle_paths) -> None:
-    """Per-step positions: particle_id, level, step, x0..xd-1.
+def write_paths_csv(path, particle_paths, steps_per_level) -> None:
+    """Per-step positions: particle_id, level, step, x0..xd-1, for paths
+    recorded under a schedule with steps_per_level steps at each level.
 
     Step 0 is the initial position (level of the first schedule level).
     """
     if any(p.positions is None for p in particle_paths):
         raise ValueError("paths were not recorded for this run")
+    rows = sum(steps_per_level) + 1
+    if any(len(p.positions) != rows for p in particle_paths):
+        raise ValueError(f"steps_per_level {tuple(steps_per_level)} needs paths of {rows} rows")
+    count = len(particle_paths)
     pos = np.concatenate([p.positions for p in particle_paths])
-    ids = np.concatenate([np.full(len(p.positions), i) for i, p in enumerate(particle_paths)])
-    levels = np.concatenate([np.concatenate([p.levels[:1], p.levels]) for p in particle_paths])
-    steps = np.concatenate([np.arange(len(p.positions)) for p in particle_paths])
+    ids = np.repeat(np.arange(count), rows)
+    level_of_row = np.repeat(np.arange(len(steps_per_level)),
+                             [steps_per_level[0] + 1, *steps_per_level[1:]])
+    levels = np.tile(level_of_row, count)
+    steps = np.tile(np.arange(rows), count)
     header = ["particle_id", "level", "step", *(f"x{i}" for i in range(pos.shape[1]))]
     write_csv(path, header, [ids, levels, steps, *pos.T])
 

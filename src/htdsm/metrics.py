@@ -3,7 +3,9 @@
 Precision/recall/density/coverage (kNN-ball form), polynomial-kernel
 squared MMD (the KID form), Fréchet distance between moment-matched
 Gaussians, percentile bootstrap confidence intervals, and the
-mode-imbalance statistic for mixture experiments.
+mode-imbalance statistic for mixture experiments. Callers pass only the
+points to score: the mode imbalance takes the non-diverged endpoints, so
+the sampler's particle statuses stay with the caller.
 
 The metrics take the raw points as their features (the identity feature
 map); reports carry that label so downstream consumers know the values are
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from htdsm._config import Config
-from htdsm.sampler import DIVERGED
 from htdsm.scorenet import MixtureSpec
 
 # Entries per row block of a pairwise matrix (8 MB of float64): prdc and kid
@@ -239,20 +240,16 @@ def bootstrap_ci(
     return float(values.mean()), float(lo), float(hi)
 
 
-def mode_imbalance(endpoints, mixture: MixtureSpec, statuses=None) -> float:
-    """Percentage of non-diverged endpoints assigned to the majority mode.
+def mode_imbalance(endpoints, mixture: MixtureSpec) -> float:
+    """Percentage of endpoints assigned to the majority mode.
 
     Endpoints are assigned to the nearest mixture mean; the majority mode is
-    the one with the largest training weight. Diverged endpoints (per the
-    statuses sequence, if given) are excluded here and reported separately
-    by callers.
+    the one with the largest training weight. Callers pass the non-diverged
+    endpoints and report divergence separately; non-finite rows are dropped.
     """
     endpoints = np.atleast_2d(np.asarray(endpoints, dtype=float))
-    if statuses is not None:
-        keep = np.asarray([s != DIVERGED for s in statuses], dtype=bool)
-        endpoints = endpoints[keep]
     endpoints = endpoints[np.isfinite(endpoints).all(axis=1)]
-    if endpoints.shape[0] == 0:
+    if endpoints.size == 0:
         raise MetricError("no non-diverged endpoints to assign")
     means = mixture.mean_array()
     assign = np.linalg.norm(

@@ -110,15 +110,13 @@ class ParticlePath:
     """One particle's trajectory summary.
 
     positions has shape (total steps + 1, d) when paths were recorded, else
-    it is None, and so is levels, which aligns positions with the schedule
-    level that produced each step. final and positions are views of their
-    block's arrays; levels is one read-only array shared by the block.
+    it is None; row 0 is the initial position and row k the position after
+    step k. final and positions are views of their block's arrays.
     """
 
     final: np.ndarray
     status: str
     positions: np.ndarray | None = None
-    levels: np.ndarray | None = None
 
 
 def particle_rng(seed: int, index: int) -> np.random.Generator:
@@ -154,14 +152,10 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     inside = cfg.divergence_radius / (2.0 * math.sqrt(dim))
     alive_rows = np.arange(count)
     xa = x.copy()
-    positions = level_of_step = None
+    positions = None
     if cfg.record_paths:
         positions = np.empty((count, total_steps + 1, dim))
         positions[:, 0] = x
-        level_of_step = np.concatenate(
-            [np.full(t, i, dtype=int) for i, t in enumerate(steps)]
-        )
-        level_of_step.flags.writeable = False
     step = 0
     for sigma, t_level in zip(sigmas, steps):
         eps = cfg.step_size * sigma**2 / sigma_max_sq
@@ -198,7 +192,6 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
             x[row],
             CONVERGED if alive[row] else DIVERGED,
             None if positions is None else positions[row],
-            level_of_step,
         )
         for row in range(count)
     ]

@@ -309,6 +309,19 @@ class TestNoiseCommand:
         assert vals.size == 1000 and np.isfinite(vals).all()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("beta", ["30", "1e300"])
+    def test_underflowing_gamma_power_draws_are_usage_error(self, tmp_path, capsys, beta):
+        # numpy's Gamma(1/beta) is exactly 0 for about 2^(-1074/beta) of the
+        # draws, which exceeds 1e-12 above beta 26.94.
+        out = tmp_path / "n.csv"
+        code = run_cli("noise", "--alpha", "1", "--beta", beta, "--count", "100",
+                       "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert "--beta must be <= 26.94 with --method gamma_power" in capsys.readouterr().err
+        assert run_cli("noise", "--alpha", "1", "--beta", "26", "--count", "100",
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+
     def test_zero_count_writes_the_header_only(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
         assert run_cli("noise", "--beta", "1", "--alpha", "1", "--count", "0",

@@ -69,7 +69,7 @@ def endpoint_fixture():
                [-0.0, 5e-324, 1e308], [np.nan, np.nan, np.inf]]
     with np.errstate(over="ignore"):
         ok = np.isfinite(pts).all(axis=1) & (np.linalg.norm(pts, axis=1) <= 100.0)
-    return pts, [CONVERGED if k else DIVERGED for k in ok]
+    return pts, ~ok
 
 
 def escaping_score(x, log_sigma):
@@ -105,7 +105,7 @@ def grid_fixture():
 def write_all(tmp_path) -> dict:
     """Every non-noise fixture written once; digests by name."""
     write_endpoints_csv(tmp_path / "endpoints.csv", *endpoint_fixture())
-    write_paths_csv(tmp_path / "paths.csv", paths_fixture())
+    write_paths_csv(tmp_path / "paths.csv", paths_fixture(), (100, 100))
     grid, sweep = grid_fixture()
     experiments.write_grid_outputs(tmp_path / "grid", {**grid, "sweep": sweep})
     experiments.write_grid_outputs(tmp_path / "empty", {**grid, "sweep": []})
@@ -145,6 +145,25 @@ def test_endpoint_path_and_grid_csvs_match_recorded_bytes(tmp_path):
     text = (tmp_path / "endpoints.csv").read_bytes()
     assert text.startswith(b"particle_id,status,x0,x1,x2\r\n0,diverged,nan,1.0,-2.0\r\n"
                            b"1,diverged,inf,-inf,0.0\r\n2,diverged,-0.0,5e-324,1e+308\r\n")
+
+
+def test_path_levels_follow_the_steps_per_level(tmp_path):
+    cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=(3, 5),
+                        record_paths=True)
+    write_paths_csv(tmp_path / "paths.csv", ald_run(lambda x, ls: -x, cfg, 2), (3, 5))
+    rows = (tmp_path / "paths.csv").read_text().splitlines()[1:]
+    levels = [0] * 4 + [1] * 5
+    assert [row.split(",")[:3] for row in rows] == [
+        [str(pid), str(level), str(step)] for pid in (0, 1) for step, level in enumerate(levels)
+    ]
+
+
+def test_paths_of_another_length_are_rejected(tmp_path):
+    # Unchecked, write_csv would zip the 201-row paths with 101-row columns.
+    out = tmp_path / "paths.csv"
+    with pytest.raises(ValueError, match="101 rows"):
+        write_paths_csv(out, paths_fixture(), (50, 50))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rows", [1, 7])

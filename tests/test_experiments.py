@@ -7,8 +7,10 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from htdsm import experiments
@@ -21,6 +23,7 @@ from htdsm.experiments import (
     _seed_int,
     _STREAM_SAMPLE,
 )
+from htdsm.metrics import MetricReport
 from htdsm.sampler import SamplerConfig, particle_rng
 from htdsm.schedule import geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig
@@ -231,6 +234,25 @@ def test_grid_workers_fork_after_a_threaded_draw():
     assert proc.returncode == 0, proc.stderr
 
 
+class Escaper:
+    """A network stand-in whose score sends every particle to infinity."""
+
+    def forward(self, x, log_sigma):
+        return np.full_like(x, np.inf)
+
+
+def test_record_of_an_all_diverged_run():
+    cfg = tiny_config(metric_names=("prdc", "kid", "fid"))
+    _, endpoints, diverged = experiments._sample_network(Escaper(), cfg.sampler, cfg.particles)
+    assert diverged.all()
+    data = cfg.mixture.sample(np.random.default_rng(0), cfg.data_count)
+    record = experiments._run_record(cfg, 0, data, np.ones(10), endpoints[~diverged],
+                                     int(diverged.sum()), 0.0)
+    assert record.imbalance is None
+    assert record.diverged == cfg.particles
+    assert record.metrics == MetricReport()
+
+
 class TestStandardMemberAlpha:
     def test_anchors(self):
         assert standard_member_alpha(2.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -277,6 +299,15 @@ class TestConvergenceDemo:
             rows = list(csv.DictReader(fh))
         assert {r["level"] for r in rows} == {"0"}
         assert record.imbalance is not None
+
+    def test_configured_alpha_unit_is_not_read(self, tmp_path):
+        # The demo scales noise by the standard member, as the grid does.
+        cfg = tiny_config(mixture=MixtureSpec.two_mode(1.0), particles=20)
+        half = replace(cfg, train=replace(cfg.train, alpha_unit=0.5))
+        for name, c in (("default", cfg), ("half", half)):
+            run_convergence_demo(2, 1.0, tmp_path / name, cfg=c)
+        endpoints = [(tmp_path / name / "endpoints.csv").read_bytes() for name in ("default", "half")]
+        assert endpoints[0] == endpoints[1]
 
     def test_invalid_levels(self, tmp_path):
         with pytest.raises(ValueError):

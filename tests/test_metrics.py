@@ -14,7 +14,6 @@ from htdsm.metrics import (
     mode_imbalance,
     prdc,
 )
-from htdsm.sampler import CONVERGED, DIVERGED
 from htdsm.scorenet import MixtureSpec
 
 
@@ -297,13 +296,14 @@ class TestModeImbalance:
     def test_diverged_excluded(self):
         mix = MixtureSpec.two_mode(10.0)
         pts = np.array([[2.5, 2.5], [2.5, 2.5], [-2.5, -2.5]])
-        statuses = [CONVERGED, DIVERGED, CONVERGED]
-        assert mode_imbalance(pts, mix, statuses) == 50.0
+        diverged = np.array([False, True, False])
+        assert mode_imbalance(pts[~diverged], mix) == 50.0
 
     def test_no_valid_endpoints(self):
         mix = MixtureSpec.two_mode(10.0)
-        with pytest.raises(MetricError):
-            mode_imbalance(np.zeros((3, 2)), mix, [DIVERGED] * 3)
+        for empty in (np.zeros((0, 2)), np.zeros(0)):
+            with pytest.raises(MetricError):
+                mode_imbalance(empty, mix)
 
     def test_between_half_and_full_for_majority_reporting(self):
         mix = MixtureSpec.two_mode(4.0)

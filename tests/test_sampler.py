@@ -250,7 +250,7 @@ def test_network_score_endpoints_are_pinned(tmp_path):
     paths = ald_run(lambda x, ls: net.forward(x, ls), cfg, 400)
     assert sum(p.status == DIVERGED for p in paths) == 8
     out = tmp_path / "endpoints.csv"
-    write_endpoints_csv(out, [p.final for p in paths], [p.status for p in paths])
+    write_endpoints_csv(out, [p.final for p in paths], [p.status == DIVERGED for p in paths])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_ENDPOINTS_SHA256
 
 

@@ -129,20 +129,19 @@ def _cmd_schedule(args) -> int:
 
 
 _LOG_DBL_MAX = math.log(sys.float_info.max)
-# numpy's Gamma(1/beta) is exactly 0 (its U^beta underflows) for 2^(-1074/beta)
-# of the draws; above this beta, more than 1e-12 of gamma_power draws land on mu.
-_GAMMA_POWER_MAX_BETA = 1074.0 * math.log(2.0) / -math.log(1e-12)
 
 
 def _log_largest_draw(alpha: float, beta: float) -> float:
     """log of alpha G^(1/beta) at G's 1 - 1e-12 quantile, G ~ Gamma(1/beta):
     the largest |x - mu| of a GN draw. The power is formed before alpha
     scales it, so alpha < 1 does not keep it finite. Below beta = 1e-3, the
-    inverse's domain, the log is above 7000."""
+    inverse's domain, the log is above 7000. Above beta = 100 it takes the
+    power term at 100 (0.0300), above log(G_q)/beta at every larger beta."""
     if beta < 1e-3:
         return math.inf
+    beta = min(beta, 100.0)
     top = specfun.inv_reg_lower_inc_gamma(1.0 / beta, 1.0 - 1e-12)
-    return (math.log(top) / beta if top > 0.0 else -math.inf) + max(math.log(alpha), 0.0)
+    return math.log(top) / beta + max(math.log(alpha), 0.0)
 
 
 def _cmd_noise(args) -> int:
@@ -151,16 +150,13 @@ def _cmd_noise(args) -> int:
         _require(0.0 < value < math.inf, flag, value, "finite and positive")
     _require(args.count >= 0, "--count", args.count, ">= 0")
     _require(args.seed >= 0, "--seed", args.seed, ">= 0")
-    _require(args.method != "gamma_power" or args.beta <= _GAMMA_POWER_MAX_BETA, "--beta",
-             args.beta, f"<= {_GAMMA_POWER_MAX_BETA:.4g} with --method gamma_power, above "
-             "which more than 1e-12 of the draws underflow onto --mu")
     log_top = _log_largest_draw(args.alpha, args.beta)
     _require(log_top <= _LOG_DBL_MAX, "--beta", args.beta,
              f"large enough that the draws stay finite at --alpha {args.alpha} "
              f"(log of the largest magnitude is {log_top:.6g} > {_LOG_DBL_MAX:.6g})")
     dist = distributions.GeneralizedNormal(args.mu, args.alpha, args.beta)
     rng = np.random.default_rng(args.seed)
-    draws = distributions.gn_sample(dist, rng, args.count, method=args.method)
+    draws = distributions.gn_sample(dist, rng, args.count)
     write_csv(args.out, ["x0"], [draws])
     print(
         f"wrote {args.count} draws of GN(mu={args.mu}, alpha={args.alpha}, "
@@ -327,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["gamma_power", "uniform_mixture"], default="gamma_power")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_noise)
 

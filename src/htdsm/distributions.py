@@ -5,7 +5,8 @@ the GG model of the squared norm of a GN noise vector, and a Monte-Carlo
 oracle for the true (n-fold sum) norm distribution. The GG norm model
 treats the sum of n squared coordinates as n times a single squared
 coordinate; that identity is false for sums, so the Monte-Carlo oracle is
-kept alongside it to measure the discrepancy instead of hiding it.
+kept alongside it to measure the discrepancy instead of hiding it. Every
+GN and GG draw takes its Gamma variate from the one kernel _gamma_root.
 """
 
 from __future__ import annotations
@@ -173,34 +174,36 @@ def _score_of_delta(delta, coeff: float, beta: float, out=None):
     return np.multiply(-coeff * np.sign(delta), np.abs(delta) ** (beta - 1.0), out=out)
 
 
-def _gamma_power(dist: GeneralizedNormal, rng: np.random.Generator, shape) -> np.ndarray:
-    g = rng.gamma(1.0 / dist.beta, 1.0, size=shape)
+# numpy's Gamma(k) is exactly 0 (its U^(1/k) underflows) for about 2^(-1074 k)
+# of the draws: more than 1e-12 below this shape (above beta 26.94 for GN).
+_SMALL_SHAPE = math.log(1e12) / (1074.0 * math.log(2.0))
+
+
+def _gamma_root(rng: np.random.Generator, k: float, r: float, shape) -> np.ndarray:
+    """G^(1/r) with G ~ Gamma(k, 1), the source of every GN and GG draw: at
+    k >= _SMALL_SHAPE rng.gamma(k) ** (1/r), below it Gamma(k + 1)^(1/r)
+    U^(1/(k r)) with U uniform on (0, 1], the same law (Y U^(1/k) ~ Gamma(k)
+    for Y ~ Gamma(k + 1)) without the underflow onto 0."""
+    if k >= _SMALL_SHAPE:
+        return rng.gamma(k, 1.0, size=shape) ** (1.0 / r)
+    root = rng.gamma(k + 1.0, 1.0, size=shape) ** (1.0 / r)
+    return root * (1.0 - rng.random(shape)) ** (1.0 / (k * r))
+
+
+def _gn_draw(dist: GeneralizedNormal, rng: np.random.Generator, shape) -> np.ndarray:
+    root = _gamma_root(rng, 1.0 / dist.beta, dist.beta, shape)
     sign = rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    return dist.mu + sign * dist.alpha * g ** (1.0 / dist.beta)
+    return dist.mu + sign * dist.alpha * root
 
 
-def gn_sample(
-    dist: GeneralizedNormal,
-    rng: np.random.Generator,
-    count,
-    method: str = "gamma_power",
-) -> np.ndarray:
+def gn_sample(dist: GeneralizedNormal, rng: np.random.Generator, count) -> np.ndarray:
     """Draw i.i.d. GN samples; `count` may be an int or a shape tuple.
 
-    "gamma_power" (default): G ~ Gamma(1/beta, 1), return mu + s alpha G^{1/beta}
-    with s a fair random sign. "uniform_mixture": draw a Gamma(1 + 1/beta)
-    envelope with rate 2^{-beta/2}, then a uniform on [mu - d, mu + d] with
-    d = alpha g^{1/beta} / sqrt(2); the two scale constants cancel exactly,
-    so both methods target the same law (checked by a two-sample KS test).
+    Returns mu + s alpha G^{1/beta}, G ~ Gamma(1/beta, 1), with the root from
+    _gamma_root and s a fair random sign drawn after it. No draw collapses
+    onto mu; up to beta 26.94 the root is rng.gamma(1/beta) ** (1/beta).
     """
-    shape = (count,) if np.isscalar(count) else tuple(count)
-    if method == "gamma_power":
-        return _gamma_power(dist, rng, shape)
-    if method == "uniform_mixture":
-        g = rng.gamma(1.0 + 1.0 / dist.beta, 2.0 ** (dist.beta / 2.0), size=shape)
-        half_width = dist.alpha * g ** (1.0 / dist.beta) / math.sqrt(2.0)
-        return rng.uniform(dist.mu - half_width, dist.mu + half_width)
-    raise ValueError(f"unknown gn_sample method {method!r}")
+    return _gn_draw(dist, rng, count)
 
 
 # _block_noise hands each worker thread tiles of generators whose draws fill
@@ -225,9 +228,9 @@ def _block_noise(dist: GeneralizedNormal, rngs, steps: int, dim: int) -> np.ndar
     `out[:, k]` is bit-equal to `gn_sample(dist, rngs[k], (steps, dim))`.
     The generators are cut into tiles of `_TILE_BYTES`, drawn on a thread
     pool that lives for this call only, one thread per core the process may
-    use; numpy releases the GIL inside `gamma` and `integers`, so the threads
-    run in parallel. Each generator is drawn by one thread, so the bits do
-    not depend on the thread count.
+    use; numpy releases the GIL inside `gamma`, `random` and `integers`, so
+    the threads run in parallel. Each generator is drawn by one thread, so
+    the bits do not depend on the thread count.
     """
     out = np.empty((steps, len(rngs), dim))
     tile = max(1, _TILE_BYTES // max(out.itemsize * steps * dim, 1))
@@ -237,7 +240,7 @@ def _block_noise(dist: GeneralizedNormal, rngs, steps: int, dim: int) -> np.ndar
         # Runs on the worker threads, so it calls no public function: a
         # tracer wrapping those keeps one span stack for the process.
         for k in range(start, min(start + tile, len(rngs))):
-            out[:, k] = _gamma_power(dist, rngs[k], (steps, dim))
+            out[:, k] = _gn_draw(dist, rngs[k], (steps, dim))
 
     threads = min(_draw_threads(), len(starts))
     if threads <= 1:
@@ -311,10 +314,9 @@ def gg_raw_moment(dist: GeneralizedGamma, r: int) -> float:
 
 
 def gg_sample(dist: GeneralizedGamma, rng: np.random.Generator, count) -> np.ndarray:
-    """Draw from GG(a, d, p) as a W^{1/p} with W ~ Gamma(d/p, 1)."""
-    shape = (count,) if np.isscalar(count) else tuple(count)
-    w = rng.gamma(dist.d / dist.p, 1.0, size=shape)
-    return dist.a * w ** (1.0 / dist.p)
+    """Draw from GG(a, d, p) as a W^{1/p}, W ~ Gamma(d/p, 1), with W^{1/p}
+    from _gamma_root, which does not underflow onto 0 at small d/p."""
+    return dist.a * _gamma_root(rng, dist.d / dist.p, dist.p, count)
 
 
 # -- squared-norm model ---------------------------------------------------

@@ -79,9 +79,10 @@ def _seed_int(master_seed: int, *key: int) -> int:
 class ExperimentConfig(Config):
     """One imbalance experiment: mixture, shared training/sampling settings,
     particle count and the seed list. The grid sets train.beta_noise,
-    train.alpha_unit, train.seed, sampler.beta_diff, sampler.seed and
-    sampler.record_paths per cell and seed, so their values here are unread.
-    The demo sets train.alpha_unit too, to the standard member's."""
+    train.alpha_unit, sampler.beta_diff, sampler.seed and sampler.record_paths
+    per cell and seed, so their values here are unread; train.seed is unread
+    too, because training draws from a generator derived from the master
+    seed. The demo sets train.alpha_unit too, to the standard member's."""
 
     mixture: MixtureSpec = field(default_factory=lambda: MixtureSpec.two_mode(10.0))
     train: TrainConfig = field(
@@ -178,7 +179,7 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float):
         _rng(cfg.master_seed, seed, _STREAM_DATA), cfg.data_count
     )
     train_cfg = replace(cfg.train, beta_noise=beta_noise,
-                        alpha_unit=standard_member_alpha(beta_noise), seed=seed)
+                        alpha_unit=standard_member_alpha(beta_noise))
     beta_key = int(round(beta_noise * 1_000_000))
     net, losses = train(
         data, train_cfg, _rng(cfg.master_seed, seed, _STREAM_TRAIN, beta_key)

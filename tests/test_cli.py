@@ -309,17 +309,18 @@ class TestNoiseCommand:
         assert vals.size == 1000 and np.isfinite(vals).all()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("beta", ["30", "1e300"])
-    def test_underflowing_gamma_power_draws_are_usage_error(self, tmp_path, capsys, beta):
-        # numpy's Gamma(1/beta) is exactly 0 for about 2^(-1074/beta) of the
-        # draws, which exceeds 1e-12 above beta 26.94.
+    @pytest.mark.parametrize("beta", ["30", "100", "2050", "1.9007874450344867e13", "2e13", "1e300"])
+    def test_large_beta_draws_never_land_on_mu(self, tmp_path, capsys, beta):
+        # numpy's Gamma(1/beta) alone is exactly 0 for about 2^(-1074/beta)
+        # of the draws. Far below the inverse's shape domain the largest-draw
+        # check would not converge (at 1.9007874450344867e13) or would raise.
         out = tmp_path / "n.csv"
-        code = run_cli("noise", "--alpha", "1", "--beta", beta, "--count", "100",
-                       "--out", str(out))
-        assert code == 2 and not out.exists()
-        assert "--beta must be <= 26.94 with --method gamma_power" in capsys.readouterr().err
-        assert run_cli("noise", "--alpha", "1", "--beta", "26", "--count", "100",
-                       "--out", str(out)) == 0
+        assert run_cli("noise", "--alpha", "1", "--beta", beta, "--mu", "0.5",
+                       "--count", "10000", "--out", str(out)) == 0
+        with open(out) as fh:
+            vals = np.array([float(r["x0"]) for r in csv.DictReader(fh)])
+        assert vals.size == 10000 and not np.any(vals == 0.5)
+        assert np.all(np.abs(vals - 0.5) < 1.1)
         capsys.readouterr()
 
     def test_zero_count_writes_the_header_only(self, tmp_path, capsys):

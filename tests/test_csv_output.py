@@ -22,27 +22,17 @@ from htdsm.schedule import geometric_schedule
 # 65 537 and 200 003 rows span several blocks and end in a partial one.
 NOISE_COUNTS = (1, 65_537, 200_003)
 NOISE_BETAS = (0.5, 1.0, 2.5)
-NOISE_METHODS = ("gamma_power", "uniform_mixture")
 
 NOISE_SHA256 = {
-    ("gamma_power", 0.5, 1): "f95a1789d3b30c3d87b7b4d99dffd1a89a931fbdcc99c0cdb4372ad797292a2d",
-    ("gamma_power", 0.5, 65537): "20e3402b0efa698710c28344768bdfea216aa7d2c16f0b00bf4c898ca32d4ffe",
-    ("gamma_power", 0.5, 200003): "97e778c5c8d3c4575f190eb27ccb08a5d80267d5f0f78df94e9c745990c2c005",
-    ("gamma_power", 1.0, 1): "bf54477a993996413b78d285c8da8cbee1baf96522ca2279405ef0f54e404966",
-    ("gamma_power", 1.0, 65537): "13b45bf8df23c3d00f989921f42f39cf60555e227dc47764a1c89178e14ebca9",
-    ("gamma_power", 1.0, 200003): "b3a0140b736e7d9cfa497982add9883e4737d6d852c5b3c29a841730a70df00f",
-    ("gamma_power", 2.5, 1): "24f20e9b9f477b7c5ba5990e4efb9af1295f735a78cd575b4b4cf31aceb381ef",
-    ("gamma_power", 2.5, 65537): "8e7a0c985b57251c722bf97f4eccc471d6af585343687db72cc59d1a551537a0",
-    ("gamma_power", 2.5, 200003): "b569aeccf797a2a7d743e9e63eda5db4e45499e89c00ff5c5e64eadce69ef879",
-    ("uniform_mixture", 0.5, 1): "144ba760e24bd6bbe8f7c36acea7cfc8e3f56ce473db44cccbf0bf99b26988aa",
-    ("uniform_mixture", 0.5, 65537): "1478cac93a3d1dc072232b9b0a6b03c6b633695889c11d0e1a034081b0c78ab2",
-    ("uniform_mixture", 0.5, 200003): "c573c81fec27e51d3695ce8deded90ecd3dafb14b737b9a602ecb15426ce2525",
-    ("uniform_mixture", 1.0, 1): "30c0edaba093321ad36b666f7f0d776eb406d855ff35855129a8b0522bcace1e",
-    ("uniform_mixture", 1.0, 65537): "0d99123008e3a0d05fd33c7b95ce88a32d3c8e2fb12ad0d88ef695369a3ef757",
-    ("uniform_mixture", 1.0, 200003): "07a4b18227e3f14d704386fda9362eafc813ef8ef43def95dc02acfbc8554eb3",
-    ("uniform_mixture", 2.5, 1): "e3a37bca72b6ee871dc1297cb471b232717e11fc30d8f09f9c3ab0f4fb7c5f01",
-    ("uniform_mixture", 2.5, 65537): "6c139b3319c7f117832408c6073c77237553c9930afddf294896ce958aa6c897",
-    ("uniform_mixture", 2.5, 200003): "8105e12cb205267448e49a5762106ea4fb0701f40cedb2e7b08b4d09ab5749ca",
+    (0.5, 1): "f95a1789d3b30c3d87b7b4d99dffd1a89a931fbdcc99c0cdb4372ad797292a2d",
+    (0.5, 65537): "20e3402b0efa698710c28344768bdfea216aa7d2c16f0b00bf4c898ca32d4ffe",
+    (0.5, 200003): "97e778c5c8d3c4575f190eb27ccb08a5d80267d5f0f78df94e9c745990c2c005",
+    (1.0, 1): "bf54477a993996413b78d285c8da8cbee1baf96522ca2279405ef0f54e404966",
+    (1.0, 65537): "13b45bf8df23c3d00f989921f42f39cf60555e227dc47764a1c89178e14ebca9",
+    (1.0, 200003): "b3a0140b736e7d9cfa497982add9883e4737d6d852c5b3c29a841730a70df00f",
+    (2.5, 1): "24f20e9b9f477b7c5ba5990e4efb9af1295f735a78cd575b4b4cf31aceb381ef",
+    (2.5, 65537): "8e7a0c985b57251c722bf97f4eccc471d6af585343687db72cc59d1a551537a0",
+    (2.5, 200003): "b569aeccf797a2a7d743e9e63eda5db4e45499e89c00ff5c5e64eadce69ef879",
 }
 ENDPOINTS_SHA256 = "d56c613c3c0d1e6c1c4decd959890b2d3c396e9ed83f84789a600bed2ca3645a"
 PATHS_SHA256 = "cc0e52c088e1d6d29b078468ce5d4ea7ec56f18e8e28a5fdd1bbbc851529cce8"
@@ -55,10 +45,9 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_noise(path, method, beta, count) -> int:
+def write_noise(path, beta, count) -> int:
     return dispatch(["noise", "--beta", repr(beta), "--alpha", "1.5", "--mu", "0.25",
-                     "--count", str(count), "--seed", "7", "--method", method,
-                     "--out", str(path)])
+                     "--count", str(count), "--seed", "7", "--out", str(path)])
 
 
 def endpoint_fixture():
@@ -127,14 +116,14 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("method", NOISE_METHODS)
-@pytest.mark.parametrize("beta", NOISE_BETAS)
+# The ids name the gamma root's branch that draws these betas (rng.gamma to a power).
+@pytest.mark.parametrize("beta", NOISE_BETAS, ids=lambda beta: f"{beta}-gamma_power")
 @pytest.mark.parametrize("count", NOISE_COUNTS)
-def test_noise_csv_matches_recorded_bytes(tmp_path, capsys, method, beta, count):
+def test_noise_csv_matches_recorded_bytes(tmp_path, capsys, beta, count):
     out = tmp_path / "noise.csv"
-    assert write_noise(out, method, beta, count) == 0
+    assert write_noise(out, beta, count) == 0
     capsys.readouterr()
-    assert sha256(out) == NOISE_SHA256[(method, beta, count)]
+    assert sha256(out) == NOISE_SHA256[(beta, count)]
 
 
 def test_endpoint_path_and_grid_csvs_match_recorded_bytes(tmp_path):
@@ -171,9 +160,9 @@ def test_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(experiments, "_CSV_ROWS", rows)
     assert write_all(tmp_path) == PINNED
     out = tmp_path / "noise.csv"
-    assert write_noise(out, "gamma_power", 1.0, 65_537) == 0
+    assert write_noise(out, 1.0, 65_537) == 0
     capsys.readouterr()
-    assert sha256(out) == NOISE_SHA256[("gamma_power", 1.0, 65_537)]
+    assert sha256(out) == NOISE_SHA256[(1.0, 65_537)]
 
 
 def test_noise_write_memory_is_bounded_by_the_block(tmp_path, capsys):
@@ -182,7 +171,7 @@ def test_noise_write_memory_is_bounded_by_the_block(tmp_path, capsys):
     # would hold about 100 MiB of Python floats and strings on top.
     tracemalloc.start()
     try:
-        assert write_noise(tmp_path / "noise.csv", "gamma_power", 1.0, 1_000_000) == 0
+        assert write_noise(tmp_path / "noise.csv", 1.0, 1_000_000) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,11 +103,14 @@ class TestSampling:
         draws = dist.gn_sample(g, np.random.default_rng(1), 100_000)
         assert draws.var() == pytest.approx(2.0, rel=0.03)
 
-    def test_methods_agree_two_sample_ks(self):
+    def test_methods_agree_two_sample_ks(self, monkeypatch):
+        # The gamma root's two branches, rng.gamma(k) ** (1/r) and
+        # Gamma(k + 1)^(1/r) U^(1/(k r)), are two algorithms for one law.
         g = dist.GeneralizedNormal(0.3, 1.2, 1.4)
         rng = np.random.default_rng(2)
         a = dist.gn_sample(g, rng, 100_000)
-        b = dist.gn_sample(g, rng, 100_000, method="uniform_mixture")
+        monkeypatch.setattr(dist, "_SMALL_SHAPE", 1.0)
+        b = dist.gn_sample(g, rng, 100_000)
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
     def test_sample_vs_analytic_cdf(self):
@@ -114,10 +119,32 @@ class TestSampling:
         res = stats.kstest(draws, lambda x: dist.gn_cdf(g, x))
         assert res.pvalue > 0.01
 
-    def test_unknown_method(self):
-        g = dist.GeneralizedNormal(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            dist.gn_sample(g, np.random.default_rng(0), 10, method="nope")
+    @pytest.mark.parametrize("beta, seed", [(30.0, 11), (100.0, 12)])
+    def test_large_beta_matches_scipy_gennorm(self, beta, seed):
+        # Above beta 26.94 numpy's Gamma(1/beta) alone would put about
+        # 2^(-1074/beta) of the draws on mu (0.06% at beta 100).
+        g = dist.GeneralizedNormal(0.5, 1.3, beta)
+        draws = dist.gn_sample(g, np.random.default_rng(seed), 200_000)
+        assert not np.any(draws == g.mu)
+        assert stats.kstest(draws, stats.gennorm(beta, loc=g.mu, scale=g.alpha).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("beta", [1e3, 1e300])
+    def test_no_draw_lands_on_mu(self, beta):
+        # scipy's gennorm CDF forms x^beta, which underflows here, so there
+        # is no KS oracle; at beta 1e300 the law is uniform on mu +- alpha.
+        g = dist.GeneralizedNormal(0.5, 1.3, beta)
+        draws = dist.gn_sample(g, np.random.default_rng(13), 200_000)
+        assert not np.any(draws == g.mu)
+        assert np.all(np.abs(draws - g.mu) <= g.alpha * 1.01)
+
+    def test_every_gamma_draw_is_in_the_kernel(self):
+        def gammas(tree):
+            return sum(isinstance(n, ast.Attribute) and n.attr == "gamma" for n in ast.walk(tree))
+
+        trees = [ast.parse(p.read_text()) for p in Path(dist.__file__).parent.glob("*.py")]
+        kernel = next(n for tree in trees for n in ast.walk(tree)
+                      if isinstance(n, ast.FunctionDef) and n.name == "_gamma_root")
+        assert sum(map(gammas, trees)) == gammas(kernel) == 2
 
 
 def generators(n, seed=0):
@@ -138,7 +165,7 @@ class TestBlockNoise:
         return np.stack([dist.gn_sample(g, r, (steps, dim)) for r in generators(n)], axis=1)
 
     @pytest.mark.parametrize("steps, dim, n", CASES)
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5, 30.0])
     def test_bit_equal_to_per_generator_calls(self, beta, steps, dim, n):
         g = dist.GeneralizedNormal(0.25, 1.5, beta)
         tile = dist._TILE_BYTES // (8 * steps * dim)
@@ -249,6 +276,14 @@ class TestGeneralizedGamma:
         draws = dist.gg_sample(g, np.random.default_rng(5), 50_000)
         res = stats.kstest(draws, lambda x: dist.gg_cdf(g, x))
         assert res.pvalue > 0.01
+
+    @pytest.mark.parametrize("beta, seed", [(30.0, 14), (100.0, 15)])
+    def test_norm_model_sampler_at_large_beta_matches_scipy_gengamma(self, beta, seed):
+        g = dist.NormModel(1, 1.0, beta).gg
+        draws = dist.gg_sample(g, np.random.default_rng(seed), 200_000)
+        assert np.all(draws > 0.0)
+        want = stats.gengamma(a=g.d / g.p, c=g.p, scale=g.a)
+        assert stats.kstest(draws, want.cdf).pvalue > 0.01
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

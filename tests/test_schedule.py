@@ -142,11 +142,25 @@ class TestQuantileMatched:
 
     @pytest.mark.parametrize("empirical", [False, True])
     def test_underflowing_lower_quantile_is_a_schedule_error(self, empirical):
-        # At beta = 1000 the lower quantile of G^(2/beta), G ~ Gamma(1e-3),
-        # underflows to 0: the ratio is reported as degenerate.
-        with pytest.raises(ScheduleError, match="degenerate level ratio inf"):
-            quantile_matched_schedule(1000.0, 2, 0.9, 0.25, 1.0, empirical=empirical,
-                                      mc_count=10_000, rng=np.random.default_rng(0))
+        # At beta = 1000 the model's lower quantile of G^(2/beta), G ~
+        # Gamma(1e-3), underflows to 0: the ratio is reported as degenerate.
+        # The Monte-Carlo oracle draws G^(2/beta) by the gamma root's
+        # small-shape rule, which does not underflow, so its schedule is valid.
+        def build():
+            return quantile_matched_schedule(1000.0, 2, 0.9, 0.25, 100.0, empirical=empirical,
+                                             mc_count=10_000, rng=np.random.default_rng(0))
+
+        if not empirical:
+            with pytest.raises(ScheduleError, match="degenerate level ratio inf"):
+                build()
+            return
+        sigmas = np.array(build().sigmas)
+        # GN(0, 1, 1000) is nearly uniform on [-1, 1], so the ratio is close
+        # to sqrt(q95 / q05) of U1^2 + U2^2, U uniform on [0, 1]: about 4.7.
+        squares = np.random.default_rng(1).uniform(size=(1_000_000, 2)) ** 2
+        lower, upper = np.quantile(squares.sum(axis=1), [0.05, 0.95])
+        assert sigmas[-1] == 0.25 and len(sigmas) >= 3
+        assert sigmas[:-1] / sigmas[1:] == pytest.approx(math.sqrt(upper / lower), rel=0.1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest, specfun
 from htdsm._config import Config
 from htdsm.experiments import (
+    GRID_OWNED,
     ExperimentConfig,
     _loss_deciles,
     _sample_network,
@@ -261,9 +263,13 @@ def _cmd_experiment(args) -> int:
     _require(args.workers >= 1, "--workers", args.workers, ">= 1")
     for beta in args.sweep_betas:
         _require(0.0 < beta <= 2.0, "--sweep-betas", beta, "in (0, 2]")
-    cfg = ExperimentConfig()
+    cfg = default = ExperimentConfig()
     if args.config:
         cfg = _load_config(ExperimentConfig.from_dict, args.config, "experiment config")
+        for key in GRID_OWNED:
+            if attrgetter(key)(cfg) != attrgetter(key)(default):
+                raise UsageError(f"bad experiment config {args.config}: {key} cannot be "
+                                 "set, because the grid sets it per cell")
     grid = run_imbalance_grid(cfg, workers=args.workers, sweep_betas=args.sweep_betas)
     write_grid_outputs(out_dir, grid)
     for name, cell in grid["cells"].items():

@@ -135,11 +135,14 @@ def gn_log_pdf(dist: GeneralizedNormal, x):
 
 
 def gn_cdf(dist: GeneralizedNormal, x):
-    """CDF of GN at x via the P(1/beta, (|x-mu|/alpha)^beta) representation."""
+    """CDF of GN at x: 1/2 + P/2 at or above mu and Q/2 below it, with P and
+    Q of (1/beta, (|x-mu|/alpha)^beta); Q keeps the lower tail's relative
+    precision, where 1/2 - P/2 would cancel."""
     x = np.asarray(x, dtype=float)
     t = (np.abs(x - dist.mu) / dist.alpha) ** dist.beta
-    half_mass = 0.5 * reg_lower_inc_gamma(1.0 / dist.beta, t)
-    return np.where(x >= dist.mu, 0.5 + half_mass, 0.5 - half_mass)
+    upper = x >= dist.mu
+    half = 0.5 * reg_lower_inc_gamma(1.0 / dist.beta, t, complement=~upper)
+    return np.where(upper, 0.5 + half, half)
 
 
 def gn_score(x_tilde, x, alpha: float, beta: float):
@@ -256,8 +259,7 @@ def _block_noise(dist: GeneralizedNormal, rngs, steps: int, dim: int) -> np.ndar
 def gn_variance(alpha: float, beta: float) -> float:
     """Var of GN(., alpha, beta) = alpha^2 Gamma(3/beta) / Gamma(1/beta)."""
     alpha = _require_positive("alpha", alpha)
-    beta = _require_positive("beta", beta)
-    return alpha**2 * math.exp(log_gamma(3.0 / beta) - log_gamma(1.0 / beta))
+    return alpha**2 * squared_norm_mean_factor(beta)
 
 
 def unit_variance_alpha(beta: float) -> float:

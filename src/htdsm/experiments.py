@@ -36,6 +36,7 @@ __all__ = [
     "write_endpoints_csv",
     "write_paths_csv",
     "GRID_CELLS",
+    "GRID_OWNED",
 ]
 
 # Substream tags for deriving independent generators from the master seed.
@@ -52,6 +53,10 @@ GRID_CELLS = (
 )
 _TRAIN_BETA = {"dsm": 2.0, "htdsm": 1.0}
 _DIFF_BETA = {"gaussian": 2.0, "laplace": 1.0}
+# ExperimentConfig fields the grid sets per cell and seed; training draws
+# from a generator derived from the master seed, not from train.seed.
+GRID_OWNED = ("train.beta_noise", "train.alpha_unit", "train.seed",
+              "sampler.beta_diff", "sampler.seed", "sampler.record_paths")
 
 
 def standard_member_alpha(beta: float) -> float:
@@ -78,11 +83,10 @@ def _seed_int(master_seed: int, *key: int) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
     """One imbalance experiment: mixture, shared training/sampling settings,
-    particle count and the seed list. The grid sets train.beta_noise,
-    train.alpha_unit, sampler.beta_diff, sampler.seed and sampler.record_paths
-    per cell and seed, so their values here are unread; train.seed is unread
-    too, because training draws from a generator derived from the master
-    seed. The demo sets train.alpha_unit too, to the standard member's."""
+    particle count and the seed list. The grid sets the GRID_OWNED fields per
+    cell and seed, so `htdsm experiment imbalance` rejects a config that
+    moves any of them off its default. The demo sets train.alpha_unit too,
+    to the standard member's."""
 
     mixture: MixtureSpec = field(default_factory=lambda: MixtureSpec.two_mode(10.0))
     train: TrainConfig = field(

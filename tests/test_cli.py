@@ -548,6 +548,40 @@ class TestExperimentCommand:
         assert code == 2 and not out_dir.exists()
         assert f"{flags[0]} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "beta_noise", 0.5), ("train", "alpha_unit", 1.0), ("train", "seed", 9),
+        ("sampler", "beta_diff", 0.3), ("sampler", "seed", 77), ("sampler", "record_paths", True),
+    ])
+    def test_imbalance_rejects_a_grid_owned_key(self, tmp_path, capsys, monkeypatch,
+                                                section, key, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid ran despite a grid-owned key")
+
+        monkeypatch.setattr(cli, "run_imbalance_grid", no_run)
+        levels = {"kind": "geometric", "beta": 2.0, "n": 2, "delta": None, "sigmas": [1.0, 0.25]}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({section: {"schedule": levels, key: value}}))
+        code = run_cli("experiment", "imbalance", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 2 and not (tmp_path / "grid").exists()
+        err = capsys.readouterr().err
+        assert f"{section}.{key} cannot be set" in err and "grid sets it per cell" in err
+
+    def test_imbalance_accepts_grid_owned_keys_at_their_defaults(self, tmp_path, monkeypatch):
+        class Ran(Exception):
+            pass
+
+        def stop(cfg, **kwargs):
+            raise Ran(cfg)
+
+        monkeypatch.setattr(cli, "run_imbalance_grid", stop)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cli.ExperimentConfig().to_dict()))
+        with pytest.raises(Ran) as ran:
+            run_cli("experiment", "imbalance", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "grid"))
+        assert ran.value.args[0] == cli.ExperimentConfig()
+
     @pytest.mark.parametrize("cfg, message", [
         ({"particles": 0}, "particles must be >= 1"),
         ({"seeds": []}, "seeds must be nonempty"),

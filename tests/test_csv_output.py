@@ -35,7 +35,10 @@ NOISE_SHA256 = {
     (2.5, 200003): "b569aeccf797a2a7d743e9e63eda5db4e45499e89c00ff5c5e64eadce69ef879",
 }
 ENDPOINTS_SHA256 = "d56c613c3c0d1e6c1c4decd959890b2d3c396e9ed83f84789a600bed2ca3645a"
-PATHS_SHA256 = "cc0e52c088e1d6d29b078468ce5d4ea7ec56f18e8e28a5fdd1bbbc851529cce8"
+# Re-recorded when log_gamma became the C library's lgamma: the paths'
+# Laplace diffusion scale unit_variance_alpha(1.0) moved from 6 ulps to 1 ulp
+# of sqrt(0.5), and the paths with it.
+PATHS_SHA256 = "b7bf4421ac84601b5cfc863ac86c8124026b5bcdf1d28e2362c6aa2672e8ff94"
 PER_SEED_SHA256 = "5a579418bccd6ddbc70dc661f557eee7a06093877ce2ca47594c31e39bc9b16a"
 SWEEP_SHA256 = "5af1d46dcf92fe4975461ac7a1f5769a7fd6a8e4688f8f346196c13834ded01c"
 EMPTY_SWEEP_SHA256 = "7d05b63b5c0810404582add3a0a75f1bdcf2f3ccd4ea58853d36d7527398a2d8"

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from htdsm import distributions as dist
@@ -119,6 +121,20 @@ class TestSampling:
         res = stats.kstest(draws, lambda x: dist.gn_cdf(g, x))
         assert res.pvalue > 0.01
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 100.0), log10_q=st.floats(-300.0, math.log10(0.5)),
+           alpha=st.floats(0.1, 10.0))
+    def test_cdf_matches_scipy_gennorm_in_both_tails(self, beta, log10_q, alpha):
+        # The lower tail comes from Q, so it keeps its relative precision
+        # down to the smallest normal double.
+        g = dist.GeneralizedNormal(0.0, alpha, beta)
+        ref = stats.gennorm(beta, scale=alpha)
+        x = ref.ppf(10.0**log10_q)
+        for point in (x, -x):
+            want = ref.cdf(point)
+            if want >= 2.2250738585072014e-308:
+                assert abs(float(dist.gn_cdf(g, point)) - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("beta, seed", [(30.0, 11), (100.0, 12)])
     def test_large_beta_matches_scipy_gennorm(self, beta, seed):
         # Above beta 26.94 numpy's Gamma(1/beta) alone would put about
@@ -228,6 +244,10 @@ class TestVariance:
         )
         assert draws.var() == pytest.approx(want, rel=0.03)
 
+    def test_unit_variance_alpha_of_standard_members(self):
+        for beta, want in ((2.0, math.sqrt(2.0)), (1.0, math.sqrt(0.5))):
+            assert abs(dist.unit_variance_alpha(beta) - want) <= math.ulp(want)
+
     def test_unit_variance_alpha(self):
         for beta in (0.5, 1.0, 1.5, 2.0, 2.5):
             alpha = dist.unit_variance_alpha(beta)
@@ -270,6 +290,17 @@ class TestGeneralizedGamma:
         xs = np.array([0.1, 0.5, 1.5, 4.0])
         want = stats.gengamma(a=g.d / g.p, c=g.p, scale=g.a).pdf(xs)
         assert np.allclose(dist.gg_pdf(g, xs), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 0.5, 1.0, 1.3, 2.0, 2.5, 5.0, 20.0, 100.0])
+    def test_norm_model_pdf_cdf_quantile_match_scipy_gengamma(self, beta):
+        q = np.concatenate([np.logspace(-12, -1, 12), 1.0 - np.logspace(-1, -12, 12)])
+        for n in (1, 2, 16):
+            g = dist.NormModel(n, 1.0, beta).gg
+            ref = stats.gengamma(a=g.d / g.p, c=g.p, scale=g.a)
+            x = ref.ppf(q)
+            np.testing.assert_allclose(dist.gg_pdf(g, x), ref.pdf(x), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(dist.gg_cdf(g, x), ref.cdf(x), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(dist.gg_quantile(g, q), x, rtol=1e-12, atol=0.0)
 
     def test_sampler_matches_cdf(self):
         g = dist.GeneralizedGamma(2.0, 0.5, 0.5)

@@ -234,9 +234,11 @@ class TestMidRunDivergence:
 
 
 # sha256 of the endpoint CSV below, recorded when each particle's noise came
-# from its own gn_sample call. The network's rounding depends on the BLAS
-# kernel, so the pin holds per host and BLAS build (x86-64 OpenBLAS).
-NETWORK_ENDPOINTS_SHA256 = "3c7e278c43cc5bef99c1953bc094b0a6f13f5a64370ce5d04a9570001a66dab4"
+# from its own gn_sample call, and re-recorded when log_gamma became the C
+# library's lgamma, which moves the training and diffusion scales
+# unit_variance_alpha(2.0) and (1.0). The network's rounding depends on the
+# BLAS kernel, so the pin holds per host and BLAS build (x86-64 OpenBLAS).
+NETWORK_ENDPOINTS_SHA256 = "71dc7b859d0149f7f9a314b4f0ea49bef75f60c6d1e1599eaf10b4a6d7a681d3"
 
 
 def test_network_score_endpoints_are_pinned(tmp_path):

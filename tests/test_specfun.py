@@ -23,6 +23,9 @@ class TestLogGamma:
         assert specfun.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
         assert specfun.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
 
+    def test_exact_at_one_and_two(self):
+        assert specfun.log_gamma(1.0) == specfun.log_gamma(2.0) == 0.0
+
     def test_accuracy_over_range(self):
         rng = np.random.default_rng(0)
         xs = 10.0 ** rng.uniform(-3, 3, 2000)
@@ -313,14 +316,16 @@ class TestArrayContract:
         assert specfun.reg_lower_inc_gamma(0.5, np.array([1e-300, 1e6])).shape == (2,)
 
 
-# gn_cdf and gg_cdf outputs recorded, as float.hex, from the scalar
-# np.vectorize implementation this array code replaced. Inputs are GN
-# draws (mu = 0, alpha = 1) and squared norms of 2-D GN vectors.
+# gn_cdf and gg_cdf outputs recorded as float.hex, first from the scalar
+# np.vectorize implementation the array code replaced. The x < mu gn_cdf
+# values were re-recorded when that half became Q/2, and the values that
+# moved at beta 1.3 and 2.5 when log_gamma became the C library's lgamma.
+# Inputs are GN draws (mu = 0, alpha = 1) and squared norms of 2-D GN vectors.
 GOLDEN = {
     0.5: (
         ["-0x1.92ccc2ae6f030p+4", "-0x1.b669b6b822d96p+5", "-0x1.f28a90cac0f2bp+0",
          "-0x1.30d3f78e41367p+1", "-0x1.3d1ed7d900be7p-3", "0x1.6202eae439261p-2"],
-        ["0x1.466562c992e70p-6", "0x1.4fa9e7c8a3200p-9", "0x1.2fd0596d634e8p-2",
+        ["0x1.466562c992e70p-6", "0x1.4fa9e7c8a3180p-9", "0x1.2fd0596d634e8p-2",
          "0x1.1641f16e422e6p-2", "0x1.e15f8120ab41ep-2", "0x1.1e3279e84bc25p-1"],
         ["0x1.c8259416486a2p+2", "0x1.17d65128c0163p+2", "0x1.f10de2d6a5209p+9",
          "0x1.71a3ba9d2a0dbp+0", "0x1.44b90877342a8p+9", "0x1.52f654d7cf6dcp+2"],
@@ -330,22 +335,22 @@ GOLDEN = {
     1.3: (
         ["-0x1.11db9d1201e71p+0", "0x1.25d476f5616b6p-1", "-0x1.085575dfb9060p-1",
          "0x1.41c28758ec3e0p-1", "0x1.ea7536a197081p-5", "-0x1.fb2e58137cf7cp-3"],
-        ["0x1.eef55580095b0p-4", "0x1.821ef33354fe8p-1", "0x1.1008f8ded74e6p-2",
+        ["0x1.eef55580095b8p-4", "0x1.821ef33354fe8p-1", "0x1.1008f8ded74e6p-2",
          "0x1.8b2590f70a38ap-1", "0x1.10693429ee7f0p-1", "0x1.7ff37d92bd961p-2"],
         ["0x1.becdb9575483cp+2", "0x1.4bdff1b642309p-1", "0x1.9926105687299p+1",
          "0x1.983361abab5f5p+0", "0x1.039c44831566ep+4", "0x1.409810379877dp+0"],
-        ["0x1.dd87e2e87f6edp-1", "0x1.02abfb6eaa5a0p-1", "0x1.a41676a0f208bp-1",
-         "0x1.5f3f2343a68fbp-1", "0x1.f9fbb385cb0f1p-1", "0x1.45ec37164b54ap-1"],
+        ["0x1.dd87e2e87f6edp-1", "0x1.02abfb6eaa59fp-1", "0x1.a41676a0f2089p-1",
+         "0x1.5f3f2343a68f9p-1", "0x1.f9fbb385cb0f1p-1", "0x1.45ec37164b547p-1"],
     ),
     2.5: (
         ["0x1.ddb0206ddeef7p-3", "-0x1.8af021ef20502p-1", "-0x1.c9402de7f383fp-5",
          "-0x1.0862d8e235927p-4", "0x1.1725faa47adb5p-1", "0x1.1bf51292a8f18p+0"],
-        ["0x1.42cbeaa881a25p-1", "0x1.f15c9b39626c4p-4", "0x1.dfcc257e1368fp-2",
-         "0x1.dac38ccafa326p-2", "0x1.940b364766ad0p-1", "0x1.eb7cdc9db4f0ap-1"],
+        ["0x1.42cbeaa881a24p-1", "0x1.f15c9b39626dcp-4", "0x1.dfcc257e13690p-2",
+         "0x1.dac38ccafa327p-2", "0x1.940b364766acep-1", "0x1.eb7cdc9db4f06p-1"],
         ["0x1.6b0bd3b53b959p-1", "0x1.e9cd9ecb80689p-4", "0x1.1e1578367f398p+1",
          "0x1.4f902d2c740b2p-4", "0x1.f76d0ddb0489dp+0", "0x1.779017848c01dp-1"],
-        ["0x1.3ec0465b9c12dp-1", "0x1.17d7273a4afe1p-2", "0x1.ce1ba0133a86ep-1",
-         "0x1.d0b7aba27244bp-3", "0x1.c1068b1fc29ddp-1", "0x1.43312a750deb8p-1"],
+        ["0x1.3ec0465b9c129p-1", "0x1.17d7273a4afdcp-2", "0x1.ce1ba0133a867p-1",
+         "0x1.d0b7aba272443p-3", "0x1.c1068b1fc29d6p-1", "0x1.43312a750deb3p-1"],
     ),
 }
 

@@ -139,7 +139,8 @@ def gn_cdf(dist: GeneralizedNormal, x):
     Q of (1/beta, (|x-mu|/alpha)^beta); Q keeps the lower tail's relative
     precision, where 1/2 - P/2 would cancel."""
     x = np.asarray(x, dtype=float)
-    t = (np.abs(x - dist.mu) / dist.alpha) ** dist.beta
+    with np.errstate(over="ignore"):  # an overflow to inf gives P = 1, Q = 0
+        t = (np.abs(x - dist.mu) / dist.alpha) ** dist.beta
     upper = x >= dist.mu
     half = 0.5 * reg_lower_inc_gamma(1.0 / dist.beta, t, complement=~upper)
     return np.where(upper, 0.5 + half, half)
@@ -290,7 +291,9 @@ def gg_cdf(dist: GeneralizedGamma, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("gg_cdf is supported on x >= 0")
-    return reg_lower_inc_gamma(dist.d / dist.p, (x / dist.a) ** dist.p)
+    with np.errstate(over="ignore"):  # an overflow to inf gives P = 1
+        t = (x / dist.a) ** dist.p
+    return reg_lower_inc_gamma(dist.d / dist.p, t)
 
 
 def gg_quantile(dist: GeneralizedGamma, q):

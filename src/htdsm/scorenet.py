@@ -5,11 +5,20 @@ used to evaluate trained models.
 The network is a small ReLU MLP over [x, log sigma] with a linear output
 head; parameters and gradients are flat numpy vectors, viewed per layer,
 so the backward pass can be checked against finite differences directly.
+
+Training's random draws (level, batch rows, noise) do not depend on the
+network, so a long run draws them in a forked process that replays train's
+generator calls in order on a copy of the caller's generator, while the
+step loop runs; the params and losses are bit-equal to drawing inline.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import signal
+import traceback
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +27,8 @@ from htdsm._config import Config
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
+    _draw_threads,
+    _gn_draw,
     _score_of_delta,
     gn_sample,
     unit_variance_alpha,
@@ -346,9 +357,10 @@ def dsm_loss(
     sigma: float,
     alpha_unit: float,
     beta_noise: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     *,
     buffers: _StepBuffers | None = None,
+    noise: np.ndarray | None = None,
 ):
     """One DSM step at a fixed level: perturb, score-match, return gradients.
 
@@ -358,6 +370,12 @@ def dsm_loss(
     The sigma^2 weight cancels the ~1/sigma growth of the target so all
     levels contribute at a comparable scale. Returns (loss, gradient), the
     gradient laid out like `net.params`.
+
+    The noise is `gn_sample(kernel, rng, batch.shape)` unless `noise`, an
+    array of the batch's shape already drawn from that kernel, is given;
+    train passes its pre-drawn noise there, and rng may then be None.
+    Below beta 1 the noise's exact hits of the score singularity are
+    clamped here either way.
 
     Without `buffers` every call returns a new gradient vector; with
     train's (see _StepBuffers) it returns `buffers.grad`, valid until the
@@ -369,7 +387,8 @@ def dsm_loss(
     kernel, log_sigma, half_weight, grad_scale, coeff = buffers.level(
         sigma, alpha_unit, beta_noise
     )
-    noise = gn_sample(kernel, rng, batch.shape)
+    if noise is None:
+        noise = gn_sample(kernel, rng, batch.shape)
     if kernel.beta < 1.0:
         # Clamp exact hits of the score singularity (distributions policy).
         tiny = np.abs(noise) < SCORE_DELTA_FLOOR
@@ -389,15 +408,130 @@ def dsm_loss(
     return loss, net.backward(activations, grad_out, buffers=buffers)
 
 
+# Steps per chunk of training draws: 256 KiB of noise and 128 KiB of batch
+# rows at the default 256 x 2 batch. Chunks of 48 to 256 steps trained
+# equally fast (20k steps, 2 cores).
+_CHUNK_STEPS = 64
+
+# The fewest steps a draw process is started for. Starting and joining one
+# took 5 ms (13 ms the first time in a process), and the draws it takes off
+# the step loop cost 54 to 85 us a step (beta 1 and beta 2, 256 x 2 batch,
+# 2 cores), so the process pays for itself after 150 to 250 steps.
+_MIN_CHILD_STEPS = 1000
+
+
+def _chunk_views(flat: np.ndarray, batch_size: int, dim: int) -> tuple:
+    """(levels, rows, noise) of one chunk, views into the byte buffer `flat`,
+    shaped (_CHUNK_STEPS,), (_CHUNK_STEPS, batch_size) and (_CHUNK_STEPS,
+    batch_size, dim)."""
+    k, n = _CHUNK_STEPS, _CHUNK_STEPS * batch_size
+    ints = flat[: 8 * (k + n)].view(np.int64)
+    noise = flat[8 * (k + n):].view(np.float64).reshape(k, batch_size, dim)
+    return ints[:k], ints[k:].reshape(k, batch_size), noise
+
+
+def _chunk_bytes(batch_size: int, dim: int) -> int:
+    return 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim))
+
+
+def _draw_chunks(rng, kernels, rows: int, batch_size: int, dim: int, steps: int):
+    """train's per-step draws, in train's order, a chunk at a time.
+
+    Each step draws its level `rng.integers(len(kernels))`, its batch rows
+    `rng.integers(0, rows, batch_size)` and its noise from the level's
+    kernel. Yields one byte buffer, laid out as _chunk_views says and
+    refilled for every chunk; the last chunk fills only its first steps.
+    Runs in the calling process or in the draw process, so it calls no
+    public function (a tracer wrapping those keeps one span stack per
+    process).
+    """
+    flat = np.empty(_chunk_bytes(batch_size, dim), dtype=np.uint8)
+    levels, indices, noise = _chunk_views(flat, batch_size, dim)
+    for start in range(0, steps, _CHUNK_STEPS):
+        for i in range(min(_CHUNK_STEPS, steps - start)):
+            level = levels[i] = rng.integers(len(kernels))
+            indices[i] = rng.integers(0, rows, batch_size)
+            noise[i] = _gn_draw(kernels[level], rng, (batch_size, dim))
+        yield flat
+
+
+def _draw_process(conn, rng, *args) -> None:
+    """The draw process: sends every chunk of _draw_chunks, then the
+    generator's state; on an exception, an empty message and the traceback.
+    It ignores Ctrl-C: the parent gets it too, and terminates the child."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for flat in _draw_chunks(rng, *args):
+            conn.send_bytes(flat)
+        conn.send(rng.bit_generator.state)
+    except Exception:  # reported to the parent, which raises it
+        conn.send_bytes(b"")
+        conn.send_bytes(traceback.format_exc().encode())
+
+
+def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: int):
+    """Yield train's draws as (levels, rows, noise) views, one chunk of up
+    to _CHUNK_STEPS steps at a time, each valid until the next.
+
+    With one usable core, or fewer than _MIN_CHILD_STEPS steps, the chunks
+    are drawn here from rng. Otherwise a forked daemon process draws them
+    from its copy of rng while the caller trains, sending each chunk into
+    one buffer allocated per call, and rng takes the child's final state,
+    so it ends where drawing here leaves it. Closing the generator
+    terminates and joins the child if it is still running.
+    """
+    if _draw_threads() == 1 or steps < _MIN_CHILD_STEPS:
+        for start, flat in zip(range(0, steps, _CHUNK_STEPS),
+                               _draw_chunks(rng, kernels, rows, batch_size, dim, steps)):
+            n = min(_CHUNK_STEPS, steps - start)
+            yield tuple(a[:n] for a in _chunk_views(flat, batch_size, dim))
+        return
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_draw_process, daemon=True,
+                        args=(writer, rng, kernels, rows, batch_size, dim, steps))
+    child.start()
+    writer.close()
+    try:
+        flat = np.empty(_chunk_bytes(batch_size, dim), dtype=np.uint8)
+        views = _chunk_views(flat, batch_size, dim)
+        for start in range(0, steps, _CHUNK_STEPS):
+            try:
+                if reader.recv_bytes_into(flat) != flat.nbytes:
+                    raise RuntimeError("training draw process failed:\n"
+                                       + reader.recv_bytes().decode())
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"training draw process exited with code {child.exitcode}"
+                ) from None
+            n = min(_CHUNK_STEPS, steps - start)
+            yield tuple(a[:n] for a in views)
+        rng.bit_generator.state = reader.recv()
+    finally:
+        if child.is_alive():
+            child.terminate()
+        child.join()
+        reader.close()
+
+
 def train(data, cfg: TrainConfig, rng: np.random.Generator):
     """Plain SGD over uniformly drawn noise levels.
 
     Returns (trained network, per-step loss array). Raises
     TrainingDivergedError with the offending step and level if the loss or
-    any parameter goes non-finite. The step's arrays (see _StepBuffers) are
-    allocated once per call, as the batch shape is fixed, and every step
-    overwrites them; the params and losses are bit-equal to allocating them
-    afresh on each step.
+    any parameter goes non-finite; rng's state after that error is
+    unspecified. The step's arrays (see _StepBuffers) are allocated once
+    per call, as the batch shape is fixed, and every step overwrites them;
+    the params and losses are bit-equal to allocating them afresh on each
+    step.
+
+    rng first draws the network's initial weights; then each step draws a
+    level, the batch rows and the noise, in that order. Those draws come in
+    chunks from _training_draws, on the second core for a long run (a
+    forked replay of rng's calls), and each step hands its noise to
+    dsm_loss. The params, the losses and rng's final state are bit-equal to
+    drawing each step inline.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -411,20 +545,25 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
     if cfg.loss_weight_exponent != 2.0:
         rescales = [float(s) ** (cfg.loss_weight_exponent - 2.0) for s in sigmas]
     buffers = _StepBuffers(net, (cfg.batch_size, dim))
+    kernels = [buffers.level(s, alpha_unit, cfg.beta_noise)[0] for s in sigmas]
     losses = np.empty(cfg.steps)
-    for step in range(cfg.steps):
-        level = int(rng.integers(len(sigmas)))
-        sigma = sigmas[level]
-        batch = data.take(rng.integers(0, data.shape[0], cfg.batch_size), axis=0)
-        loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, rng,
-                              buffers=buffers)
-        if rescales is not None:
-            loss *= rescales[level]
-            grad *= rescales[level]
-        net.sgd_step(grad, cfg.learning_rate)
-        losses[step] = loss
-        if not math.isfinite(loss) or not net.params_finite():
-            raise TrainingDivergedError(step, sigma)
+    step = 0
+    draws = _training_draws(rng, kernels, data.shape[0], cfg.batch_size, dim, cfg.steps)
+    with closing(draws):
+        for levels, indices, noises in draws:
+            for level, index, noise in zip(levels.tolist(), indices, noises):
+                sigma = sigmas[level]
+                batch = data.take(index, axis=0)
+                loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, None,
+                                      buffers=buffers, noise=noise)
+                if rescales is not None:
+                    loss *= rescales[level]
+                    grad *= rescales[level]
+                net.sgd_step(grad, cfg.learning_rate)
+                losses[step] = loss
+                if not math.isfinite(loss) or not net.params_finite():
+                    raise TrainingDivergedError(step, sigma)
+                step += 1
     return net, losses
 
 

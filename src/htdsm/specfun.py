@@ -155,19 +155,23 @@ def reg_lower_inc_gamma(s: float, x, *, complement=False):
     Q(s, x) = 1 - P(s, x) instead where it is set. Q keeps its relative
     precision where it is small: it comes from the continued fraction in
     the tail, and from 1 - P only where Q is at least 1e-3 (see _SERIES_X).
+    x = +inf gives P = 1 and Q = 0; NaN and negative x raise ValueError.
     """
     s = _require_shape("reg_lower_inc_gamma", s)
     x = np.asarray(x, dtype=float)
-    bad = ~np.isfinite(x) | (x < 0.0)
+    bad = np.isnan(x) | (x < 0.0)
     if bad.any():
         raise ValueError(
-            f"reg_lower_inc_gamma requires finite x >= 0, got {float(x[bad][0])!r}"
+            f"reg_lower_inc_gamma requires x >= 0, got {float(x[bad][0])!r}"
         )
     flat = x.ravel()
     want_q = np.broadcast_to(complement, x.shape).ravel()
+    # P(s, 0) = 0 and Q(s, 0) = 1 here; P(s, inf) = 1 and Q(s, inf) = 0.
     out = want_q.astype(float)
+    top = flat == np.inf
+    out[top] = ~want_q[top]
     series = flat < s + 1.0
-    fraction = ~series
+    fraction = ~series & ~top
     series &= flat != 0.0
     log_gamma_s = log_gamma(s)
     near = np.flatnonzero(want_q & fraction & (flat < _SERIES_X))

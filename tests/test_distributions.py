@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,33 @@ class TestSampling:
             want = ref.cdf(point)
             if want >= 2.2250738585072014e-308:
                 assert abs(float(dist.gn_cdf(g, point)) - want) <= 1e-12 * want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.05, 100.0), log10_q=st.floats(-300.0, math.log10(1.0 - 1e-16)),
+           alpha=st.floats(0.1, 10.0))
+    def test_log_pdf_matches_scipy_gennorm(self, beta, log10_q, alpha):
+        # Relative where |log pdf| > 1, absolute elsewhere.
+        g = dist.GeneralizedNormal(0.0, alpha, beta)
+        ref = stats.gennorm(beta, scale=alpha)
+        x = ref.ppf(10.0**log10_q)
+        for point in (x, -x):
+            want = ref.logpdf(point)
+            assert abs(float(dist.gn_log_pdf(g, point)) - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("call", ["gn_cdf", "gn_cdf_inf", "gg_cdf"])
+    def test_cdf_where_the_power_overflows(self, call):
+        # (|x - mu| / alpha)^beta overflows to inf, where P = 1 and Q = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if call == "gn_cdf":
+                g = dist.GeneralizedNormal(0.0, 1.0, 100.0)
+                assert dist.gn_cdf(g, np.array([1e4, -1e4])).tolist() == [1.0, 0.0]
+                assert dist.gn_cdf(g, 1e4) == 1.0
+            elif call == "gn_cdf_inf":
+                g = dist.GeneralizedNormal(0.0, 1.0, 2.0)
+                assert dist.gn_cdf(g, np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+            else:
+                assert dist.gg_cdf(dist.NormModel(2, 1.0, 100.0).gg, 1e9) == 1.0
 
     @pytest.mark.parametrize("beta, seed", [(30.0, 11), (100.0, 12)])
     def test_large_beta_matches_scipy_gennorm(self, beta, seed):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htdsm import experiments
+from htdsm import experiments, scorenet
 from htdsm.experiments import (
     ExperimentConfig,
     run_convergence_demo,
@@ -109,6 +109,14 @@ class TestImbalanceGrid:
         assert strip_wall_times(again) == strip_wall_times(small_grid)
 
     def test_workers_do_not_change_results(self, small_grid):
+        parallel = run_imbalance_grid(tiny_config(), workers=2)
+        assert strip_wall_times(parallel) == strip_wall_times(small_grid)
+
+    def test_workers_with_draw_processes_match_serial(self, small_grid, monkeypatch):
+        # small_grid draws its 300-step trainings inline; here each forked
+        # grid worker inherits the patch and starts a draw process per run.
+        monkeypatch.setattr(scorenet, "_MIN_CHILD_STEPS", 100)
+        monkeypatch.setattr(scorenet, "_draw_threads", lambda: 2)
         parallel = run_imbalance_grid(tiny_config(), workers=2)
         assert strip_wall_times(parallel) == strip_wall_times(small_grid)
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -294,6 +296,39 @@ def reference_train(data, cfg, rng):
     return net, np.array(losses)
 
 
+@pytest.fixture(params=["inline", "process"])
+def draw_path(request, monkeypatch):
+    """Which way train draws: in the calling process, or in a draw process
+    (started for runs of 100 steps and more, whatever the core count)."""
+    if request.param == "process":
+        monkeypatch.setattr(sn, "_MIN_CHILD_STEPS", 100)
+        monkeypatch.setattr(sn, "_draw_threads", lambda: 2)
+    else:
+        monkeypatch.setattr(sn, "_MIN_CHILD_STEPS", 10**9)
+    return request.param
+
+
+def spy_on_draw_processes(monkeypatch):
+    """Record every process _training_draws starts."""
+    started = []
+    real = sn.multiprocessing.get_context
+
+    def get_context(method):
+        ctx = real(method)
+
+        class Context:
+            Pipe = ctx.Pipe
+
+            def Process(self, *args, **kwargs):
+                started.append(ctx.Process(*args, **kwargs))
+                return started[-1]
+
+        return Context()
+
+    monkeypatch.setattr(sn.multiprocessing, "get_context", get_context)
+    return started
+
+
 class TestTrain:
     @pytest.mark.parametrize("beta, exponent, dim, hidden", [
         pytest.param(2.0, 2.0, 2, (16, 16), id="2.0-2.0"),
@@ -302,8 +337,8 @@ class TestTrain:
         pytest.param(0.7, 1.0, 2, (16, 16), id="0.7-1.0"),
         pytest.param(1.0, 2.0, 3, (8,), id="1.0-2.0-dim3-hidden8"),
     ])
-    def test_matches_reference_loop_bitwise(self, two_level_schedule, beta, exponent,
-                                            dim, hidden):
+    def test_matches_reference_loop_bitwise(self, two_level_schedule, draw_path, beta,
+                                            exponent, dim, hidden):
         mix = sn.MixtureSpec.two_mode(10.0)
         if dim == 3:
             mix = sn.MixtureSpec(means=((1.0, 0.0, -1.0), (-2.0, 0.5, 2.0)),
@@ -311,13 +346,17 @@ class TestTrain:
         data = mix.sample(np.random.default_rng(30), 1000)
         cfg = sn.TrainConfig(schedule=two_level_schedule, beta_noise=beta, steps=300,
                              loss_weight_exponent=exponent, hidden=hidden)
-        net, losses = sn.train(data, cfg, np.random.default_rng(31))
-        ref_net, ref_losses = reference_train(data, cfg, np.random.default_rng(31))
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        net, losses = sn.train(data, cfg, rng)
+        ref_net, ref_losses = reference_train(data, cfg, ref_rng)
         assert np.array_equal(losses, ref_losses)
         assert np.array_equal(net.params, ref_net.params)
+        # The generator ends where the reference loop leaves it.
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_step_and_level_match_reference_loop(self, two_level_schedule):
+    def test_divergence_step_and_level_match_reference_loop(self, two_level_schedule,
+                                                            draw_path):
         data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
         cfg = sn.TrainConfig(schedule=two_level_schedule, steps=500, learning_rate=1e12)
         with pytest.raises(sn.TrainingDivergedError) as got:
@@ -325,6 +364,45 @@ class TestTrain:
         with pytest.raises(sn.TrainingDivergedError) as want:
             reference_train(data, cfg, np.random.default_rng(20))
         assert (got.value.step, got.value.sigma) == (want.value.step, want.value.sigma)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [1e-3, 1e12], ids=["returns", "diverges"])
+    def test_no_draw_process_outlives_train(self, two_level_schedule, draw_path,
+                                            monkeypatch, learning_rate):
+        started = spy_on_draw_processes(monkeypatch)
+        data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
+        cfg = sn.TrainConfig(schedule=two_level_schedule, steps=300,
+                             learning_rate=learning_rate)
+        try:
+            sn.train(data, cfg, np.random.default_rng(20))
+        except sn.TrainingDivergedError:
+            assert learning_rate == 1e12
+        assert len(started) == (draw_path == "process")
+        assert not any(p.is_alive() for p in started)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault", ["raises", "exits"])
+    def test_draw_process_failure_raises_in_the_caller(self, two_level_schedule, monkeypatch,
+                                                       fault):
+        monkeypatch.setattr(sn, "_MIN_CHILD_STEPS", 100)
+        monkeypatch.setattr(sn, "_draw_threads", lambda: 2)
+        draws = []
+
+        def failing_draw(*args):
+            # The draw process's first draw fails; the parent never draws.
+            if fault == "exits":
+                os._exit(3)
+            draws.append(args)
+            raise ValueError("draw failed")
+
+        monkeypatch.setattr(sn, "_gn_draw", failing_draw)
+        data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
+        cfg = sn.TrainConfig(schedule=two_level_schedule, steps=300)
+        want = "ValueError: draw failed" if fault == "raises" else "exited with code 3"
+        with pytest.raises(RuntimeError, match=want):
+            sn.train(data, cfg, np.random.default_rng(20))
+        assert draws == []
+        assert multiprocessing.active_children() == []
 
     def test_loss_decreases(self, two_level_schedule):
         mix = sn.MixtureSpec.two_mode(1.0)

@@ -15,10 +15,11 @@ step loop runs; the params and losses are bit-equal to drawing inline.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import signal
 import traceback
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,6 +414,9 @@ def dsm_loss(
 # equally fast (20k steps, 2 cores).
 _CHUNK_STEPS = 64
 
+# Chunks the draw process may fill ahead of the step loop.
+_RING_SLOTS = 3
+
 # The fewest steps a draw process is started for. Starting and joining one
 # took 5 ms (13 ms the first time in a process), and the draws it takes off
 # the step loop cost 54 to 85 us a step (beta 1 and beta 2, 256 x 2 batch,
@@ -434,38 +438,43 @@ def _chunk_bytes(batch_size: int, dim: int) -> int:
     return 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim))
 
 
-def _draw_chunks(rng, kernels, rows: int, batch_size: int, dim: int, steps: int):
+def _draw_chunks(rng, slots, kernels, rows: int, batch_size: int, dim: int, steps: int):
     """train's per-step draws, in train's order, a chunk at a time.
 
     Each step draws its level `rng.integers(len(kernels))`, its batch rows
     `rng.integers(0, rows, batch_size)` and its noise from the level's
-    kernel. Yields one byte buffer, laid out as _chunk_views says and
-    refilled for every chunk; the last chunk fills only its first steps.
-    Runs in the calling process or in the draw process, so it calls no
-    public function (a tracer wrapping those keeps one span stack per
-    process).
+    kernel. Chunk c is written into the byte buffer slots[c % len(slots)],
+    laid out as _chunk_views says, and yielded as (levels, rows, noise)
+    views of its steps. Runs in the calling process or in the draw process,
+    so it calls no public function (a tracer wrapping those keeps one span
+    stack per process).
     """
-    flat = np.empty(_chunk_bytes(batch_size, dim), dtype=np.uint8)
-    levels, indices, noise = _chunk_views(flat, batch_size, dim)
-    for start in range(0, steps, _CHUNK_STEPS):
-        for i in range(min(_CHUNK_STEPS, steps - start)):
+    views = [_chunk_views(flat, batch_size, dim) for flat in slots]
+    for c, start in enumerate(range(0, steps, _CHUNK_STEPS)):
+        levels, indices, noise = views[c % len(views)]
+        n = min(_CHUNK_STEPS, steps - start)
+        for i in range(n):
             level = levels[i] = rng.integers(len(kernels))
             indices[i] = rng.integers(0, rows, batch_size)
             noise[i] = _gn_draw(kernels[level], rng, (batch_size, dim))
-        yield flat
+        yield levels[:n], indices[:n], noise[:n]
 
 
-def _draw_process(conn, rng, *args) -> None:
-    """The draw process: sends every chunk of _draw_chunks, then the
-    generator's state; on an exception, an empty message and the traceback.
-    It ignores Ctrl-C: the parent gets it too, and terminates the child."""
+def _draw_process(conn, rng, slots, *args) -> None:
+    """The draw process: fills the ring `slots` through _draw_chunks and
+    sends an empty message per chunk, waiting for the parent to free a
+    slot before refilling it; then sends the generator's state. On an
+    exception it sends the traceback instead. It ignores Ctrl-C: the
+    parent gets it too, and terminates the child."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        for flat in _draw_chunks(rng, *args):
-            conn.send_bytes(flat)
+        chunks = math.ceil(args[-1] / _CHUNK_STEPS)
+        for c, _ in enumerate(_draw_chunks(rng, slots, *args)):
+            conn.send_bytes(b"")
+            if len(slots) <= c + 1 < chunks:
+                conn.recv_bytes()  # chunk c + 1 - len(slots) is consumed
         conn.send(rng.bit_generator.state)
     except Exception:  # reported to the parent, which raises it
-        conn.send_bytes(b"")
         conn.send_bytes(traceback.format_exc().encode())
 
 
@@ -475,44 +484,55 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
 
     With one usable core, or fewer than _MIN_CHILD_STEPS steps, the chunks
     are drawn here from rng. Otherwise a forked daemon process draws them
-    from its copy of rng while the caller trains, sending each chunk into
-    one buffer allocated per call, and rng takes the child's final state,
-    so it ends where drawing here leaves it. Closing the generator
-    terminates and joins the child if it is still running.
+    from its copy of rng while the caller trains, into a ring of
+    _RING_SLOTS chunks of shared memory mapped once per call, and rng takes
+    the child's final state, so it ends where drawing here leaves it.
+    Closing the generator terminates and joins the child if it is still
+    running.
     """
+    size = _chunk_bytes(batch_size, dim)
     if _draw_threads() == 1 or steps < _MIN_CHILD_STEPS:
-        for start, flat in zip(range(0, steps, _CHUNK_STEPS),
-                               _draw_chunks(rng, kernels, rows, batch_size, dim, steps)):
-            n = min(_CHUNK_STEPS, steps - start)
-            yield tuple(a[:n] for a in _chunk_views(flat, batch_size, dim))
+        yield from _draw_chunks(rng, [np.empty(size, dtype=np.uint8)], kernels, rows,
+                                batch_size, dim, steps)
         return
+    ring = np.frombuffer(mmap.mmap(-1, _RING_SLOTS * size), dtype=np.uint8)
+    slots = [ring[k * size:(k + 1) * size] for k in range(_RING_SLOTS)]
+    views = [_chunk_views(flat, batch_size, dim) for flat in slots]
+    chunks = math.ceil(steps / _CHUNK_STEPS)
     ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
+    conn, child_conn = ctx.Pipe()
     child = ctx.Process(target=_draw_process, daemon=True,
-                        args=(writer, rng, kernels, rows, batch_size, dim, steps))
+                        args=(child_conn, rng, slots, kernels, rows, batch_size, dim, steps))
     child.start()
-    writer.close()
+    child_conn.close()
+
+    def receive(recv):
+        try:
+            return recv()
+        except (EOFError, OSError):
+            child.join()
+            raise RuntimeError(
+                f"training draw process exited with code {child.exitcode}"
+            ) from None
+
     try:
-        flat = np.empty(_chunk_bytes(batch_size, dim), dtype=np.uint8)
-        views = _chunk_views(flat, batch_size, dim)
-        for start in range(0, steps, _CHUNK_STEPS):
-            try:
-                if reader.recv_bytes_into(flat) != flat.nbytes:
-                    raise RuntimeError("training draw process failed:\n"
-                                       + reader.recv_bytes().decode())
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"training draw process exited with code {child.exitcode}"
-                ) from None
-            n = min(_CHUNK_STEPS, steps - start)
-            yield tuple(a[:n] for a in views)
-        rng.bit_generator.state = reader.recv()
+        for c in range(chunks):
+            if c > 0 and c - 1 + _RING_SLOTS < chunks:
+                # Chunk c - 1's slot is free. A child that is gone shows
+                # in the receive below.
+                with suppress(OSError):
+                    conn.send_bytes(b"")
+            message = receive(conn.recv_bytes)
+            if message:
+                raise RuntimeError("training draw process failed:\n" + message.decode())
+            n = min(_CHUNK_STEPS, steps - c * _CHUNK_STEPS)
+            yield tuple(a[:n] for a in views[c % _RING_SLOTS])
+        rng.bit_generator.state = receive(conn.recv)
     finally:
         if child.is_alive():
             child.terminate()
         child.join()
-        reader.close()
+        conn.close()
 
 
 def train(data, cfg: TrainConfig, rng: np.random.Generator):

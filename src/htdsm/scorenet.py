@@ -414,28 +414,30 @@ def dsm_loss(
 # equally fast (20k steps, 2 cores).
 _CHUNK_STEPS = 64
 
-# Chunks the draw process may fill ahead of the step loop.
+# Chunks the draw process may fill ahead of the step loop: a ring of 1.1
+# MiB at the default batch. With it the step loop waited 0.04 to 0.06 s
+# for draws per 20k steps, where a pipe carrying the chunks cost 0.2 s.
 _RING_SLOTS = 3
 
-# The fewest steps a draw process is started for. Starting and joining one
-# took 5 ms (13 ms the first time in a process), and the draws it takes off
-# the step loop cost 54 to 85 us a step (beta 1 and beta 2, 256 x 2 batch,
-# 2 cores), so the process pays for itself after 150 to 250 steps.
+# The fewest steps a draw process is started for. Forking and joining a
+# process took 5 to 7 ms (13 ms the first time in a process), and the
+# draws it takes off the step loop cost 43 to 85 us a step (beta 1 and
+# beta 2, 256 x 2 batch, 2 cores), so it pays for itself after 60 to 300
+# steps when the second core is idle. The margin above that covers a busy
+# second core; shorter runs, such as perfbench's 500-step warm-up grid,
+# draw inline.
 _MIN_CHILD_STEPS = 1000
 
 
 def _chunk_views(flat: np.ndarray, batch_size: int, dim: int) -> tuple:
-    """(levels, rows, noise) of one chunk, views into the byte buffer `flat`,
-    shaped (_CHUNK_STEPS,), (_CHUNK_STEPS, batch_size) and (_CHUNK_STEPS,
+    """(levels, rows, noise) of one chunk, views into the byte buffer `flat`
+    of 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim)) bytes, shaped
+    (_CHUNK_STEPS,), (_CHUNK_STEPS, batch_size) and (_CHUNK_STEPS,
     batch_size, dim)."""
     k, n = _CHUNK_STEPS, _CHUNK_STEPS * batch_size
     ints = flat[: 8 * (k + n)].view(np.int64)
     noise = flat[8 * (k + n):].view(np.float64).reshape(k, batch_size, dim)
     return ints[:k], ints[k:].reshape(k, batch_size), noise
-
-
-def _chunk_bytes(batch_size: int, dim: int) -> int:
-    return 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim))
 
 
 def _draw_chunks(rng, slots, kernels, rows: int, batch_size: int, dim: int, steps: int):
@@ -468,10 +470,9 @@ def _draw_process(conn, rng, slots, *args) -> None:
     parent gets it too, and terminates the child."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        chunks = math.ceil(args[-1] / _CHUNK_STEPS)
         for c, _ in enumerate(_draw_chunks(rng, slots, *args)):
             conn.send_bytes(b"")
-            if len(slots) <= c + 1 < chunks:
+            if c + 1 >= len(slots):
                 conn.recv_bytes()  # chunk c + 1 - len(slots) is consumed
         conn.send(rng.bit_generator.state)
     except Exception:  # reported to the parent, which raises it
@@ -490,7 +491,7 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
     Closing the generator terminates and joins the child if it is still
     running.
     """
-    size = _chunk_bytes(batch_size, dim)
+    size = 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim))
     if _draw_threads() == 1 or steps < _MIN_CHILD_STEPS:
         yield from _draw_chunks(rng, [np.empty(size, dtype=np.uint8)], kernels, rows,
                                 batch_size, dim, steps)
@@ -498,7 +499,9 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
     ring = np.frombuffer(mmap.mmap(-1, _RING_SLOTS * size), dtype=np.uint8)
     slots = [ring[k * size:(k + 1) * size] for k in range(_RING_SLOTS)]
     views = [_chunk_views(flat, batch_size, dim) for flat in slots]
-    chunks = math.ceil(steps / _CHUNK_STEPS)
+    # Forked, not spawned: the child inherits rng's state, the kernels and
+    # the ring, and starts in milliseconds. It runs only numpy's generator,
+    # so no lock held by a parent thread (an idle BLAS pool) is touched.
     ctx = multiprocessing.get_context("fork")
     conn, child_conn = ctx.Pipe()
     child = ctx.Process(target=_draw_process, daemon=True,
@@ -516,8 +519,8 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
             ) from None
 
     try:
-        for c in range(chunks):
-            if c > 0 and c - 1 + _RING_SLOTS < chunks:
+        for c, start in enumerate(range(0, steps, _CHUNK_STEPS)):
+            if c:
                 # Chunk c - 1's slot is free. A child that is gone shows
                 # in the receive below.
                 with suppress(OSError):
@@ -525,7 +528,7 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
             message = receive(conn.recv_bytes)
             if message:
                 raise RuntimeError("training draw process failed:\n" + message.decode())
-            n = min(_CHUNK_STEPS, steps - c * _CHUNK_STEPS)
+            n = min(_CHUNK_STEPS, steps - start)
             yield tuple(a[:n] for a in views[c % _RING_SLOTS])
         rng.bit_generator.state = receive(conn.recv)
     finally:

@@ -309,23 +309,15 @@ def draw_path(request, monkeypatch):
 
 
 def spy_on_draw_processes(monkeypatch):
-    """Record every process _training_draws starts."""
+    """Record every forked process started, such as train's draw process."""
     started = []
-    real = sn.multiprocessing.get_context
+    real = multiprocessing.context.ForkProcess.start
 
-    def get_context(method):
-        ctx = real(method)
+    def start(self):
+        started.append(self)
+        real(self)
 
-        class Context:
-            Pipe = ctx.Pipe
-
-            def Process(self, *args, **kwargs):
-                started.append(ctx.Process(*args, **kwargs))
-                return started[-1]
-
-        return Context()
-
-    monkeypatch.setattr(sn.multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
     return started
 
 

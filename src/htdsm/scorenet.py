@@ -483,8 +483,9 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
     """Yield train's draws as (levels, rows, noise) views, one chunk of up
     to _CHUNK_STEPS steps at a time, each valid until the next.
 
-    With one usable core, or fewer than _MIN_CHILD_STEPS steps, the chunks
-    are drawn here from rng. Otherwise a forked daemon process draws them
+    With one usable core, fewer than _MIN_CHILD_STEPS steps, or in a
+    daemonic process (a multiprocessing.Pool worker, which may not have
+    children), the chunks are drawn here from rng. Otherwise a forked daemon process draws them
     from its copy of rng while the caller trains, into a ring of
     _RING_SLOTS chunks of shared memory mapped once per call, and rng takes
     the child's final state, so it ends where drawing here leaves it.
@@ -492,7 +493,8 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
     running.
     """
     size = 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim))
-    if _draw_threads() == 1 or steps < _MIN_CHILD_STEPS:
+    if (_draw_threads() == 1 or steps < _MIN_CHILD_STEPS
+            or multiprocessing.current_process().daemon):
         yield from _draw_chunks(rng, [np.empty(size, dtype=np.uint8)], kernels, rows,
                                 batch_size, dim, steps)
         return

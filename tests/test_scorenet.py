@@ -321,6 +321,12 @@ def spy_on_draw_processes(monkeypatch):
     return started
 
 
+def train_losses(steps):
+    data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
+    cfg = sn.TrainConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps=steps)
+    return sn.train(data, cfg, np.random.default_rng(20))[1]
+
+
 class TestTrain:
     @pytest.mark.parametrize("beta, exponent, dim, hidden", [
         pytest.param(2.0, 2.0, 2, (16, 16), id="2.0-2.0"),
@@ -372,6 +378,12 @@ class TestTrain:
         assert len(started) == (draw_path == "process")
         assert not any(p.is_alive() for p in started)
         assert multiprocessing.active_children() == []
+
+    def test_trains_inside_a_daemonic_pool_worker(self, draw_path):
+        # A Pool worker may not start children, so it draws inline.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(train_losses, (300,))
+        assert np.array_equal(got, train_losses(300))
 
     @pytest.mark.parametrize("fault", ["raises", "exits"])
     def test_draw_process_failure_raises_in_the_caller(self, two_level_schedule, monkeypatch,

@@ -34,7 +34,6 @@ from htdsm.metrics import (
     prdc,
 )
 from htdsm.sampler import (
-    ParticlePath,
     SamplerConfig,
     ald_run,
     forward_chain,

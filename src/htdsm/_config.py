@@ -2,11 +2,12 @@
 nested configs as objects, tuples as lists. Loading is strict, since a
 misspelled key would otherwise be dropped and its field silently keep the
 default; omitted keys keep theirs, and each `__post_init__` turns lists
-back into tuples.
+back into tuples and checks its fields, integer ones through `check_int`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import fields
 from typing import get_args, get_type_hints
 
@@ -19,8 +20,28 @@ def _plain(value):
     return value
 
 
+def check_int(name: str, value, minimum: int) -> int:
+    """value as an int, or a ValueError naming the field unless it is an
+    integer of at least minimum. Integers are what operator.index accepts,
+    bools aside; a float is refused rather than truncated."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 class Config:
     """Mixin for dataclasses that round-trip through JSON."""
+
+    def _check_ints(self, **minimums) -> None:
+        """check_int each named field against its minimum, in place."""
+        for name, minimum in minimums.items():
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}

@@ -178,12 +178,7 @@ class TrainFile(Config):
     data_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data_count", int(self.data_count))
-        object.__setattr__(self, "data_seed", int(self.data_seed))
-        if self.data_count < 1:
-            raise ValueError(f"data_count must be >= 1, got {self.data_count}")
-        if self.data_seed < 0:
-            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
+        self._check_ints(data_count=1, data_seed=0)
 
 
 def _cmd_train(args) -> int:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from htdsm._config import Config
+from htdsm._config import Config, check_int
 from htdsm.metrics import MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
 from htdsm.sampler import CONVERGED, DIVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
@@ -53,6 +53,8 @@ GRID_CELLS = (
 )
 _TRAIN_BETA = {"dsm": 2.0, "htdsm": 1.0}
 _DIFF_BETA = {"gaussian": 2.0, "laplace": 1.0}
+# The endpoint metrics an ExperimentConfig may name.
+_METRICS = ("prdc", "kid", "fid")
 # ExperimentConfig fields the grid sets per cell and seed; training draws
 # from a generator derived from the master seed, not from train.seed.
 GRID_OWNED = ("train.beta_noise", "train.alpha_unit", "train.seed",
@@ -115,16 +117,14 @@ class ExperimentConfig(Config):
     def __post_init__(self) -> None:
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
-        if self.particles < 1:
-            raise ValueError(f"particles must be >= 1, got {self.particles}")
-        if self.data_count < 1:
-            raise ValueError(f"data_count must be >= 1, got {self.data_count}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        self._check_ints(particles=1, data_count=1, master_seed=0, bootstrap_resamples=1)
+        object.__setattr__(self, "seeds", tuple(check_int("seeds", s, 0) for s in self.seeds))
+        if not 0.0 < self.bootstrap_level < 1.0:
+            raise ValueError(f"bootstrap_level must lie in (0, 1), got {self.bootstrap_level!r}")
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
+        unknown = [name for name in self.metric_names if name not in _METRICS]
+        if unknown:
+            raise ValueError(f"metric_names must be among {', '.join(_METRICS)}, got {unknown}")
 
 
 @dataclass
@@ -193,12 +193,10 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float):
 
 def _sample_network(net, sampler_cfg: SamplerConfig, count: int):
     """(paths, endpoints, diverged) of one ALD run of count particles under net's
-    score; diverged is the boolean mask of the particles that diverged. The one
-    place a particle's status becomes a mask."""
+    score: ald_run's record array, its `final` column, and the boolean mask of
+    the particles that diverged. The one place a status becomes a mask."""
     paths = ald_run(lambda x, ls: net.forward(x, ls), sampler_cfg, count)
-    endpoints = np.array([p.final for p in paths])
-    diverged = np.array([p.status == DIVERGED for p in paths])
-    return paths, endpoints, diverged
+    return paths, paths.final, paths.status == DIVERGED
 
 
 def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float,
@@ -439,18 +437,19 @@ def write_endpoints_csv(path, endpoints, diverged) -> None:
 
 
 def write_paths_csv(path, particle_paths, steps_per_level) -> None:
-    """Per-step positions: particle_id, level, step, x0..xd-1, for paths
-    recorded under a schedule with steps_per_level steps at each level.
+    """Per-step positions: particle_id, level, step, x0..xd-1, from ald_run's
+    record array of paths recorded under a schedule with steps_per_level
+    steps at each level.
 
     Step 0 is the initial position (level of the first schedule level).
     """
-    if any(p.positions is None for p in particle_paths):
+    if "positions" not in particle_paths.dtype.names:
         raise ValueError("paths were not recorded for this run")
     rows = sum(steps_per_level) + 1
-    if any(len(p.positions) != rows for p in particle_paths):
+    if particle_paths.positions.shape[1] != rows:
         raise ValueError(f"steps_per_level {tuple(steps_per_level)} needs paths of {rows} rows")
     count = len(particle_paths)
-    pos = np.concatenate([p.positions for p in particle_paths])
+    pos = particle_paths.positions.reshape(count * rows, -1)
     ids = np.repeat(np.arange(count), rows)
     level_of_row = np.repeat(np.arange(len(steps_per_level)),
                              [steps_per_level[0] + 1, *steps_per_level[1:]])

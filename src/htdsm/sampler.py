@@ -13,6 +13,10 @@ block. Diffusion noise of any
 shape is rescaled to unit per-coordinate variance, keeping the sqrt(2 eps)
 coefficient of the update comparable across shapes.
 
+`ald_run` returns one numpy record array with a row per particle: columns
+`final` and `status`, plus `positions` when paths are recorded. Each block
+of particles writes its slice of it in place.
+
 A block's diffusion noise is drawn before its first step, step-major, by
 `distributions._block_noise` over the block's generators, on a thread pool
 with one thread per core the process may use. Each generator is drawn by one
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config
+from htdsm._config import Config, check_int
 from htdsm.distributions import (
     GeneralizedNormal,
     _block_noise,
@@ -39,7 +43,6 @@ __all__ = [
     "CONVERGED",
     "DIVERGED",
     "SamplerConfig",
-    "ParticlePath",
     "particle_rng",
     "ald_run",
     "forward_chain",
@@ -71,18 +74,12 @@ class SamplerConfig(Config):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.step_size < 0.0:
-            raise ValueError(f"step_size must be >= 0, got {self.step_size}")
-        if self.beta_diff <= 0.0:
-            raise ValueError(f"beta_diff must be positive, got {self.beta_diff}")
-        if self.init_half_width <= 0.0:
-            raise ValueError(
-                f"init_half_width must be positive, got {self.init_half_width}"
-            )
-        if not math.isfinite(self.divergence_radius):
-            raise ValueError(
-                f"divergence_radius must be finite, got {self.divergence_radius}"
-            )
+        if not 0.0 <= self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
+        for name in ("beta_diff", "init_half_width", "divergence_radius"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.divergence_radius <= self.init_half_width:
             raise ValueError(
                 "divergence_radius must exceed init_half_width, got "
@@ -90,33 +87,14 @@ class SamplerConfig(Config):
             )
         steps = self.steps_per_level
         if np.isscalar(steps):
-            steps = (int(steps),) * len(self.schedule)
-        else:
-            steps = tuple(int(t) for t in steps)
-            if len(steps) != len(self.schedule):
-                raise ValueError(
-                    f"steps_per_level has {len(steps)} entries for "
-                    f"{len(self.schedule)} levels"
-                )
-        if any(t < 1 for t in steps):
-            raise ValueError(f"steps per level must be >= 1, got {steps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            steps = (steps,) * len(self.schedule)
+        elif len(steps) != len(self.schedule):
+            raise ValueError(
+                f"steps_per_level has {len(steps)} entries for {len(self.schedule)} levels"
+            )
+        steps = tuple(check_int("steps per level", t, 1) for t in steps)
         object.__setattr__(self, "steps_per_level", steps)
-
-
-@dataclass
-class ParticlePath:
-    """One particle's trajectory summary.
-
-    positions has shape (total steps + 1, d) when paths were recorded, else
-    it is None; row 0 is the initial position and row k the position after
-    step k. final and positions are views of their block's arrays.
-    """
-
-    final: np.ndarray
-    status: str
-    positions: np.ndarray | None = None
+        self._check_ints(seed=0)
 
 
 def particle_rng(seed: int, index: int) -> np.random.Generator:
@@ -124,13 +102,14 @@ def particle_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
-    """Simulate one block of particles through all schedule levels.
+def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> None:
+    """Simulate the particles start, start + 1, ... through all schedule
+    levels, writing their rows of ald_run's result `out`.
 
-    The particles still alive are held compacted in `xa`, with their rows of
-    `x` in `alive_rows`; a diverged particle's frozen position is written back
-    to `x` when it diverges, the survivors' at the end (every step when paths
-    are recorded).
+    `x` is the `final` column of `out`. The particles still alive are held
+    compacted in `xa`, with their rows of `x` in `alive_rows`; a diverged
+    particle's frozen position is written back to `x` when it diverges, the
+    survivors' at the end (every step when paths are recorded).
     """
     sigmas = cfg.schedule.sigmas
     dim = cfg.schedule.n
@@ -138,12 +117,12 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     total_steps = sum(steps)
     sigma_max_sq = sigmas[0] ** 2
     alpha_v = unit_variance_alpha(cfg.beta_diff)
-    count = len(indices)
+    count = len(out)
 
-    x = np.empty((count, dim))
+    x = out.final
     rngs = []
-    for row, pid in enumerate(indices):
-        rng = particle_rng(cfg.seed, pid)
+    for row in range(count):
+        rng = particle_rng(cfg.seed, start + row)
         x[row] = rng.uniform(-cfg.init_half_width, cfg.init_half_width, dim)
         rngs.append(rng)
     # Step-major, so one step's noise for the whole block is contiguous.
@@ -152,9 +131,8 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
     inside = cfg.divergence_radius / (2.0 * math.sqrt(dim))
     alive_rows = np.arange(count)
     xa = x.copy()
-    positions = None
     if cfg.record_paths:
-        positions = np.empty((count, total_steps + 1, dim))
+        positions = out.positions
         positions[:, 0] = x
     step = 0
     for sigma, t_level in zip(sigmas, steps):
@@ -184,20 +162,11 @@ def _run_block(score_fn, cfg: SamplerConfig, indices) -> list:
                 positions[:, step + 1] = x
             step += 1
     x[alive_rows] = xa
-
-    alive = np.zeros(count, dtype=bool)
-    alive[alive_rows] = True
-    return [
-        ParticlePath(
-            x[row],
-            CONVERGED if alive[row] else DIVERGED,
-            None if positions is None else positions[row],
-        )
-        for row in range(count)
-    ]
+    out.status = DIVERGED
+    out.status[alive_rows] = CONVERGED
 
 
-def ald_run(score_fn, cfg: SamplerConfig, count: int) -> list:
+def ald_run(score_fn, cfg: SamplerConfig, count: int) -> np.recarray:
     """Annealed Langevin dynamics over the descending schedule; a one-level
     schedule is plain Langevin dynamics. score_fn(x, log_sigma) maps an
     (N, d) batch to (N, d) scores. Level i uses step size
@@ -205,17 +174,26 @@ def ald_run(score_fn, cfg: SamplerConfig, count: int) -> list:
     the previous level's final positions. Particles start uniform in the init
     box; one that leaves the divergence radius (or goes non-finite) is frozen
     and reported as diverged rather than raising.
+
+    Returns a record array with one row per particle, in index order. Its
+    fields: `final`, the (d,) end position; `status`, CONVERGED or DIVERGED;
+    and, only when cfg.record_paths is set, `positions` of shape
+    (total steps + 1, d), whose row 0 is the initial position and row k the
+    position after step k. `result.final` is then the (count, d) array of
+    end positions, and `result[i].status` particle i's status.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     total_steps = sum(cfg.steps_per_level)
-    per_particle = max(total_steps * cfg.schedule.n, 1)
-    block = max(1, min(count, _BLOCK_BUDGET // per_particle))
-    paths = []
+    dim = cfg.schedule.n
+    fields = [("final", float, (dim,)), ("status", "U9")]
+    if cfg.record_paths:
+        fields.append(("positions", float, (total_steps + 1, dim)))
+    out = np.recarray(count, dtype=np.dtype(fields, align=True))
+    block = max(1, min(count, _BLOCK_BUDGET // max(total_steps * dim, 1)))
     for start in range(0, count, block):
-        indices = range(start, min(start + block, count))
-        paths.extend(_run_block(score_fn, cfg, indices))
-    return paths
+        _run_block(score_fn, cfg, start, out[start : start + block])
+    return out
 
 
 def forward_chain(x0, sigmas, rng: np.random.Generator, beta: float = 2.0):

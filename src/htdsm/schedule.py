@@ -38,6 +38,7 @@ class NoiseSchedule(Config):
     sigmas: tuple
 
     def __post_init__(self) -> None:
+        self._check_ints(n=1)
         sigmas = tuple(float(s) for s in self.sigmas)
         object.__setattr__(self, "sigmas", sigmas)
         if len(sigmas) < 1:

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config
+from htdsm._config import Config, check_int
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
     _draw_threads,
     _gn_draw,
     _score_of_delta,
-    gn_sample,
     unit_variance_alpha,
 )
 from htdsm.schedule import NoiseSchedule
@@ -74,6 +73,9 @@ class MixtureSpec(Config):
         weights = tuple(float(w) for w in self.weights)
         if not (len(means) == len(stds) == len(weights)):
             raise ValueError("means, stds and weights must have equal length")
+        dims = sorted({len(m) for m in means})
+        if len(dims) > 1 or dims == [0]:
+            raise ValueError(f"means must all have one length >= 1, got lengths {dims}")
         if any(s <= 0 for s in stds):
             raise ValueError(f"component stds must be positive: {stds}")
         if any(w <= 0 for w in weights):
@@ -143,17 +145,15 @@ class TrainConfig(Config):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.beta_noise <= 0:
-            raise ValueError(f"beta_noise must be positive, got {self.beta_noise}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self._check_ints(batch_size=1, steps=1, seed=0)
+        object.__setattr__(self, "hidden", tuple(check_int("hidden widths", h, 1)
+                                                 for h in self.hidden))
+        for name in ("beta_noise", "learning_rate", "alpha_unit"):
+            value = getattr(self, name)
+            if value is None and name == "alpha_unit":
+                continue
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def resolved_alpha_unit(self) -> float:
         if self.alpha_unit is not None:
@@ -358,10 +358,9 @@ def dsm_loss(
     sigma: float,
     alpha_unit: float,
     beta_noise: float,
-    rng: np.random.Generator | None,
+    noise: np.ndarray,
     *,
     buffers: _StepBuffers | None = None,
-    noise: np.ndarray | None = None,
 ):
     """One DSM step at a fixed level: perturb, score-match, return gradients.
 
@@ -372,11 +371,10 @@ def dsm_loss(
     levels contribute at a comparable scale. Returns (loss, gradient), the
     gradient laid out like `net.params`.
 
-    The noise is `gn_sample(kernel, rng, batch.shape)` unless `noise`, an
-    array of the batch's shape already drawn from that kernel, is given;
-    train passes its pre-drawn noise there, and rng may then be None.
-    Below beta 1 the noise's exact hits of the score singularity are
-    clamped here either way.
+    `noise` is an array of the batch's shape drawn from that kernel, as
+    `gn_sample(GeneralizedNormal(0, sigma * alpha_unit, beta_noise), rng,
+    batch.shape)` draws it; train passes its pre-drawn noise. Below beta 1
+    the noise's exact hits of the score singularity are clamped here.
 
     Without `buffers` every call returns a new gradient vector; with
     train's (see _StepBuffers) it returns `buffers.grad`, valid until the
@@ -388,8 +386,6 @@ def dsm_loss(
     kernel, log_sigma, half_weight, grad_scale, coeff = buffers.level(
         sigma, alpha_unit, beta_noise
     )
-    if noise is None:
-        noise = gn_sample(kernel, rng, batch.shape)
     if kernel.beta < 1.0:
         # Clamp exact hits of the score singularity (distributions policy).
         tiny = np.abs(noise) < SCORE_DELTA_FLOOR
@@ -579,8 +575,8 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
             for level, index, noise in zip(levels.tolist(), indices, noises):
                 sigma = sigmas[level]
                 batch = data.take(index, axis=0)
-                loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, None,
-                                      buffers=buffers, noise=noise)
+                loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, noise,
+                                      buffers=buffers)
                 if rescales is not None:
                     loss *= rescales[level]
                     grad *= rescales[level]

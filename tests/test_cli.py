@@ -110,6 +110,30 @@ class TestSampleInputValidation:
         err = capsys.readouterr().err
         assert "bad sampler config" in err and "seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("key, value, need", [
+        ("step_size", float("nan"), "finite and >= 0"), ("step_size", float("inf"), "finite"),
+        ("init_half_width", float("nan"), "finite and positive"),
+        ("steps_per_level", 1.5, "steps per level must be an integer"),
+        ("steps_per_level", [5, 2.5], "steps per level must be an integer"),
+        ("seed", 1.5, "seed must be an integer"), ("seed", True, "seed must be an integer"),
+    ])
+    def test_bad_sampler_value_is_usage_error(self, tmp_path, capsys, monkeypatch, key, value,
+                                              need):
+        def no_run(*args, **kwargs):
+            raise AssertionError("sampled despite a bad sampler config")
+
+        monkeypatch.setattr(cli, "_sample_network", no_run)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
+        config = _sampler_config(tmp_path, 2)
+        config.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(config),
+                       "--count", "3", "--out", str(out))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "bad sampler config" in err and need in err
+
     @pytest.mark.parametrize("count", ["0", "-4"])
     def test_nonpositive_count_is_usage_error(self, tmp_path, capsys, count):
         path = tmp_path / "ckpt.json"
@@ -373,12 +397,23 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     assert f"'{key}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key, value", [
-    (None, "data_count", 0), (None, "data_count", -5), ("train", "hidden", [0]),
-    ("train", "hidden", [8, -1]),
+@pytest.mark.parametrize("section, key, value, need", [
+    (None, "data_count", 0, "must be >= 1"), (None, "data_count", -5, "must be >= 1"),
+    ("train", "hidden", [0], "must be >= 1"), ("train", "hidden", [8, -1], "must be >= 1"),
+    (None, "data_count", 1000.0, "must be an integer"),
+    ("train", "steps", 10.5, "must be an integer"), ("train", "hidden", [16.7], "must be an integer"),
+    ("train", "batch_size", True, "must be an integer"),
+    ("train", "learning_rate", -1, "must be finite and positive"),
+    ("train", "learning_rate", float("nan"), "must be finite and positive"),
+    ("train", "alpha_unit", -1, "must be finite and positive"),
+    ("mixture", "means", [[1, 1], [-1]], "must all have one length"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
-                                                 section, key, value):
+                                                 monkeypatch, section, key, value, need):
+    def no_run(*args, **kwargs):
+        raise AssertionError("trained despite a bad train config")
+
+    monkeypatch.setattr(cli.scorenet, "train", no_run)
     raw = json.loads(train_config_file.read_text())
     (raw if section is None else raw[section])[key] = value
     train_config_file.write_text(json.dumps(raw))
@@ -386,7 +421,7 @@ def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, ca
     code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
-    assert "bad train config" in err and key in err and "must be >= 1" in err
+    assert "bad train config" in err and key in err and need in err
 
 
 @pytest.mark.parametrize("section, key", [(None, "data_seed"), ("train", "seed")])
@@ -592,8 +627,21 @@ class TestExperimentCommand:
         ({"data_count": 0}, "data_count must be >= 1"),
         ({"seeds": [0, -1]}, "seeds must be >= 0"),
         ({"master_seed": -1}, "master_seed must be >= 0"),
+        ({"bootstrap_level": 2.0}, "bootstrap_level must lie in (0, 1), got 2.0"),
+        ({"bootstrap_level": 0.0}, "bootstrap_level must lie in (0, 1), got 0.0"),
+        ({"bootstrap_resamples": 0}, "bootstrap_resamples must be >= 1, got 0"),
+        ({"metric_names": ["prcd"]}, "metric_names must be among prdc, kid, fid, got ['prcd']"),
+        ({"particles": 20.5}, "particles must be an integer, got 20.5"),
+        ({"particles": True}, "particles must be an integer, got True"),
+        ({"seeds": [0.7]}, "seeds must be an integer, got 0.7"),
+        ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
     ])
-    def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, cfg, message):
+    def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch, cfg,
+                                                 message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid ran despite a bad config")
+
+        monkeypatch.setattr(cli, "run_imbalance_grid", no_run)
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(cfg))
         code = run_cli("experiment", "imbalance", "--config", str(cfg_path),

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from htdsm._config import check_int
 from htdsm.experiments import ExperimentConfig, RunRecord
 from htdsm.metrics import MetricReport
 from htdsm.sampler import SamplerConfig
@@ -129,3 +131,15 @@ def test_omitted_keys_keep_their_defaults():
     assert ExperimentConfig.from_dict({}) == ExperimentConfig()
     no_delta = {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0, 0.25]}
     assert NoiseSchedule.from_dict(no_delta) == sched
+
+
+@pytest.mark.parametrize("value, want", [(7, 7), (np.int64(7), 7), (np.uint8(7), 7)])
+def test_check_int_accepts_integers(value, want):
+    got = check_int("steps", value, 1)
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("value", [7.0, np.float64(7.0), True, np.True_, "7", None])
+def test_check_int_rejects_non_integers_by_name(value):
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+        check_int("steps", value, 1)

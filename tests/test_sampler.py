@@ -52,6 +52,15 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(schedule=single_level(), divergence_radius=math.inf)
 
+    @pytest.mark.parametrize("key, value", [
+        ("step_size", math.nan), ("step_size", math.inf), ("init_half_width", math.nan),
+        ("beta_diff", math.inf), ("steps_per_level", 1.5), ("steps_per_level", (5.0,)),
+        ("seed", 1.5), ("seed", True),
+    ])
+    def test_non_finite_or_non_integer_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key.replace("_", "[_ ]")):
+            SamplerConfig(schedule=single_level(), **{key: value})
+
     def test_zero_step_size_allowed(self):
         cfg = SamplerConfig(schedule=single_level(), step_size=0.0)
         assert cfg.step_size == 0.0

@@ -180,12 +180,18 @@ def linear_score_network(alpha: float) -> sn.ScoreNetwork:
     return net
 
 
+def dsm_noise(sigma, alpha_unit, beta, rng, shape):
+    """The noise dsm_loss takes: GN(0, sigma * alpha_unit, beta) draws."""
+    return dist.gn_sample(dist.GeneralizedNormal(0.0, sigma * alpha_unit, beta), rng, shape)
+
+
 class TestDsmLoss:
     def test_oracle_network_zero_loss(self):
         sigma, alpha_unit = 0.7, math.sqrt(2.0)
         net = linear_score_network(sigma * alpha_unit)
         batch = np.zeros((64, 2))
-        loss, _ = sn.dsm_loss(net, batch, sigma, alpha_unit, 2.0, np.random.default_rng(8))
+        noise = dsm_noise(sigma, alpha_unit, 2.0, np.random.default_rng(8), batch.shape)
+        loss, _ = sn.dsm_loss(net, batch, sigma, alpha_unit, 2.0, noise)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_gaussian_target_matches_intuitive_score(self):
@@ -201,14 +207,13 @@ class TestDsmLoss:
     def test_gradients_match_finite_differences(self):
         net = sn.ScoreNetwork([3, 4, 2], np.random.default_rng(10))
         batch = np.random.default_rng(11).standard_normal((8, 2))
+        noise = dsm_noise(0.7, math.sqrt(2.0), 2.0, np.random.default_rng(123), batch.shape)
 
         def loss_at():
-            value, _ = sn.dsm_loss(net, batch, 0.7, math.sqrt(2.0), 2.0,
-                                   np.random.default_rng(123))
+            value, _ = sn.dsm_loss(net, batch, 0.7, math.sqrt(2.0), 2.0, noise)
             return value
 
-        _, grad = sn.dsm_loss(net, batch, 0.7, math.sqrt(2.0), 2.0,
-                              np.random.default_rng(123))
+        _, grad = sn.dsm_loss(net, batch, 0.7, math.sqrt(2.0), 2.0, noise)
         wg, bg = net.views(grad)
         h = 1e-6
         for params, grads in ((net.weights, wg), (net.biases, bg)):
@@ -242,9 +247,9 @@ class TestDsmLoss:
         net = sn.ScoreNetwork([3, 8, 2], np.random.default_rng(25))
         batch = np.random.default_rng(26).standard_normal((32, 2))
         for sigma in (1.0, 0.25, 1.0, 0.5):
-            loss, grad = sn.dsm_loss(net, batch, sigma, 1.3, beta, np.random.default_rng(27))
-            kernel = dist.GeneralizedNormal(0.0, sigma * 1.3, beta)
-            noisy = batch + dist.gn_sample(kernel, np.random.default_rng(27), batch.shape)
+            noise = dsm_noise(sigma, 1.3, beta, np.random.default_rng(27), batch.shape)
+            loss, grad = sn.dsm_loss(net, batch, sigma, 1.3, beta, noise)
+            noisy = batch + noise
             target = dist.gn_score(noisy, batch, sigma * 1.3, beta)
             pred, activations = net.forward_cached(noisy, math.log(sigma))
             err = pred - target
@@ -255,9 +260,11 @@ class TestDsmLoss:
     def test_successive_gradients_do_not_share_memory(self):
         net = sn.ScoreNetwork([3, 8, 2], np.random.default_rng(25))
         batch = np.random.default_rng(26).standard_normal((32, 2))
-        _, first = sn.dsm_loss(net, batch, 0.5, 1.3, 2.0, np.random.default_rng(27))
+        noise = dsm_noise(0.5, 1.3, 2.0, np.random.default_rng(27), batch.shape)
+        _, first = sn.dsm_loss(net, batch, 0.5, 1.3, 2.0, noise)
         kept = first.copy()
-        _, second = sn.dsm_loss(net, batch, 1.0, 1.3, 2.0, np.random.default_rng(28))
+        noise = dsm_noise(1.0, 1.3, 2.0, np.random.default_rng(28), batch.shape)
+        _, second = sn.dsm_loss(net, batch, 1.0, 1.3, 2.0, noise)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
@@ -265,7 +272,8 @@ class TestDsmLoss:
     def test_subunit_shape_clamps_singularity(self):
         net = sn.ScoreNetwork([2, 4, 1], np.random.default_rng(13))
         batch = np.zeros((16, 1))
-        loss, _ = sn.dsm_loss(net, batch, 0.5, 1.0, 0.7, np.random.default_rng(14))
+        noise = dsm_noise(0.5, 1.0, 0.7, np.random.default_rng(14), batch.shape)
+        loss, _ = sn.dsm_loss(net, batch, 0.5, 1.0, 0.7, noise)
         assert math.isfinite(loss)
 
 
@@ -280,8 +288,9 @@ def reference_train(data, cfg, rng):
     for step in range(cfg.steps):
         sigma = sigmas[int(rng.integers(len(sigmas)))]
         batch = data[rng.integers(0, data.shape[0], cfg.batch_size)]
+        noise = dsm_noise(sigma, cfg.resolved_alpha_unit(), cfg.beta_noise, rng, batch.shape)
         loss, grad = sn.dsm_loss(net, batch, sigma, cfg.resolved_alpha_unit(),
-                                 cfg.beta_noise, rng)
+                                 cfg.beta_noise, noise)
         wg, bg = net.views(grad)
         grads = list(wg + bg)
         if cfg.loss_weight_exponent != 2.0:
@@ -446,11 +455,12 @@ class TestTrain:
         rng = np.random.default_rng(23)
         per_level = []
         for sigma in two_level_schedule.sigmas:
-            vals = [
-                sn.dsm_loss(net, data[rng.integers(0, len(data), 512)], sigma,
-                            cfg.resolved_alpha_unit(), 2.0, rng)[0]
-                for _ in range(8)
-            ]
+            vals = []
+            for _ in range(8):
+                batch = data[rng.integers(0, len(data), 512)]
+                noise = dsm_noise(sigma, cfg.resolved_alpha_unit(), 2.0, rng, batch.shape)
+                vals.append(sn.dsm_loss(net, batch, sigma, cfg.resolved_alpha_unit(), 2.0,
+                                        noise)[0])
             per_level.append(np.mean(vals))
         ratio = max(per_level) / min(per_level)
         assert ratio < 10.0

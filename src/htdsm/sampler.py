@@ -80,6 +80,8 @@ class SamplerConfig(Config):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not isinstance(self.record_paths, bool):
+            raise ValueError(f"record_paths must be true or false, got {self.record_paths!r}")
         if self.divergence_radius <= self.init_half_width:
             raise ValueError(
                 "divergence_radius must exceed init_half_width, got "

@@ -154,6 +154,9 @@ class TrainConfig(Config):
                 continue
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        exponent = self.loss_weight_exponent
+        if not math.isfinite(exponent):
+            raise ValueError(f"loss_weight_exponent must be finite, got {exponent}")
 
     def resolved_alpha_unit(self) -> float:
         if self.alpha_unit is not None:

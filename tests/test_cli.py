@@ -116,6 +116,7 @@ class TestSampleInputValidation:
         ("steps_per_level", 1.5, "steps per level must be an integer"),
         ("steps_per_level", [5, 2.5], "steps per level must be an integer"),
         ("seed", 1.5, "seed must be an integer"), ("seed", True, "seed must be an integer"),
+        ("record_paths", "false", "record_paths must be true or false"),
     ])
     def test_bad_sampler_value_is_usage_error(self, tmp_path, capsys, monkeypatch, key, value,
                                               need):
@@ -401,11 +402,13 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     (None, "data_count", 0, "must be >= 1"), (None, "data_count", -5, "must be >= 1"),
     ("train", "hidden", [0], "must be >= 1"), ("train", "hidden", [8, -1], "must be >= 1"),
     (None, "data_count", 1000.0, "must be an integer"),
-    ("train", "steps", 10.5, "must be an integer"), ("train", "hidden", [16.7], "must be an integer"),
+    ("train", "steps", 10.5, "must be an integer"),
+    ("train", "hidden", [16.7], "must be an integer"),
     ("train", "batch_size", True, "must be an integer"),
     ("train", "learning_rate", -1, "must be finite and positive"),
     ("train", "learning_rate", float("nan"), "must be finite and positive"),
     ("train", "alpha_unit", -1, "must be finite and positive"),
+    ("train", "loss_weight_exponent", float("nan"), "must be finite"),
     ("mixture", "means", [[1, 1], [-1]], "must all have one length"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,

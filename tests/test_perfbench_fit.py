@@ -1,8 +1,9 @@
 """The benchmark in perfbench/ still fits the package: every function and
 method it traces resolves, its ald_run counter reads a real sampler result,
-and its tiny noise_schedule workload runs with no failed operation. perfbench/run.py and perfbench/workloads.py are loaded
-by path; nothing here runs the benchmark's entry point, so its digest
-registry under perfbench/_work is neither read nor written."""
+and its tiny noise_schedule workload runs with no failed operation.
+perfbench/run.py and perfbench/workloads.py are loaded by path; nothing here
+runs the benchmark's entry point, so its digest registry under
+perfbench/_work is neither read nor written."""
 
 import importlib.util
 from collections import defaultdict

@@ -76,10 +76,12 @@ class MixtureSpec(Config):
         dims = sorted({len(m) for m in means})
         if len(dims) > 1 or dims == [0]:
             raise ValueError(f"means must all have one length >= 1, got lengths {dims}")
-        if any(s <= 0 for s in stds):
-            raise ValueError(f"component stds must be positive: {stds}")
-        if any(w <= 0 for w in weights):
-            raise ValueError(f"weights must be positive: {weights}")
+        if not all(map(math.isfinite, sum(means, ()))):
+            raise ValueError(f"means must be finite: {means}")
+        if any(not 0 < s < math.inf for s in stds):
+            raise ValueError(f"component stds must be finite and positive: {stds}")
+        if any(not 0 < w < math.inf for w in weights):
+            raise ValueError(f"weights must be finite and positive: {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(weights)}")
         object.__setattr__(self, "means", means)

@@ -410,6 +410,9 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     ("train", "alpha_unit", -1, "must be finite and positive"),
     ("train", "loss_weight_exponent", float("nan"), "must be finite"),
     ("mixture", "means", [[1, 1], [-1]], "must all have one length"),
+    ("mixture", "means", [[1, float("nan")], [-1, -1]], "must be finite"),
+    ("mixture", "stds", [0.5, float("inf")], "must be finite and positive"),
+    ("mixture", "weights", [float("nan"), 0.5], "must be finite and positive"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
                                                  monkeypatch, section, key, value, need):

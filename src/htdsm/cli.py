@@ -233,8 +233,12 @@ def _cmd_metrics(args) -> int:
                 f"{path} has {pts.shape[0]} usable points; --k {args.k} in "
                 f"{pts.shape[1]} dimensions needs at least {need}"
             )
-    p, r, d, c = metrics.prdc(real, fake, args.k)
-    report = metrics.MetricReport(p, r, d, c, metrics.kid(real, fake), metrics.fid(real, fake))
+    try:
+        p, r, d, c = metrics.prdc(real, fake, args.k)
+        report = metrics.MetricReport(p, r, d, c, metrics.kid(real, fake), metrics.fid(real, fake))
+    except metrics.MetricError as exc:
+        path = {"real": args.real, "fake": args.fake}.get(exc.point_set)
+        raise UsageError(f"{path}: {exc}" if path else str(exc)) from exc
     write_json(args.out, report.to_dict())
     print(
         f"precision {p:.4f} recall {r:.4f} density {d:.4f} coverage {c:.4f} "

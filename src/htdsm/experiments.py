@@ -23,7 +23,7 @@ from htdsm._config import Config, check_int
 from htdsm.metrics import MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
 from htdsm.sampler import CONVERGED, DIVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
-from htdsm.scorenet import MixtureSpec, TrainConfig, train
+from htdsm.scorenet import MixtureSpec, TrainConfig, _ForwardBuffers, train
 
 log = logging.getLogger(__name__)
 
@@ -194,8 +194,12 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float):
 def _sample_network(net, sampler_cfg: SamplerConfig, count: int):
     """(paths, endpoints, diverged) of one ALD run of count particles under net's
     score: ald_run's record array, its `final` column, and the boolean mask of
-    the particles that diverged. The one place a status becomes a mask."""
-    paths = ald_run(lambda x, ls: net.forward(x, ls), sampler_cfg, count)
+    the particles that diverged. The one place a status becomes a mask.
+
+    Every score goes through net.forward on one set of forward buffers per
+    run; ald_run uses each score before asking for the next."""
+    buffers = _ForwardBuffers(net)
+    paths = ald_run(lambda x, ls: net.forward(x, ls, buffers=buffers), sampler_cfg, count)
     return paths, paths.final, paths.status == DIVERGED
 
 

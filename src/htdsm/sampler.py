@@ -137,18 +137,19 @@ def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> No
         positions = out.positions
         positions[:, 0] = x
     step = 0
-    for sigma, t_level in zip(sigmas, steps):
-        eps = cfg.step_size * sigma**2 / sigma_max_sq
-        kick = math.sqrt(2.0 * eps)
-        log_sigma = math.log(sigma)
-        for _ in range(t_level):
-            if len(alive_rows):
-                z = noise[step]
-                if len(alive_rows) < count:
-                    z = z.take(alive_rows, axis=0)
-                # Near-divergent particles may overflow transiently; that is
-                # the signal divergence detection freezes on, not an error.
-                with np.errstate(over="ignore", invalid="ignore"):
+    # Near-divergent particles may overflow transiently; that is the signal
+    # divergence detection freezes on, not an error. One context covers
+    # every step, score calls included.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sigma, t_level in zip(sigmas, steps):
+            eps = cfg.step_size * sigma**2 / sigma_max_sq
+            kick = math.sqrt(2.0 * eps)
+            log_sigma = math.log(sigma)
+            for _ in range(t_level):
+                if len(alive_rows):
+                    z = noise[step]
+                    if len(alive_rows) < count:
+                        z = z.take(alive_rows, axis=0)
                     score = np.asarray(score_fn(xa, log_sigma), dtype=float)
                     xa = xa + eps * score + kick * z
                     # While no coordinate exceeds `inside`, no norm exceeds
@@ -159,10 +160,10 @@ def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> No
                             x[alive_rows[~ok]] = xa[~ok]
                             alive_rows = alive_rows[ok]
                             xa = xa[ok]
-            if cfg.record_paths:
-                x[alive_rows] = xa
-                positions[:, step + 1] = x
-            step += 1
+                if cfg.record_paths:
+                    x[alive_rows] = xa
+                    positions[:, step + 1] = x
+                step += 1
     x[alive_rows] = xa
     out.status = DIVERGED
     out.status[alive_rows] = CONVERGED

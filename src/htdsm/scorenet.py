@@ -207,7 +207,9 @@ class ScoreNetwork:
     def data_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def _stack_input(self, x: np.ndarray, log_sigma, out=None) -> np.ndarray:
+    def _stack_input(self, x: np.ndarray, log_sigma, out: np.ndarray) -> tuple:
+        """(out holding [x, log sigma] row by row, whether x was one (d,)
+        point)."""
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         if squeeze:
@@ -215,17 +217,28 @@ class ScoreNetwork:
         dim = self.data_dim
         if x.shape[1] != dim:
             raise ValueError(f"expected data dim {dim}, got {x.shape[1]}")
-        h = np.empty((x.shape[0], dim + 1)) if out is None else out
-        h[:, :dim] = x
-        h[:, dim] = log_sigma
-        return h, squeeze
+        out[:, :dim] = x
+        out[:, dim] = log_sigma
+        return out, squeeze
 
-    def forward(self, x, log_sigma):
-        """Evaluate s(x, log sigma); accepts (d,) or (N, d) inputs."""
-        h, squeeze = self._stack_input(x, log_sigma)
+    def forward(self, x, log_sigma, *, buffers: "_ForwardBuffers | None" = None):
+        """Evaluate s(x, log sigma); accepts (d,) or (N, d) inputs.
+
+        With `buffers` (see _ForwardBuffers), the stacked input and every
+        layer's output are written into the first N rows of its arrays, and
+        the result is a view that the next call with the same buffers
+        overwrites. Without them every call makes its own. Each bias is
+        added from a pre-tiled (rows, width) copy, the same IEEE additions
+        as broadcasting it, so the bits are the same either way.
+        """
+        x = np.asarray(x, dtype=float)
+        if buffers is None:
+            buffers = _ForwardBuffers(self)
+        stacked, layers, bias_rows = buffers.views(1 if x.ndim == 1 else len(x))
+        h, squeeze = self._stack_input(x, log_sigma, stacked)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
+        for i, (w, out, b) in enumerate(zip(self.weights, layers, bias_rows)):
+            h = np.matmul(h, w, out=out)
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
@@ -321,6 +334,35 @@ def _column_sums(a: np.ndarray, out: np.ndarray) -> None:
         np.add.reduce(a, axis=0, out=out)
     else:
         np.einsum("ij->j", a, out=out)
+
+
+class _ForwardBuffers:
+    """The arrays `forward` writes, for one network: the stacked input,
+    each layer's output, and each layer's bias tiled into a C-contiguous
+    (rows, width) array, so adding it is a same-shape add and not a
+    broadcast.
+
+    The arrays grow to the most rows asked for, and a call with fewer rows
+    uses their leading rows. The tiles copy the biases when the arrays are
+    made, so the buffers serve only while the network's parameters stay
+    fixed: make new ones after changing them. The sampler makes one set per
+    run.
+    """
+
+    def __init__(self, net: ScoreNetwork):
+        self.net = net
+        self.capacity = -1
+
+    def views(self, rows: int) -> tuple:
+        """(stacked input, layer outputs, bias rows), each cut to `rows` rows."""
+        if rows > self.capacity:
+            sizes = self.net.layer_sizes
+            self.stacked = np.empty((rows, sizes[0]))
+            self.layers = [np.empty((rows, n)) for n in sizes[1:]]
+            self.bias_rows = [np.tile(b, (rows, 1)) for b in self.net.biases]
+            self.capacity = rows
+        return (self.stacked[:rows], [a[:rows] for a in self.layers],
+                [t[:rows] for t in self.bias_rows])
 
 
 class _StepBuffers:

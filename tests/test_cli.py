@@ -188,6 +188,15 @@ class TestMetricsInputValidation:
         assert code == 2 and not out.exists()
         assert "few.csv has 5 usable points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("real, fake", [("same", "fake"), ("real", "same")])
+    def test_degenerate_points_are_usage_error(self, files, tmp_path, capsys, real, fake):
+        files["same"] = _points_csv(tmp_path / "same.csv", np.ones((7, 2)))
+        code, out = self._metrics(files, tmp_path, real, fake, 5)
+        assert code == 2 and not out.exists()
+        side = "real" if real == "same" else "fake"
+        assert (f"same.csv: degenerate {side} points: every point has at least k=5 "
+                "exact duplicates") in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_nonpositive_k_is_usage_error(self, files, tmp_path, capsys, k):
         code, out = self._metrics(files, tmp_path, "real", "fake", k)

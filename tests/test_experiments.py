@@ -243,9 +243,11 @@ def test_grid_workers_fork_after_a_threaded_draw():
 
 
 class Escaper:
-    """A network stand-in whose score sends every particle to infinity."""
+    """A network stand-in whose score sends every particle to infinity.
+    Its forward takes ScoreNetwork.forward's arguments and ignores the
+    buffers."""
 
-    def forward(self, x, log_sigma):
+    def forward(self, x, log_sigma, *, buffers=None):
         return np.full_like(x, np.inf)
 
 

@@ -109,8 +109,16 @@ class TestPrdc:
     def test_degenerate_set_rejected(self):
         same = np.zeros((10, 2))
         other = np.random.default_rng(2).standard_normal((10, 2))
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="degenerate real points") as info:
             prdc(same, other, 3)
+        assert info.value.point_set == "real"
+        # Not all identical: every point of two 4-point clusters has 3
+        # exact duplicates, so every 3-NN radius is 0.
+        pairs = np.repeat([[0.0, 0.0], [1.0, 1.0]], 4, axis=0)
+        with pytest.raises(MetricError, match="at least k=3 exact duplicates") as info:
+            prdc(other, pairs, 3)
+        assert info.value.point_set == "fake"
+        assert prdc(other, pairs, 4)[0] >= 0.0
 
     def test_needs_more_than_k_points(self):
         pts = np.random.default_rng(3).standard_normal((4, 2))
@@ -139,8 +147,18 @@ class TestBlockedMetrics:
         want_prdc, want_kid = prdc(real, fake, 4), kid(real, fake)
         monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", entries)
         assert prdc(real, fake, 4) == want_prdc
-        assert kid(real, fake) == pytest.approx(want_kid, rel=1e-12, abs=0.0)
+        assert kid(real, fake) == want_kid
         assert kid(real, real.copy()) == 0.0
+
+    @pytest.mark.parametrize("m, n", [(700, 650), (650, 700), (700, 700)])
+    def test_default_blocks_match_one_row_blocks(self, monkeypatch, m, n):
+        # At the default size these sets span several blocks, with a tail.
+        assert m * n > metrics._BLOCK_ENTRIES
+        real, fake = self._sets(m, n, d=2)
+        want_prdc, want_kid = prdc(real, fake, 5), kid(real, fake)
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 1)
+        assert prdc(real, fake, 5) == want_prdc
+        assert kid(real, fake) == want_kid
 
     def test_kid_matches_longdouble_oracle(self):
         # Bound: 8 float64 epsilons of the summed term magnitudes (the

@@ -1,17 +1,19 @@
 """The benchmark in perfbench/ still fits the package: every function and
 method it traces resolves, its ald_run counter reads a real sampler result,
-and its tiny noise_schedule workload runs with no failed operation.
+its forward counters see every score of a network ALD run, and its tiny
+noise_schedule workload runs with no failed operation.
 perfbench/run.py and perfbench/workloads.py are loaded by path; nothing here
 runs the benchmark's entry point, so its digest registry under
 perfbench/_work is neither read nor written."""
 
 import importlib.util
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
-from htdsm import sampler
+from htdsm import experiments, sampler, scorenet
 from htdsm.schedule import geometric_schedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -20,6 +22,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def load(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # Registered before it runs, as an import would be: dataclasses look
+    # their module up by name.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -50,6 +55,43 @@ def test_ald_run_counter_reads_the_result():
     counters = defaultdict(float)
     count(counters, args, {}, result)
     assert counters == {"particle_steps": 64 * 200, "diverged": diverged}
+
+
+def outward_beyond_net(edge: float, push: float) -> scorenet.ScoreNetwork:
+    """A [3, 8, 2] ReLU network scoring -x + push * (x - edge) per coordinate
+    beyond +-edge and -x inside: particles that cross the score's zero at
+    edge * push / (push - 1) are pushed out."""
+    net = scorenet.ScoreNetwork([3, 8, 2])
+    w1, w2 = net.weights
+    b1 = net.biases[0]
+    for i in range(2):
+        # Hidden units 4i..4i+3: relu(x_i), relu(-x_i), relu(x_i - edge), relu(-x_i - edge).
+        w1[i, 4 * i : 4 * i + 4] = (1.0, -1.0, 1.0, -1.0)
+        b1[4 * i + 2 : 4 * i + 4] = -edge
+        w2[4 * i : 4 * i + 4, i] = (-1.0, 1.0, push, -push)
+    return net
+
+
+def test_forward_counters_see_every_ald_score(monkeypatch):
+    run, spans = load("run"), load("spans")
+    _, methods = run.trace_targets()
+    (forward,) = [m for m in methods if m[2] == "scorenet.forward"]
+    cfg = sampler.SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=50,
+                                step_size=0.1, seed=5)
+    count, steps, block = 64, 100, 24
+    monkeypatch.setattr(sampler, "_BLOCK_BUDGET", block * steps * 2)
+    tracer = spans.Tracer()
+    with spans.patched(tracer, [], [forward]):
+        _, _, diverged = experiments._sample_network(outward_beyond_net(5.0, 10.0), cfg, count)
+    assert not hasattr(scorenet.ScoreNetwork.forward, "__wrapped__")
+    # Some particles diverge, and every block keeps one alive to the end,
+    # so each block scores on every step.
+    assert 0 < diverged.sum()
+    blocks = range(0, count, block)
+    assert all(not diverged[start : start + block].all() for start in blocks)
+    assert tracer.stats["scorenet.forward"].calls == len(blocks) * steps
+    rows = tracer.counters["forward_rows"]
+    assert 0 < rows < count * steps
 
 
 def test_tiny_noise_schedule_workload_runs(tmp_path):

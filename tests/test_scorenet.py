@@ -110,6 +110,68 @@ class TestScoreNetworkForward:
                 sn.ScoreNetwork.from_dict(ckpt)
 
 
+def broadcast_forward(net, x, log_sigma):
+    """The forward pass with each bias broadcast over the rows, as it was
+    before forward took buffers."""
+    h = np.column_stack([x, np.full(len(x), log_sigma)])
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+class TestForwardBuffers:
+    """forward on private buffers (pre-tiled bias rows, reused arrays) is
+    bit-equal to forward without them and to the broadcast bias add."""
+
+    ROWS = (*range(1, 65), 999, 1000, 1333)
+
+    @staticmethod
+    def _net_and_points(seed=11, rows=1333):
+        net = sn.ScoreNetwork([3, 16, 16, 2], np.random.default_rng(seed))
+        for b in net.biases:
+            b[...] = np.random.default_rng(seed + 1).standard_normal(b.shape)
+        x = np.random.default_rng(seed + 2).standard_normal((rows, 2)) * 3.0
+        return net, x
+
+    def test_bit_equal_to_unbuffered_and_broadcast(self):
+        net, x = self._net_and_points()
+        buffers = sn._ForwardBuffers(net)
+        for rows in self.ROWS:
+            want = broadcast_forward(net, x[:rows], -0.7)
+            assert np.array_equal(net.forward(x[:rows], -0.7), want), rows
+            assert np.array_equal(net.forward(x[:rows], -0.7, buffers=buffers), want), rows
+
+    def test_shrinking_rows_on_one_buffer_set(self):
+        # ald_run's row counts as particles diverge: the buffers keep their
+        # 1333 rows and later calls use the leading rows.
+        net, x = self._net_and_points()
+        buffers = sn._ForwardBuffers(net)
+        for rows in (1333, 1200, 7, 1200, 1333):
+            got = net.forward(x[:rows], 0.25, buffers=buffers)
+            assert got.shape == (rows, 2)
+            assert np.array_equal(got, broadcast_forward(net, x[:rows], 0.25)), rows
+
+    def test_buffers_made_after_a_parameter_change_see_it(self):
+        net, x = self._net_and_points(rows=50)
+        before = net.forward(x, 0.0, buffers=sn._ForwardBuffers(net)).copy()
+        net.params += 0.125
+        got = net.forward(x, 0.0, buffers=sn._ForwardBuffers(net))
+        assert np.array_equal(got, broadcast_forward(net, x, 0.0))
+        assert not np.array_equal(got, before)
+
+    def test_single_point_returns_one_row(self):
+        net, x = self._net_and_points(rows=3)
+        buffers = sn._ForwardBuffers(net)
+        got = net.forward(x[1], 0.4, buffers=buffers)
+        assert got.shape == (2,)
+        assert np.array_equal(got, broadcast_forward(net, x[1:2], 0.4)[0])
+        assert np.array_equal(net.forward(x[1], 0.4), got)
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         net = sn.ScoreNetwork([3, 4, 2], np.random.default_rng(6))

@@ -201,7 +201,8 @@ def kid(real, fake) -> float:
     sizes the cross term also excludes matched pairs (the full U-statistic),
     which makes kid(A, A) vanish identically: all three sums run through the
     same code. May be slightly negative. Kernel blocks are summed one at a
-    time, so memory is O(_BLOCK_ENTRIES), not O(m * n).
+    time, so memory is O(_BLOCK_ENTRIES), not O(m * n), and the value is
+    bit-identical for any block size (see _kernel_sum and kid_kernel).
     """
     x = _points(real)
     y = _points(fake)

@@ -345,8 +345,8 @@ class _ForwardBuffers:
     The arrays grow to the most rows asked for, and a call with fewer rows
     uses their leading rows. The tiles copy the biases when the arrays are
     made, so the buffers serve only while the network's parameters stay
-    fixed: make new ones after changing them. The sampler makes one set per
-    run.
+    fixed: make new ones after changing them. experiments._sample_network
+    makes one set per ALD run.
     """
 
     def __init__(self, net: ScoreNetwork):

@@ -71,16 +71,20 @@ def _load_config(load, path, what):
 
 
 def _load_points_csv(path) -> np.ndarray:
-    """Point sets as CSV with coordinate columns x0..xd-1 (extra columns
-    such as particle_id/status are ignored); rows with a diverged status
-    are skipped."""
+    """Point sets as CSV with coordinate columns x0..xd-1, read by name:
+    the columns whose names start with x must be exactly those, each once.
+    Other columns, such as particle_id and status, are ignored; rows with a
+    diverged status are skipped."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            cols = [i for i, name in enumerate(header) if name.startswith("x")]
-            if not cols:
-                raise UsageError(f"{path}: no coordinate columns x0..xd-1")
+            xs = [name for name in header if name.startswith("x")]
+            names = [f"x{i}" for i in range(len(xs))]
+            if not xs or set(xs) != set(names):
+                raise UsageError(f"{path}: coordinate columns must be x0..xd-1, each once; "
+                                 f"got {xs}")
+            cols = [header.index(name) for name in names]
             status_col = header.index("status") if "status" in header else None
             rows = []
             for number, row in enumerate(reader, start=1):

@@ -210,15 +210,6 @@ def gn_sample(dist: GeneralizedNormal, rng: np.random.Generator, count) -> np.nd
     return _gn_draw(dist, rng, count)
 
 
-# _block_noise hands each worker thread tiles of generators whose draws fill
-# at most this many bytes; a block that fits in one tile draws inline. On
-# blocks of 1000 and 1333 particles x 3000 x 2 draws (2 cores), the time per
-# call was flat for tiles from 64 KiB to 16 MiB. Inline drawing costs at most
-# 3.5 ms on a one-tile block (21 such particles), and starting and stopping a
-# two-thread pool costs 0.2 ms.
-_TILE_BYTES = 1 << 20
-
-
 def _draw_threads() -> int:
     """Threads for a block draw: one per core this process may use."""
     if hasattr(os, "sched_getaffinity"):
@@ -230,30 +221,27 @@ def _block_noise(dist: GeneralizedNormal, rngs, steps: int, dim: int) -> np.ndar
     """A sampler block's diffusion noise, step-major: shape (steps, len(rngs), dim).
 
     `out[:, k]` is bit-equal to `gn_sample(dist, rngs[k], (steps, dim))`.
-    The generators are cut into tiles of `_TILE_BYTES`, drawn on a thread
-    pool that lives for this call only, one thread per core the process may
-    use; numpy releases the GIL inside `gamma`, `random` and `integers`, so
-    the threads run in parallel. Each generator is drawn by one thread, so
-    the bits do not depend on the thread count.
+    One thread per usable core, at most one per generator, draws each
+    contiguous share of the generators, on a pool that lives for this call;
+    one thread draws inline. numpy releases the GIL inside `gamma`, `random`
+    and `integers`, so the threads run in parallel. Each generator is drawn
+    by one thread, so the bits do not depend on the thread count.
     """
     out = np.empty((steps, len(rngs), dim))
-    tile = max(1, _TILE_BYTES // max(out.itemsize * steps * dim, 1))
-    starts = range(0, len(rngs), tile)
+    threads = max(1, min(_draw_threads(), len(rngs)))
 
-    def fill(start: int) -> None:
+    def fill(share: int) -> None:
         # Runs on the worker threads, so it calls no public function: a
         # tracer wrapping those keeps one span stack for the process.
-        for k in range(start, min(start + tile, len(rngs))):
+        for k in range(share * len(rngs) // threads, (share + 1) * len(rngs) // threads):
             out[:, k] = _gn_draw(dist, rngs[k], (steps, dim))
 
-    threads = min(_draw_threads(), len(starts))
-    if threads <= 1:
-        for start in starts:
-            fill(start)
+    if threads == 1:
+        fill(0)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # Reading every result re-raises a worker's exception here.
-            list(pool.map(fill, starts))
+            list(pool.map(fill, range(threads)))
     return out
 
 

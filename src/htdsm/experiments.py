@@ -125,6 +125,10 @@ class ExperimentConfig(Config):
         unknown = [name for name in self.metric_names if name not in _METRICS]
         if unknown:
             raise ValueError(f"metric_names must be among {', '.join(_METRICS)}, got {unknown}")
+        # train.schedule.n is never read: training takes its dim from the data.
+        if self.sampler.schedule.n != self.mixture.dim:
+            raise ValueError(f"sampler.schedule.n must equal mixture.dim, got "
+                             f"{self.sampler.schedule.n} and {self.mixture.dim}")
 
 
 @dataclass

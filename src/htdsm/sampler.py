@@ -18,9 +18,9 @@ coefficient of the update comparable across shapes.
 of particles writes its slice of it in place.
 
 A block's diffusion noise is drawn before its first step, step-major, by
-`distributions._block_noise` over the block's generators, on a thread pool
-with one thread per core the process may use. Each generator is drawn by one
-thread only, so the bits do not depend on the thread count.
+`distributions._block_noise` over the block's generators: one thread per
+core the process may use draws a contiguous share of them. Each generator
+is drawn by one thread only, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations

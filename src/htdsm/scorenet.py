@@ -236,32 +236,32 @@ class ScoreNetwork:
             buffers = _ForwardBuffers(self)
         stacked, layers, bias_rows = buffers.views(1 if x.ndim == 1 else len(x))
         h, squeeze = self._stack_input(x, log_sigma, stacked)
-        last = len(self.weights) - 1
-        for i, (w, out, b) in enumerate(zip(self.weights, layers, bias_rows)):
-            h = np.matmul(h, w, out=out)
-            h += b
-            if i < last:
-                np.maximum(h, 0.0, out=h)
+        h = self._layers(h, layers, bias_rows)
         return h[0] if squeeze else h
 
     def forward_cached(self, x, log_sigma, *, buffers: "_StepBuffers | None" = None):
         """Forward pass keeping the input and post-activations for backprop.
 
         With `buffers`, the input and every activation are written into
-        its arrays, which the next call with the same buffers overwrites.
+        its arrays, which the next call with the same buffers overwrites;
+        those arrays are the returned activations.
         """
         if buffers is None:
             buffers = _StepBuffers(self, np.atleast_2d(x).shape)
         h, _ = self._stack_input(x, log_sigma, buffers.input)
-        activations = [h]
+        return self._layers(h, buffers.layers, self.biases), [h, *buffers.layers]
+
+    def _layers(self, h, outs, biases) -> np.ndarray:
+        """The layers on the stacked input h: each writes h @ W into its
+        array of `outs` and adds its bias, of `biases`, in place; all but the
+        last then apply ReLU in place. Returns the last output."""
         last = len(self.weights) - 1
-        for i, (w, b, out) in enumerate(zip(self.weights, self.biases, buffers.layers)):
+        for i, (w, out, b) in enumerate(zip(self.weights, outs, biases)):
             h = np.matmul(h, w, out=out)
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
-            activations.append(h)
-        return h, activations
+        return h
 
     def backward(self, activations, grad_out, *, buffers: "_StepBuffers | None" = None):
         """Gradient of sum(grad_out * output) w.r.t. every parameter.
@@ -472,85 +472,74 @@ _RING_SLOTS = 3
 _MIN_CHILD_STEPS = 1000
 
 
-def _chunk_views(flat: np.ndarray, batch_size: int, dim: int) -> tuple:
-    """(levels, rows, noise) of one chunk, views into the byte buffer `flat`
-    of 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim)) bytes, shaped
-    (_CHUNK_STEPS,), (_CHUNK_STEPS, batch_size) and (_CHUNK_STEPS,
-    batch_size, dim)."""
-    k, n = _CHUNK_STEPS, _CHUNK_STEPS * batch_size
-    ints = flat[: 8 * (k + n)].view(np.int64)
-    noise = flat[8 * (k + n):].view(np.float64).reshape(k, batch_size, dim)
-    return ints[:k], ints[k:].reshape(k, batch_size), noise
-
-
-def _draw_chunks(rng, slots, kernels, rows: int, batch_size: int, dim: int, steps: int):
+def _draw_chunks(rng, ring, kernels, rows: int, steps: int):
     """train's per-step draws, in train's order, a chunk at a time.
 
-    Each step draws its level `rng.integers(len(kernels))`, its batch rows
-    `rng.integers(0, rows, batch_size)` and its noise from the level's
-    kernel. Chunk c is written into the byte buffer slots[c % len(slots)],
-    laid out as _chunk_views says, and yielded as (levels, rows, noise)
-    views of its steps. Runs in the calling process or in the draw process,
-    so it calls no public function (a tracer wrapping those keeps one span
-    stack per process).
+    `ring` is a (slots, _CHUNK_STEPS) array of step records (see
+    _training_draws). Each step draws its level `rng.integers(len(kernels))`,
+    its batch rows `rng.integers(0, rows, batch_size)` and its noise from
+    the level's kernel into one record. Chunk c fills the leading steps of
+    ring[c % len(ring)] and is yielded as those records. Runs in the
+    calling process or in the draw process, so it calls no public function
+    (a tracer wrapping those keeps one span stack per process).
     """
-    views = [_chunk_views(flat, batch_size, dim) for flat in slots]
+    batch_size, dim = ring.dtype["noise"].shape
     for c, start in enumerate(range(0, steps, _CHUNK_STEPS)):
-        levels, indices, noise = views[c % len(views)]
-        n = min(_CHUNK_STEPS, steps - start)
-        for i in range(n):
+        chunk = ring[c % len(ring), :min(_CHUNK_STEPS, steps - start)]
+        levels, indices, noise = chunk["level"], chunk["rows"], chunk["noise"]
+        for i in range(len(chunk)):
             level = levels[i] = rng.integers(len(kernels))
             indices[i] = rng.integers(0, rows, batch_size)
             noise[i] = _gn_draw(kernels[level], rng, (batch_size, dim))
-        yield levels[:n], indices[:n], noise[:n]
+        yield chunk
 
 
-def _draw_process(conn, rng, slots, *args) -> None:
-    """The draw process: fills the ring `slots` through _draw_chunks and
-    sends an empty message per chunk, waiting for the parent to free a
-    slot before refilling it; then sends the generator's state. On an
-    exception it sends the traceback instead. It ignores Ctrl-C: the
-    parent gets it too, and terminates the child."""
+def _draw_process(conn, rng, ring, *args) -> None:
+    """The draw process: fills `ring` through _draw_chunks and sends an
+    empty message per chunk, waiting for the parent to free a slot before
+    refilling it; then sends the generator's state. On an exception it
+    sends the traceback instead. It ignores Ctrl-C: the parent gets it too,
+    and terminates the child."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        for c, _ in enumerate(_draw_chunks(rng, slots, *args)):
+        for c, _ in enumerate(_draw_chunks(rng, ring, *args)):
             conn.send_bytes(b"")
-            if c + 1 >= len(slots):
-                conn.recv_bytes()  # chunk c + 1 - len(slots) is consumed
+            if c + 1 >= len(ring):
+                conn.recv_bytes()  # chunk c + 1 - len(ring) is consumed
         conn.send(rng.bit_generator.state)
     except Exception:  # reported to the parent, which raises it
         conn.send_bytes(traceback.format_exc().encode())
 
 
 def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: int):
-    """Yield train's draws as (levels, rows, noise) views, one chunk of up
-    to _CHUNK_STEPS steps at a time, each valid until the next.
+    """Yield train's draws as chunks of up to _CHUNK_STEPS step records
+    (`level`, batch `rows` and (batch_size, dim) `noise`), each chunk valid
+    until the next.
 
     With one usable core, fewer than _MIN_CHILD_STEPS steps, or in a
     daemonic process (a multiprocessing.Pool worker, which may not have
-    children), the chunks are drawn here from rng. Otherwise a forked daemon process draws them
-    from its copy of rng while the caller trains, into a ring of
-    _RING_SLOTS chunks of shared memory mapped once per call, and rng takes
-    the child's final state, so it ends where drawing here leaves it.
-    Closing the generator terminates and joins the child if it is still
-    running.
+    children), the chunks are drawn here from rng into one slot. Otherwise
+    a forked daemon process draws them from its copy of rng while the
+    caller trains, into a ring of _RING_SLOTS chunks of shared memory
+    mapped once per call, and rng takes the child's final state, so it ends
+    where drawing here leaves it. Closing the generator terminates and
+    joins the child if it is still running.
     """
-    size = 8 * _CHUNK_STEPS * (1 + batch_size * (1 + dim))
+    record = np.dtype([("level", np.int64), ("rows", np.int64, (batch_size,)),
+                       ("noise", np.float64, (batch_size, dim))])
     if (_draw_threads() == 1 or steps < _MIN_CHILD_STEPS
             or multiprocessing.current_process().daemon):
-        yield from _draw_chunks(rng, [np.empty(size, dtype=np.uint8)], kernels, rows,
-                                batch_size, dim, steps)
+        yield from _draw_chunks(rng, np.empty((1, _CHUNK_STEPS), record), kernels, rows, steps)
         return
-    ring = np.frombuffer(mmap.mmap(-1, _RING_SLOTS * size), dtype=np.uint8)
-    slots = [ring[k * size:(k + 1) * size] for k in range(_RING_SLOTS)]
-    views = [_chunk_views(flat, batch_size, dim) for flat in slots]
+    ring = np.frombuffer(mmap.mmap(-1, _RING_SLOTS * _CHUNK_STEPS * record.itemsize),
+                         record).reshape(_RING_SLOTS, _CHUNK_STEPS)
     # Forked, not spawned: the child inherits rng's state, the kernels and
     # the ring, and starts in milliseconds. It runs only numpy's generator,
     # so no lock held by a parent thread (an idle BLAS pool) is touched.
     ctx = multiprocessing.get_context("fork")
     conn, child_conn = ctx.Pipe()
     child = ctx.Process(target=_draw_process, daemon=True,
-                        args=(child_conn, rng, slots, kernels, rows, batch_size, dim, steps))
+                        args=(child_conn, rng, ring, kernels, rows, steps))
     child.start()
     child_conn.close()
 
@@ -573,8 +562,7 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
             message = receive(conn.recv_bytes)
             if message:
                 raise RuntimeError("training draw process failed:\n" + message.decode())
-            n = min(_CHUNK_STEPS, steps - start)
-            yield tuple(a[:n] for a in views[c % _RING_SLOTS])
+            yield ring[c % _RING_SLOTS, :min(_CHUNK_STEPS, steps - start)]
         rng.bit_generator.state = receive(conn.recv)
     finally:
         if child.is_alive():
@@ -618,8 +606,9 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
     step = 0
     draws = _training_draws(rng, kernels, data.shape[0], cfg.batch_size, dim, cfg.steps)
     with closing(draws):
-        for levels, indices, noises in draws:
-            for level, index, noise in zip(levels.tolist(), indices, noises):
+        for chunk in draws:
+            for level, index, noise in zip(chunk["level"].tolist(), chunk["rows"],
+                                           chunk["noise"]):
                 sigma = sigmas[level]
                 batch = data.take(index, axis=0)
                 loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, noise,

@@ -222,6 +222,28 @@ class TestMetricsInputValidation:
         assert code == 0 and out.exists()
         capsys.readouterr()
 
+    def test_coordinates_are_read_by_name(self, files, tmp_path, capsys):
+        points = np.random.default_rng(1).standard_normal((50, 2))
+        files["same"] = _points_csv(tmp_path / "same.csv", points)
+        files["swapped"] = tmp_path / "swapped.csv"
+        rows = "".join(f"{y!r},{x!r}\n" for x, y in points.tolist())
+        files["swapped"].write_text("x1,x0\n" + rows)
+        code, want = self._metrics(files, tmp_path, "same", "same", 5)
+        assert code == 0
+        want = want.read_text()
+        code, got = self._metrics(files, tmp_path, "same", "swapped", 5)
+        assert code == 0 and got.read_text() == want
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("header", ["x0,x1,xlabel", "x0,x2", "x0,x0", "x1", "y0,y1"])
+    def test_coordinate_columns_must_be_x0_to_xd(self, files, tmp_path, capsys, header):
+        files["bad"] = tmp_path / "bad.csv"
+        width = header.count(",") + 1
+        files["bad"].write_text(header + "\n" + f"{','.join(['0.5'] * width)}\n" * 20)
+        code, out = self._metrics(files, tmp_path, "real", "bad", 5)
+        assert code == 2 and not out.exists()
+        assert "bad.csv: coordinate columns must be x0..xd-1, each once" in capsys.readouterr().err
+
 
 class TestScheduleCommand:
     def test_writes_valid_schedule(self, tmp_path, capsys):
@@ -650,6 +672,9 @@ class TestExperimentCommand:
         ({"particles": True}, "particles must be an integer, got True"),
         ({"seeds": [0.7]}, "seeds must be an integer, got 0.7"),
         ({"master_seed": 1.0}, "master_seed must be an integer, got 1.0"),
+        ({"sampler": {"schedule": {"kind": "geometric", "beta": 2.0, "n": 3, "delta": None,
+                                   "sigmas": [1.0, 0.25]}, "steps_per_level": 50}},
+         "sampler.schedule.n must equal mixture.dim, got 3 and 2"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch, cfg,
                                                  message):

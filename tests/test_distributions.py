@@ -2,6 +2,7 @@ import ast
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -199,10 +200,10 @@ class TestBlockNoise:
     """_block_noise against one gn_sample call per generator, in the
     sampler's step-major (steps, n, dim) layout."""
 
-    # (steps, dim, generators): 700 x 3 draws fill 16 800 bytes, so tiles of
-    # 62 generators and 70 = 62 + 8; 50 001 x 1 draws fill tiles of 2, and
-    # 5 = 2 + 2 + 1.
+    # (steps, dim, generators), drawn on THREADS threads in uneven shares:
+    # 70 = 23 + 23 + 24 and 5 = 1 + 2 + 2.
     CASES = [(700, 3, 70), (50_001, 1, 5)]
+    THREADS = 3
 
     @staticmethod
     def per_generator(g, steps, dim, n):
@@ -210,10 +211,10 @@ class TestBlockNoise:
 
     @pytest.mark.parametrize("steps, dim, n", CASES)
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5, 30.0])
-    def test_bit_equal_to_per_generator_calls(self, beta, steps, dim, n):
+    def test_bit_equal_to_per_generator_calls(self, monkeypatch, beta, steps, dim, n):
+        monkeypatch.setattr(dist, "_draw_threads", lambda: self.THREADS)
         g = dist.GeneralizedNormal(0.25, 1.5, beta)
-        tile = dist._TILE_BYTES // (8 * steps * dim)
-        assert tile < n and n % tile
+        assert self.THREADS < n and n % self.THREADS
         got = dist._block_noise(g, generators(n), steps, dim)
         want = self.per_generator(g, steps, dim, n)
         assert got.shape == want.shape == (steps, n, dim) and got.flags.c_contiguous
@@ -240,16 +241,22 @@ class TestBlockNoise:
             sys.setswitchinterval(interval)
         assert got.tobytes() == want.tobytes()
 
-    def test_one_tile_draws_inline(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-tile draw created a pool")
+    @pytest.mark.parametrize("cores, n, pools", [(3, 1, []), (1, 70, []), (3, 2, [2])],
+                             ids=["one-generator", "one-core", "two-generators"])
+    def test_pool_only_for_two_threads_or_more(self, monkeypatch, cores, n, pools):
+        started = []
 
-        monkeypatch.setattr(dist, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(dist, "_draw_threads", lambda: 3)
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(dist, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(dist, "_draw_threads", lambda: cores)
         g = dist.GeneralizedNormal(0.0, 1.0, 2.0)
-        assert dist._block_noise(g, generators(62), 700, 3).shape == (700, 62, 3)
-        with pytest.raises(AssertionError, match="created a pool"):
-            dist._block_noise(g, generators(63), 700, 3)
+        got = dist._block_noise(g, generators(n), 700, 3)
+        assert started == pools
+        assert got.tobytes() == self.per_generator(g, 700, 3, n).tobytes()
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(dist, "_draw_threads", lambda: 2)

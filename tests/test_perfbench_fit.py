@@ -1,11 +1,13 @@
 """The benchmark in perfbench/ still fits the package: every function and
-method it traces resolves, its ald_run counter reads a real sampler result,
+method it traces resolves, no code run in a draw process or on a draw
+thread calls one of them, its ald_run counter reads a real sampler result,
 its forward counters see every score of a network ALD run, and its tiny
 noise_schedule workload runs with no failed operation.
 perfbench/run.py and perfbench/workloads.py are loaded by path; nothing here
 runs the benchmark's entry point, so its digest registry under
 perfbench/_work is neither read nor written."""
 
+import ast
 import importlib.util
 import sys
 from collections import defaultdict
@@ -36,6 +38,42 @@ def test_trace_targets_resolve():
         assert callable(getattr(module, attr, None)), span
     for cls, name, span, _count in methods:
         assert callable(getattr(cls, name, None)), span
+
+
+def test_draw_workers_call_no_traced_function():
+    # The tracer keeps one span stack per process, so the training draw
+    # process and the block draw's threads may call no traced name, nor may
+    # any private package function they call by name.
+    functions, methods = load("run").trace_targets()
+    traced = {entry[1] for entry in functions + methods}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(scorenet.__file__).parent.glob("*.py")}
+    private = defaultdict(list)
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                private[node.name].append(node)
+
+    def defined(module, function, name):
+        (outer,) = [n for n in trees[module].body if getattr(n, "name", None) == function]
+        (node,) = [n for n in ast.walk(outer) if getattr(n, "name", None) == name]
+        return node
+
+    roots = [defined("scorenet", "_draw_chunks", "_draw_chunks"),
+             defined("scorenet", "_draw_process", "_draw_process"),
+             defined("distributions", "_block_noise", "fill")]
+    seen, todo = set(), list(roots)
+    while todo:
+        node = todo.pop()
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            assert name not in traced, f"{node.name} calls the traced {name}"
+            if name in private and name not in seen:
+                seen.add(name)
+                todo.extend(private[name])
+    assert {"_draw_chunks", "_gn_draw", "_gamma_root"} <= seen
 
 
 def test_ald_run_counter_reads_the_result():

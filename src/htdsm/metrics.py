@@ -10,6 +10,12 @@ the sampler's particle statuses stay with the caller.
 The metrics take the raw points as their features (the identity feature
 map); reports carry that label so downstream consumers know the values are
 not classifier-feature metrics.
+
+PRDC and KID run their independent passes on one thread per usable core
+(`distributions._map_on_cores`), inline on one core. Each pass's result
+depends only on its inputs, and the passes are combined by integer sums,
+boolean ORs and exact sums, so the values do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from htdsm._config import Config
+from htdsm.distributions import _core_shares, _map_on_cores
 from htdsm.scorenet import MixtureSpec
 
 # Entries per row block of a pairwise matrix: prdc and kid never hold a full
@@ -106,13 +113,33 @@ def _knn_radii(pts: np.ndarray, k: int) -> np.ndarray:
     return radii
 
 
+def _cross_counts(real: np.ndarray, radii_real: np.ndarray, fake: np.ndarray,
+                  radii_fake: np.ndarray) -> tuple:
+    """prdc's cross pass over these real points: (fake_hit, memberships,
+    covered, recalled), with fake_hit marking the fake points inside some
+    of their balls and the counts over their balls and rows."""
+    fake_hit = np.zeros(fake.shape[0], dtype=bool)
+    memberships = recalled = covered = 0
+    for rows in _row_blocks(real.shape[0], fake.shape[0]):
+        d_rf = _distances(real[rows], fake)
+        in_real_balls = d_rf <= radii_real[rows, None]
+        fake_hit |= in_real_balls.any(axis=0)
+        memberships += int(np.count_nonzero(in_real_balls))
+        covered += int(np.count_nonzero(in_real_balls.any(axis=1)))
+        recalled += int(np.count_nonzero((d_rf <= radii_fake).any(axis=1)))
+    return fake_hit, memberships, covered, recalled
+
+
 def prdc(real, fake, k: int):
     """Precision, recall, density, coverage with k-NN ball neighborhoods.
 
     Balls are closed, radii are k-th nearest-neighbor distances within each
     set (self excluded). Returns (precision, recall, density, coverage).
     Pairwise distances are taken in row blocks, so memory is
-    O(_BLOCK_ENTRIES), not O(M_real * M_fake).
+    O(_BLOCK_ENTRIES) per thread, not O(M_real * M_fake). The two sets'
+    radii are taken on two threads, and the cross pass splits the real
+    points into one contiguous share per usable core; the shares' counts
+    are added and their fake-point hits ORed.
     """
     r = _points(real)
     f = _points(fake)
@@ -124,8 +151,7 @@ def prdc(real, fake, k: int):
         )
     if r.shape[1] != f.shape[1]:
         raise ValueError("feature dimensions differ")
-    radii_r = _knn_radii(r, k)
-    radii_f = _knn_radii(f, k)
+    radii_r, radii_f = _map_on_cores(_knn_radii, (r, f), (k, k))
     for name, radii in (("real", radii_r), ("fake", radii_f)):
         if radii.max() == 0.0:
             raise MetricError(
@@ -133,18 +159,12 @@ def prdc(real, fake, k: int):
                 "duplicates, so every k-NN radius is 0", name)
 
     m, n = r.shape[0], f.shape[0]
-    fake_hit = np.zeros(n, dtype=bool)  # fake point inside some real ball
-    memberships = recalled = covered = 0
-    for rows in _row_blocks(m, n):
-        d_rf = _distances(r[rows], f)
-        in_real_balls = d_rf <= radii_r[rows, None]
-        fake_hit |= in_real_balls.any(axis=0)
-        memberships += int(np.count_nonzero(in_real_balls))
-        covered += int(np.count_nonzero(in_real_balls.any(axis=1)))
-        recalled += int(np.count_nonzero((d_rf <= radii_f).any(axis=1)))
-
-    precision = int(np.count_nonzero(fake_hit)) / n
-    return precision, recalled / m, memberships / (k * n), covered / m
+    shares = _core_shares(m)
+    hits, memberships, covered, recalled = zip(*_map_on_cores(
+        _cross_counts, [r[s] for s in shares], [radii_r[s] for s in shares],
+        [f] * len(shares), [radii_f] * len(shares)))
+    precision = int(np.count_nonzero(np.logical_or.reduce(hits))) / n
+    return precision, sum(recalled) / m, sum(memberships) / (k * n), sum(covered) / m
 
 
 def kid_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,8 +221,10 @@ def kid(real, fake) -> float:
     sizes the cross term also excludes matched pairs (the full U-statistic),
     which makes kid(A, A) vanish identically: all three sums run through the
     same code. May be slightly negative. Kernel blocks are summed one at a
-    time, so memory is O(_BLOCK_ENTRIES), not O(m * n), and the value is
-    bit-identical for any block size (see _kernel_sum and kid_kernel).
+    time, so memory is O(_BLOCK_ENTRIES) per thread, not O(m * n), and the
+    value is bit-identical for any block size (see _kernel_sum and
+    kid_kernel). The three sums run on one thread per usable core; each is
+    exact, so the thread count cannot change them.
     """
     x = _points(real)
     y = _points(fake)
@@ -211,9 +233,8 @@ def kid(real, fake) -> float:
         raise ValueError("kid needs at least 2 points per set")
     if x.shape[1] != y.shape[1]:
         raise ValueError("feature dimensions differ")
-    sum_xx = _kernel_sum(x, x, skip_diagonal=True)
-    sum_yy = _kernel_sum(y, y, skip_diagonal=True)
-    sum_xy = _kernel_sum(x, y, skip_diagonal=m == n)
+    sum_xx, sum_yy, sum_xy = _map_on_cores(_kernel_sum, (x, y, x), (x, y, y),
+                                           (True, True, m == n))
     if m == n:
         return float((sum_xx + sum_yy - 2.0 * sum_xy) / (m * (m - 1)))
     return float(

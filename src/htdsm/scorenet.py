@@ -30,6 +30,7 @@ from htdsm.distributions import (
     GeneralizedNormal,
     _draw_threads,
     _gn_draw,
+    _row_view,
     _score_of_delta,
     unit_variance_alpha,
 )
@@ -207,9 +208,12 @@ class ScoreNetwork:
     def data_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def _stack_input(self, x: np.ndarray, log_sigma, out: np.ndarray) -> tuple:
+    def _stack_input(self, x: np.ndarray, log_sigma, out: np.ndarray,
+                     out_rows: np.ndarray) -> tuple:
         """(out holding [x, log sigma] row by row, whether x was one (d,)
-        point)."""
+        point). out_rows is `_row_view(out[:, :d])`, made with the buffers:
+        each point is copied as one element, where a float copy would run
+        an inner loop per point."""
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         if squeeze:
@@ -217,7 +221,7 @@ class ScoreNetwork:
         dim = self.data_dim
         if x.shape[1] != dim:
             raise ValueError(f"expected data dim {dim}, got {x.shape[1]}")
-        out[:, :dim] = x
+        out_rows[...] = np.ascontiguousarray(x).view(out_rows.dtype)
         out[:, dim] = log_sigma
         return out, squeeze
 
@@ -234,8 +238,8 @@ class ScoreNetwork:
         x = np.asarray(x, dtype=float)
         if buffers is None:
             buffers = _ForwardBuffers(self)
-        stacked, layers, bias_rows = buffers.views(1 if x.ndim == 1 else len(x))
-        h, squeeze = self._stack_input(x, log_sigma, stacked)
+        stacked, stacked_rows, layers, bias_rows = buffers.views(1 if x.ndim == 1 else len(x))
+        h, squeeze = self._stack_input(x, log_sigma, stacked, stacked_rows)
         h = self._layers(h, layers, bias_rows)
         return h[0] if squeeze else h
 
@@ -248,7 +252,7 @@ class ScoreNetwork:
         """
         if buffers is None:
             buffers = _StepBuffers(self, np.atleast_2d(x).shape)
-        h, _ = self._stack_input(x, log_sigma, buffers.input)
+        h, _ = self._stack_input(x, log_sigma, buffers.input, buffers.input_rows)
         return self._layers(h, buffers.layers, self.biases), [h, *buffers.layers]
 
     def _layers(self, h, outs, biases) -> np.ndarray:
@@ -354,15 +358,17 @@ class _ForwardBuffers:
         self.capacity = -1
 
     def views(self, rows: int) -> tuple:
-        """(stacked input, layer outputs, bias rows), each cut to `rows` rows."""
+        """(stacked input, its points' row view, layer outputs, bias rows),
+        each cut to `rows` rows."""
         if rows > self.capacity:
             sizes = self.net.layer_sizes
             self.stacked = np.empty((rows, sizes[0]))
+            self.stacked_rows = _row_view(self.stacked[:, :-1])
             self.layers = [np.empty((rows, n)) for n in sizes[1:]]
             self.bias_rows = [np.tile(b, (rows, 1)) for b in self.net.biases]
             self.capacity = rows
-        return (self.stacked[:rows], [a[:rows] for a in self.layers],
-                [t[:rows] for t in self.bias_rows])
+        return (self.stacked[:rows], self.stacked_rows[:rows],
+                [a[:rows] for a in self.layers], [t[:rows] for t in self.bias_rows])
 
 
 class _StepBuffers:
@@ -377,6 +383,7 @@ class _StepBuffers:
     def __init__(self, net: ScoreNetwork, data_shape: tuple):
         rows, sizes = data_shape[0], net.layer_sizes
         self.input = np.empty((rows, sizes[0]))
+        self.input_rows = _row_view(self.input[:, :-1])
         self.layers = [np.empty((rows, n)) for n in sizes[1:]]
         self.back = [np.empty((rows, n)) for n in sizes[1:-1]]
         self.masks = [np.empty((rows, n), dtype=bool) for n in sizes[1:-1]]

@@ -201,7 +201,8 @@ class TestBlockNoise:
     sampler's step-major (steps, n, dim) layout."""
 
     # (steps, dim, generators), drawn on THREADS threads in uneven shares:
-    # 70 = 23 + 23 + 24 and 5 = 1 + 2 + 2.
+    # 70 = 23 + 23 + 24 and 5 = 1 + 2 + 2. The thread tests set
+    # _INLINE_DRAW to 0, so every draw goes to the pool whatever its length.
     CASES = [(700, 3, 70), (50_001, 1, 5)]
     THREADS = 3
 
@@ -213,6 +214,7 @@ class TestBlockNoise:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5, 30.0])
     def test_bit_equal_to_per_generator_calls(self, monkeypatch, beta, steps, dim, n):
         monkeypatch.setattr(dist, "_draw_threads", lambda: self.THREADS)
+        monkeypatch.setattr(dist, "_INLINE_DRAW", 0)
         g = dist.GeneralizedNormal(0.25, 1.5, beta)
         assert self.THREADS < n and n % self.THREADS
         got = dist._block_noise(g, generators(n), steps, dim)
@@ -232,6 +234,7 @@ class TestBlockNoise:
         g = dist.GeneralizedNormal(0.0, 1.0, 1.0)
         want = dist._block_noise(g, generators(70), 700, 3)
         monkeypatch.setattr(dist, "_draw_threads", lambda: threads)
+        monkeypatch.setattr(dist, "_INLINE_DRAW", 0)
         # More threads than cores, switching as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -241,9 +244,11 @@ class TestBlockNoise:
             sys.setswitchinterval(interval)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("cores, n, pools", [(3, 1, []), (1, 70, []), (3, 2, [2])],
-                             ids=["one-generator", "one-core", "two-generators"])
-    def test_pool_only_for_two_threads_or_more(self, monkeypatch, cores, n, pools):
+    @pytest.mark.parametrize("cores, n, short, pools",
+                             [(3, 1, False, []), (1, 70, False, []), (3, 2, False, [2]),
+                              (3, 70, True, [])],
+                             ids=["one-generator", "one-core", "two-generators", "short-draws"])
+    def test_pool_only_for_two_threads_or_more(self, monkeypatch, cores, n, short, pools):
         started = []
 
         class Spy(ThreadPoolExecutor):
@@ -254,12 +259,15 @@ class TestBlockNoise:
         monkeypatch.setattr(dist, "ThreadPoolExecutor", Spy)
         monkeypatch.setattr(dist, "_draw_threads", lambda: cores)
         g = dist.GeneralizedNormal(0.0, 1.0, 2.0)
-        got = dist._block_noise(g, generators(n), 700, 3)
+        # At dim 2: the shortest draws that go to the pool, or one step less.
+        steps = dist._INLINE_DRAW // 2 - short
+        got = dist._block_noise(g, generators(n), steps, 2)
         assert started == pools
-        assert got.tobytes() == self.per_generator(g, 700, 3, n).tobytes()
+        assert got.tobytes() == self.per_generator(g, steps, 2, n).tobytes()
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(dist, "_draw_threads", lambda: 2)
+        monkeypatch.setattr(dist, "_INLINE_DRAW", 0)
         rngs = generators(70)
         rngs[65] = None
         with pytest.raises(AttributeError):

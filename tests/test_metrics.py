@@ -1,10 +1,12 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from htdsm import metrics
+from htdsm import distributions, metrics
 from htdsm.metrics import (
     MetricError,
     bootstrap_ci,
@@ -201,6 +203,69 @@ class TestBlockedMetrics:
         finally:
             tracemalloc.stop()
         assert peak < DENSE_4000_BYTES
+
+
+def serial_prdc(real, fake, k):
+    """prdc with its passes run one after the other on the calling thread,
+    the cross pass as one share."""
+    radii_r, radii_f = metrics._knn_radii(real, k), metrics._knn_radii(fake, k)
+    hit, memberships, covered, recalled = metrics._cross_counts(real, radii_r, fake, radii_f)
+    m, n = len(real), len(fake)
+    return np.count_nonzero(hit) / n, recalled / m, memberships / (k * n), covered / m
+
+
+def serial_kid(x, y):
+    """kid with its three kernel sums taken one after the other."""
+    m, n = len(x), len(y)
+    sum_xx, sum_yy = metrics._kernel_sum(x, x, True), metrics._kernel_sum(y, y, True)
+    sum_xy = metrics._kernel_sum(x, y, m == n)
+    if m == n:
+        return float((sum_xx + sum_yy - 2.0 * sum_xy) / (m * (m - 1)))
+    return float(sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * (sum_xy / (m * n)))
+
+
+class TestMetricThreads:
+    """prdc and kid run their passes on one thread per usable core; the
+    values are bit-equal to the passes run serially, for any thread count."""
+
+    # (m, n, cross-pass blocks of 40 real rows): 10 blocks, 9 blocks, and
+    # 9 blocks with m == n.
+    CASES = [(400, 330, 10), (360, 330, 9), (330, 330, 9)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("m, n, blocks", CASES)
+    def test_bit_equal_to_serial_passes(self, monkeypatch, threads, m, n, blocks):
+        rng = np.random.default_rng(m + 7 * n)
+        real, fake = rng.standard_normal((m, 2)), rng.standard_normal((n, 2)) * 1.3 + 0.2
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 40 * n)
+        assert len(list(metrics._row_blocks(m, n))) == blocks
+        want = serial_prdc(real, fake, 5), serial_kid(real, fake)
+        pools = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(distributions, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(distributions, "_draw_threads", lambda: threads)
+        # Switching threads as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = prdc(real, fake, 5), kid(real, fake)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        # prdc: the two radius passes, then one cross share per thread; kid:
+        # its three sums. One thread makes no pool.
+        assert pools == ([] if threads == 1 else [2, threads, min(threads, 3)])
+
+    def test_degenerate_real_points_are_reported_first(self):
+        same = np.zeros((10, 2))
+        with pytest.raises(MetricError) as info:
+            prdc(same, same + 1.0, 3)
+        assert info.value.point_set == "real"
 
 
 class TestKid:

@@ -42,8 +42,9 @@ def test_trace_targets_resolve():
 
 def test_draw_workers_call_no_traced_function():
     # The tracer keeps one span stack per process, so the training draw
-    # process and the block draw's threads may call no traced name, nor may
-    # any private package function they call by name.
+    # process and every task run on _map_on_cores's threads (the block
+    # draw's and the metric passes') may call no traced name, nor may any
+    # private package function they call by name.
     functions, methods = load("run").trace_targets()
     traced = {entry[1] for entry in functions + methods}
     trees = {path.stem: ast.parse(path.read_text())
@@ -59,21 +60,33 @@ def test_draw_workers_call_no_traced_function():
         (node,) = [n for n in ast.walk(outer) if getattr(n, "name", None) == name]
         return node
 
+    def call_name(call):
+        return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+    # The tasks handed to _map_on_cores, found where it is called.
+    tasks = [(module, outer.name, call.args[0].id)
+             for module, tree in trees.items() for outer in tree.body
+             if isinstance(outer, ast.FunctionDef)
+             for call in ast.walk(outer)
+             if isinstance(call, ast.Call) and call_name(call) == "_map_on_cores"]
+    assert sorted(name for *_, name in tasks) == [
+        "_cross_counts", "_kernel_sum", "_knn_radii", "fill"]
     roots = [defined("scorenet", "_draw_chunks", "_draw_chunks"),
-             defined("scorenet", "_draw_process", "_draw_process"),
-             defined("distributions", "_block_noise", "fill")]
+             defined("scorenet", "_draw_process", "_draw_process")]
+    for module, outer, name in tasks:
+        roots.extend(private[name] or [defined(module, outer, name)])
     seen, todo = set(), list(roots)
     while todo:
         node = todo.pop()
         for call in ast.walk(node):
             if not isinstance(call, ast.Call):
                 continue
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            name = call_name(call)
             assert name not in traced, f"{node.name} calls the traced {name}"
             if name in private and name not in seen:
                 seen.add(name)
                 todo.extend(private[name])
-    assert {"_draw_chunks", "_gn_draw", "_gamma_root"} <= seen
+    assert {"_draw_chunks", "_gn_draw", "_gamma_root", "_distances", "_kernel_block"} <= seen
 
 
 def test_ald_run_counter_reads_the_result():

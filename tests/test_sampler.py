@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htdsm import distributions as dist
 from htdsm.experiments import write_endpoints_csv
@@ -11,6 +13,7 @@ from htdsm.sampler import (
     CONVERGED,
     DIVERGED,
     SamplerConfig,
+    _within,
     ald_run,
     forward_chain,
     particle_rng,
@@ -328,3 +331,46 @@ class TestDivergenceDetection:
         paths = ald_run(lambda x, ls: 3.0 * x, cfg, 30)
         for p in paths:
             assert p.status == detect_divergence(p.positions, cfg.divergence_radius)
+
+
+class TestWithinRadius:
+    """_within, the sampler's divergence test, is the mask
+    np.linalg.norm(xa, axis=1) <= radius bit for bit."""
+
+    @staticmethod
+    def rows(dim, radius, rng):
+        """Rows far inside and outside, at a few ulps of the radius in random
+        directions, on the radius and one ulp either side of it along an
+        axis, and rows holding NaN, +-inf or squares that overflow."""
+        u = rng.standard_normal((30, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        near = [u * (radius * (1.0 + j * 2.0**-52)) for j in range(-4, 5)]
+        far = u * (radius * rng.uniform(0.25, 4.0, (30, 1)))
+        on_axis = np.zeros((3, dim))
+        on_axis[:, rng.integers(dim)] = [np.nextafter(radius, 0.0), radius,
+                                         np.nextafter(radius, np.inf)]
+        special = rng.standard_normal((6, dim))
+        special[0, rng.integers(dim)] = np.nan
+        special[1, rng.integers(dim)] = np.inf
+        special[2, rng.integers(dim)] = -np.inf
+        special[3, rng.integers(dim)] = 1e200
+        special[4] = 1.3e154  # each square is finite, their sum overflows at d > 1
+        special[5, 0] = -0.0
+        xa = np.concatenate([*near, far, on_axis, special])
+        return xa[rng.permutation(len(xa))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 64),
+           radius=st.one_of(st.floats(1e-3, 1e6), st.sampled_from([1e-170, 1e160])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mask_equals_linalg_norm(self, dim, radius, seed):
+        xa = self.rows(dim, radius, np.random.default_rng(seed))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(xa, axis=1) <= radius
+            got = _within(xa, radius)
+        assert want.any() and not want.all()
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    def test_rows_on_the_radius_are_inside(self):
+        xa = np.array([[3.0, 4.0], [np.nextafter(5.0, 6.0), 0.0], [0.0, -5.0], [np.nan, 0.0]])
+        assert _within(xa, 5.0).tolist() == [True, False, True, False]

@@ -172,6 +172,26 @@ class TestForwardBuffers:
         assert np.array_equal(net.forward(x[1], 0.4), got)
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("layout", ["point", "column-slice", "fortran", "integer"])
+    def test_any_input_layout_is_copied_row_by_row(self, layout, dim):
+        # The stacked input copies each point as one element from a C-ordered
+        # float copy of x; that must equal column_stack's float copy.
+        net = sn.ScoreNetwork([dim + 1, 16, dim], np.random.default_rng(dim))
+        rng = np.random.default_rng(20 + dim)
+        wide = rng.standard_normal((40, 2 * dim)) * 3.0
+        x = {"point": wide[7, :dim],
+             "column-slice": wide[:, ::2],
+             "fortran": np.asfortranarray(wide[:, :dim]),
+             "integer": rng.integers(-9, 10, (40, dim))}[layout]
+        assert x.dtype == float or layout == "integer"
+        want = broadcast_forward(net, np.atleast_2d(x).astype(float), 0.6)
+        if layout == "point":
+            want = want[0]
+        assert np.array_equal(net.forward(x, 0.6), want)
+        assert np.array_equal(net.forward(x, 0.6, buffers=sn._ForwardBuffers(net)), want)
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         net = sn.ScoreNetwork([3, 4, 2], np.random.default_rng(6))

@@ -115,9 +115,11 @@ def _knn_radii(pts: np.ndarray, k: int) -> np.ndarray:
 
 def _cross_counts(real: np.ndarray, radii_real: np.ndarray, fake: np.ndarray,
                   radii_fake: np.ndarray) -> tuple:
-    """prdc's cross pass over these real points: (fake_hit, memberships,
-    covered, recalled), with fake_hit marking the fake points inside some
-    of their balls and the counts over their balls and rows."""
+    """prdc's cross pass over these real points and their radii:
+    (fake_hit, memberships, covered, recalled). fake_hit marks the fake
+    points inside some of these real balls; memberships counts the (real,
+    fake) pairs in a real ball, covered the real balls holding a fake point,
+    and recalled the real points inside some fake ball."""
     fake_hit = np.zeros(fake.shape[0], dtype=bool)
     memberships = recalled = covered = 0
     for rows in _row_blocks(real.shape[0], fake.shape[0]):

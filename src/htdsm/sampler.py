@@ -132,6 +132,16 @@ def _within(xa: np.ndarray, radius: float) -> np.ndarray:
     return ok
 
 
+def _coordinate_bound(radius: float, dim: int) -> float:
+    """A bound c such that every row whose coordinates all lie within +-c
+    has np.linalg.norm(row) <= radius: sqrt(d) c is below the radius by
+    d 1e-12 relative, far more than the norm's rounding (see _within).
+    Where r^2 is subnormal or overflows there is no such bound, and c is
+    r / (2 sqrt(d)) with no promise."""
+    normal = sys.float_info.min <= radius * radius < math.inf
+    return radius / math.sqrt(dim) * (1.0 - dim * 1e-12 if normal else 0.5)
+
+
 def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> None:
     """Simulate the particles start, start + 1, ... through all schedule
     levels, writing their rows of ald_run's result `out`.
@@ -158,7 +168,8 @@ def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> No
     # Step-major, so one step's noise for the whole block is contiguous.
     noise = _block_noise(GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rngs, total_steps, dim)
 
-    inside = cfg.divergence_radius / (2.0 * math.sqrt(dim))
+    radius = cfg.divergence_radius
+    inside = _coordinate_bound(radius, dim)
     alive_rows = np.arange(count)
     xa = x.copy()
     if cfg.record_paths:
@@ -179,12 +190,14 @@ def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> No
                     z = noise[step]
                     if len(alive_rows) < count:
                         z = z.take(alive_rows, axis=0)
-                    score = np.asarray(score_fn(xa, log_sigma), dtype=float)
-                    xa = xa + eps * score + kick * z
-                    # While no coordinate exceeds `inside`, no norm exceeds
-                    # radius / 2. NaN and inf fail both tests.
+                    # xa + eps * score + kick * z, in that order, in one new array.
+                    moved = eps * np.asarray(score_fn(xa, log_sigma), dtype=float)
+                    xa = np.add(xa, moved, out=moved)
+                    xa += kick * z
+                    # While every coordinate lies within +-inside, every
+                    # norm is within the radius. NaN and inf fail both tests.
                     if not np.abs(xa).max() <= inside:
-                        ok = _within(xa, cfg.divergence_radius)
+                        ok = _within(xa, radius)
                         if not ok.all():
                             x[alive_rows[~ok]] = xa[~ok]
                             alive_rows = alive_rows[ok]

@@ -356,10 +356,12 @@ class _ForwardBuffers:
     def __init__(self, net: ScoreNetwork):
         self.net = net
         self.capacity = -1
+        self.cut = (None, ())
 
     def views(self, rows: int) -> tuple:
         """(stacked input, its points' row view, layer outputs, bias rows),
-        each cut to `rows` rows."""
+        each cut to `rows` rows. The cut is kept while the row count stays
+        the same, as it does between divergences in an ALD block."""
         if rows > self.capacity:
             sizes = self.net.layer_sizes
             self.stacked = np.empty((rows, sizes[0]))
@@ -367,8 +369,11 @@ class _ForwardBuffers:
             self.layers = [np.empty((rows, n)) for n in sizes[1:]]
             self.bias_rows = [np.tile(b, (rows, 1)) for b in self.net.biases]
             self.capacity = rows
-        return (self.stacked[:rows], self.stacked_rows[:rows],
-                [a[:rows] for a in self.layers], [t[:rows] for t in self.bias_rows])
+        if self.cut[0] != rows:
+            self.cut = (rows, (self.stacked[:rows], self.stacked_rows[:rows],
+                               [a[:rows] for a in self.layers],
+                               [t[:rows] for t in self.bias_rows]))
+        return self.cut[1]
 
 
 class _StepBuffers:

@@ -13,6 +13,7 @@ from htdsm.sampler import (
     CONVERGED,
     DIVERGED,
     SamplerConfig,
+    _coordinate_bound,
     _within,
     ald_run,
     forward_chain,
@@ -370,6 +371,18 @@ class TestWithinRadius:
             got = _within(xa, radius)
         assert want.any() and not want.all()
         assert got.dtype == bool and np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 64), radius=st.floats(1e-3, 1e6), seed=st.integers(0, 2**32 - 1))
+    def test_rows_within_the_coordinate_bound_are_inside(self, dim, radius, seed):
+        # _run_block keeps a block without a norm test while every
+        # coordinate lies within the bound; the corners are the worst rows.
+        rng = np.random.default_rng(seed)
+        bound = _coordinate_bound(radius, dim)
+        rows = bound * rng.choice([-1.0, 1.0], (50, dim))
+        rows[25:] *= rng.uniform(0.99, 1.0, (25, dim))
+        assert (np.linalg.norm(rows, axis=1) <= radius).all()
+        assert bound * math.sqrt(dim) > radius * (1.0 - 1e-10 * dim)
 
     def test_rows_on_the_radius_are_inside(self):
         xa = np.array([[3.0, 4.0], [np.nextafter(5.0, 6.0), 0.0], [0.0, -5.0], [np.nan, 0.0]])

@@ -5,8 +5,10 @@ the GG model of the squared norm of a GN noise vector, and a Monte-Carlo
 oracle for the true (n-fold sum) norm distribution. The GG norm model
 treats the sum of n squared coordinates as n times a single squared
 coordinate; that identity is false for sums, so the Monte-Carlo oracle is
-kept alongside it to measure the discrepancy instead of hiding it. Every
-GN and GG draw takes its Gamma variate from the one kernel _gamma_root.
+kept alongside it to measure the discrepancy instead of hiding it. A GN
+draw at beta 2 is alpha/sqrt(2) times rng.standard_normal, as GN(mu,
+alpha, 2) is exactly N(mu, alpha^2/2); every other GN draw and every GG
+draw takes its Gamma variate from the one kernel _gamma_root.
 """
 
 from __future__ import annotations
@@ -184,10 +186,11 @@ _SMALL_SHAPE = math.log(1e12) / (1074.0 * math.log(2.0))
 
 
 def _gamma_root(rng: np.random.Generator, k: float, r: float, shape) -> np.ndarray:
-    """G^(1/r) with G ~ Gamma(k, 1), the source of every GN and GG draw: at
-    k >= _SMALL_SHAPE rng.gamma(k) ** (1/r), below it Gamma(k + 1)^(1/r)
-    U^(1/(k r)) with U uniform on (0, 1], the same law (Y U^(1/k) ~ Gamma(k)
-    for Y ~ Gamma(k + 1)) without the underflow onto 0."""
+    """G^(1/r) with G ~ Gamma(k, 1), the source of every GG draw and of
+    every GN draw but beta 2's: at k >= _SMALL_SHAPE rng.gamma(k) ** (1/r),
+    below it Gamma(k + 1)^(1/r) U^(1/(k r)) with U uniform on (0, 1], the
+    same law (Y U^(1/k) ~ Gamma(k) for Y ~ Gamma(k + 1)) without the
+    underflow onto 0."""
     if k >= _SMALL_SHAPE:
         return rng.gamma(k, 1.0, size=shape) ** (1.0 / r)
     root = rng.gamma(k + 1.0, 1.0, size=shape) ** (1.0 / r)
@@ -195,6 +198,8 @@ def _gamma_root(rng: np.random.Generator, k: float, r: float, shape) -> np.ndarr
 
 
 def _gn_draw(dist: GeneralizedNormal, rng: np.random.Generator, shape) -> np.ndarray:
+    if dist.beta == 2.0:  # GN(mu, alpha, 2) is exactly N(mu, alpha^2 / 2)
+        return dist.mu + dist.alpha / math.sqrt(2.0) * rng.standard_normal(shape)
     root = _gamma_root(rng, 1.0 / dist.beta, dist.beta, shape)
     sign = rng.integers(0, 2, size=shape) * 2.0 - 1.0
     return dist.mu + sign * dist.alpha * root
@@ -203,9 +208,12 @@ def _gn_draw(dist: GeneralizedNormal, rng: np.random.Generator, shape) -> np.nda
 def gn_sample(dist: GeneralizedNormal, rng: np.random.Generator, count) -> np.ndarray:
     """Draw i.i.d. GN samples; `count` may be an int or a shape tuple.
 
-    Returns mu + s alpha G^{1/beta}, G ~ Gamma(1/beta, 1), with the root from
-    _gamma_root and s a fair random sign drawn after it. No draw collapses
-    onto mu; up to beta 26.94 the root is rng.gamma(1/beta) ** (1/beta).
+    At beta = 2 returns mu + alpha/sqrt(2) Z with Z from
+    rng.standard_normal, the same law: GN(mu, alpha, 2) is N(mu, alpha^2/2).
+    At any other beta returns mu + s alpha G^{1/beta}, G ~ Gamma(1/beta, 1),
+    with the root from _gamma_root and s a fair random sign drawn after it.
+    No draw collapses onto mu; up to beta 26.94 the root is
+    rng.gamma(1/beta) ** (1/beta).
     """
     return _gn_draw(dist, rng, count)
 
@@ -259,21 +267,22 @@ def _block_noise(dist: GeneralizedNormal, rngs, steps: int, dim: int) -> np.ndar
     `out[:, k]` is bit-equal to `gn_sample(dist, rngs[k], (steps, dim))`.
     One thread per usable core draws each contiguous share of the
     generators (_core_shares, _map_on_cores). numpy releases the GIL inside
-    `gamma`, `random` and `integers`, so the threads run in parallel. Each
-    generator is drawn by one thread, so the bits do not depend on the
-    thread count. A draw is written into its column through row views, one
-    element per step.
+    `standard_normal`, `gamma`, `random` and `integers`, so the threads run
+    in parallel. Each generator is drawn by one thread, so the bits do not
+    depend on the thread count. A draw is written into its column through
+    row views, one element per step.
 
     Draws of fewer than _INLINE_DRAW values each run inline: on short draws
     two threads hand the GIL back and forth at every numpy call and lose to
     one. Two threads against inline, medians of 7 calls over 100 and 600
-    generators at dim 2 on 2 cores:
+    generators at dim 2 on 2 cores (beta 2 from standard_normal, the range
+    of two rounds):
 
         values per draw   beta 1         beta 2
-        1000              3.1x, 2.4x     1.16x, 0.80x
-        2000              1.5x, 1.6x     0.96x, 0.96x
-        4000              1.33x, 1.18x   0.86x, 0.71x
-        6000              1.04x, 1.04x   0.75x, 0.68x
+        1000              3.1x, 2.4x     1.45-1.62x, 1.18-1.26x
+        2000              1.5x, 1.6x     1.02-1.56x, 0.71-0.93x
+        4000              1.33x, 1.18x   0.87-0.95x, 0.66-0.70x
+        6000              1.04x, 1.04x   0.66-0.80x, 0.61-0.62x
 
     ALD's 3000 steps x 2 make 6000 values a draw, and perfbench's warm-up
     grid's 200 steps x 2 make 400.

@@ -476,11 +476,11 @@ _RING_SLOTS = 3
 
 # The fewest steps a draw process is started for. Forking and joining a
 # process took 5 to 7 ms (13 ms the first time in a process), and the
-# draws it takes off the step loop cost 43 to 85 us a step (beta 1 and
-# beta 2, 256 x 2 batch, 2 cores), so it pays for itself after 60 to 300
-# steps when the second core is idle. The margin above that covers a busy
-# second core; shorter runs, such as perfbench's 500-step warm-up grid,
-# draw inline.
+# draws it takes off the step loop cost 28 to 31 us a step at beta 1 and
+# 19 to 20 us at beta 2 (256 x 2 batch, minimums of 7 runs of 2000 steps,
+# 2 cores), so it pays for itself after 160 to 370 steps when the second
+# core is idle. The margin above that covers a busy second core; shorter
+# runs, such as perfbench's 500-step warm-up grid, draw inline.
 _MIN_CHILD_STEPS = 1000
 
 
@@ -529,18 +529,19 @@ def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: i
     until the next.
 
     With one usable core, fewer than _MIN_CHILD_STEPS steps, or in a
-    daemonic process (a multiprocessing.Pool worker, which may not have
-    children), the chunks are drawn here from rng into one slot. Otherwise
-    a forked daemon process draws them from its copy of rng while the
-    caller trains, into a ring of _RING_SLOTS chunks of shared memory
-    mapped once per call, and rng takes the child's final state, so it ends
-    where drawing here leaves it. Closing the generator terminates and
-    joins the child if it is still running.
+    process that multiprocessing started (a grid worker, whose siblings
+    already fill the cores, or a Pool worker, which may not have children),
+    the chunks are drawn here from rng into one slot. Otherwise a forked
+    daemon process draws them from its copy of rng while the caller trains,
+    into a ring of _RING_SLOTS chunks of shared memory mapped once per
+    call, and rng takes the child's final state, so it ends where drawing
+    here leaves it. Closing the generator terminates and joins the child if
+    it is still running.
     """
     record = np.dtype([("level", np.int64), ("rows", np.int64, (batch_size,)),
                        ("noise", np.float64, (batch_size, dim))])
     if (_draw_threads() == 1 or steps < _MIN_CHILD_STEPS
-            or multiprocessing.current_process().daemon):
+            or multiprocessing.parent_process() is not None):
         yield from _draw_chunks(rng, np.empty((1, _CHUNK_STEPS), record), kernels, rows, steps)
         return
     ring = np.frombuffer(mmap.mmap(-1, _RING_SLOTS * _CHUNK_STEPS * record.itemsize),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from htdsm import distributions as dist
+from htdsm import scorenet
 
 
 class TestGeneralizedNormalDensity:
@@ -196,6 +197,62 @@ def generators(n, seed=0):
     return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
+class TestGaussianDraw:
+    """At beta = 2 every GN draw is alpha/sqrt(2) times standard_normal;
+    at the doubles either side of 2 it still goes through _gamma_root."""
+
+    NEAR_TWO = [np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)]
+
+    @staticmethod
+    def spy_on_gamma_root(monkeypatch):
+        calls = []
+        real = dist._gamma_root
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dist, "_gamma_root", spy)
+        return calls
+
+    @pytest.mark.parametrize("shape", [1, 7, (300, 2), (4, 5, 3)])
+    @pytest.mark.parametrize("mu, alpha", [(0.0, math.sqrt(2.0)), (-1.25, 0.3), (4.0, 7.5)])
+    def test_bit_equal_to_scaled_standard_normal(self, monkeypatch, shape, mu, alpha):
+        calls = self.spy_on_gamma_root(monkeypatch)
+        g = dist.GeneralizedNormal(mu, alpha, 2.0)
+        rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+        got = dist._gn_draw(g, rng, shape)
+        want = g.mu + g.alpha / math.sqrt(2.0) * ref.standard_normal(shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # The generator is left where standard_normal alone leaves it.
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert calls == []
+
+    @staticmethod
+    def draws(path, g):
+        """About 40k draws from g through one of the three draw paths."""
+        if path == "gn_sample":
+            return dist.gn_sample(g, np.random.default_rng(51), 40_000)
+        if path == "block_noise":
+            return dist._block_noise(g, generators(3, seed=52), 20_000, 2)[:, 1].ravel()
+        record = np.dtype([("level", np.int64), ("rows", np.int64, (312,)),
+                           ("noise", np.float64, (312, 2))])
+        ring = np.empty((1, scorenet._CHUNK_STEPS), record)
+        chunk = next(scorenet._draw_chunks(np.random.default_rng(53), ring, [g], 100, 10**4))
+        return chunk["noise"].ravel()
+
+    @pytest.mark.parametrize("path", ["gn_sample", "block_noise", "training_chunk"])
+    @pytest.mark.parametrize("beta", [2.0, *NEAR_TWO])
+    def test_matches_scipy_gennorm(self, monkeypatch, path, beta):
+        calls = self.spy_on_gamma_root(monkeypatch)
+        g = dist.GeneralizedNormal(0.7, 1.9, beta)
+        draws = self.draws(path, g)
+        assert draws.size >= 39_000
+        assert (len(calls) > 0) == (beta != 2.0)
+        ref = stats.gennorm(beta, loc=g.mu, scale=g.alpha)
+        assert stats.kstest(draws, ref.cdf).pvalue > 0.01
+
+
 class TestBlockNoise:
     """_block_noise against one gn_sample call per generator, in the
     sampler's step-major (steps, n, dim) layout."""
@@ -231,18 +288,18 @@ class TestBlockNoise:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bits_do_not_depend_on_thread_count(self, monkeypatch, threads):
-        g = dist.GeneralizedNormal(0.0, 1.0, 1.0)
-        want = dist._block_noise(g, generators(70), 700, 3)
+        laplace, gauss = (dist.GeneralizedNormal(0.0, 1.0, beta) for beta in (1.0, 2.0))
+        want = [dist._block_noise(g, generators(70), 700, 3) for g in (laplace, gauss)]
         monkeypatch.setattr(dist, "_draw_threads", lambda: threads)
         monkeypatch.setattr(dist, "_INLINE_DRAW", 0)
         # More threads than cores, switching as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = dist._block_noise(g, generators(70), 700, 3)
+            got = [dist._block_noise(g, generators(70), 700, 3) for g in (laplace, gauss)]
         finally:
             sys.setswitchinterval(interval)
-        assert got.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("cores, n, short, pools",
                              [(3, 1, False, []), (1, 70, False, []), (3, 2, False, [2]),

@@ -113,10 +113,13 @@ class TestImbalanceGrid:
         assert strip_wall_times(parallel) == strip_wall_times(small_grid)
 
     def test_workers_with_draw_processes_match_serial(self, small_grid, monkeypatch):
-        # small_grid draws its 300-step trainings inline; here each forked
-        # grid worker inherits the patch and starts a draw process per run.
+        # small_grid draws its 300-step trainings inline. The patches would
+        # start a draw process per run, but only the main process forks
+        # one: the grid workers draw inline, and a draw process started in
+        # a worker would exit with code 3 and fail the grid.
         monkeypatch.setattr(scorenet, "_MIN_CHILD_STEPS", 100)
         monkeypatch.setattr(scorenet, "_draw_threads", lambda: 2)
+        monkeypatch.setattr(scorenet, "_draw_process", lambda *args: os._exit(3))
         parallel = run_imbalance_grid(tiny_config(), workers=2)
         assert strip_wall_times(parallel) == strip_wall_times(small_grid)
 

@@ -225,8 +225,9 @@ def serial_kid(x, y):
 
 
 class TestMetricThreads:
-    """prdc and kid run their passes on one thread per usable core; the
-    values are bit-equal to the passes run serially, for any thread count."""
+    """prdc runs its passes on one thread per usable core and kid its sums
+    on the calling thread; both are bit-equal to their passes run serially,
+    for any thread count."""
 
     # (m, n, cross-pass blocks of 40 real rows): 10 blocks, 9 blocks, and
     # 9 blocks with m == n.
@@ -257,9 +258,9 @@ class TestMetricThreads:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-        # prdc: the two radius passes, then one cross share per thread; kid:
-        # its three sums. One thread makes no pool.
-        assert pools == ([] if threads == 1 else [2, threads, min(threads, 3)])
+        # prdc: the two radius passes, then one cross share per thread; kid
+        # makes no pool. One thread makes no pool.
+        assert pools == ([] if threads == 1 else [2, threads])
 
     def test_degenerate_real_points_are_reported_first(self):
         same = np.zeros((10, 2))

@@ -69,8 +69,7 @@ def test_draw_workers_call_no_traced_function():
              if isinstance(outer, ast.FunctionDef)
              for call in ast.walk(outer)
              if isinstance(call, ast.Call) and call_name(call) == "_map_on_cores"]
-    assert sorted(name for *_, name in tasks) == [
-        "_cross_counts", "_kernel_sum", "_knn_radii", "fill"]
+    assert sorted(name for *_, name in tasks) == ["_cross_counts", "_knn_radii", "fill"]
     roots = [defined("scorenet", "_draw_chunks", "_draw_chunks"),
              defined("scorenet", "_draw_process", "_draw_process")]
     for module, outer, name in tasks:
@@ -86,7 +85,7 @@ def test_draw_workers_call_no_traced_function():
             if name in private and name not in seen:
                 seen.add(name)
                 todo.extend(private[name])
-    assert {"_draw_chunks", "_gn_draw", "_gamma_root", "_distances", "_kernel_block"} <= seen
+    assert {"_draw_chunks", "_gn_draw", "_gamma_root", "_distances"} <= seen
 
 
 def test_ald_run_counter_reads_the_result():

@@ -249,21 +249,24 @@ class TestMidRunDivergence:
 # sha256 of the endpoint CSV below, recorded when each particle's noise came
 # from its own gn_sample call, and re-recorded when log_gamma became the C
 # library's lgamma, which moves the training and diffusion scales
-# unit_variance_alpha(2.0) and (1.0). The network's rounding depends on the
-# BLAS kernel, so the pin holds per host and BLAS build (x86-64 OpenBLAS).
-NETWORK_ENDPOINTS_SHA256 = "71dc7b859d0149f7f9a314b4f0ea49bef75f60c6d1e1599eaf10b4a6d7a681d3"
+# unit_variance_alpha(2.0) and (1.0). Re-recorded again, with 6 divergences
+# in place of 8, when beta 2 draws came from standard_normal: the network
+# trains on beta 2 noise, so its weights and the endpoints moved. The
+# network's rounding depends on the BLAS kernel, so the pin holds per host
+# and BLAS build (x86-64 OpenBLAS).
+NETWORK_ENDPOINTS_SHA256 = "ff08d387ef5c203cb972669667e5c855659576d9a9184c38411aeb673e2386ea"
 
 
 def test_network_score_endpoints_are_pinned(tmp_path):
-    # 400 particles x 400 steps x 2 coordinates draw in three tiles, and a
-    # radius of 12 makes 8 particles diverge mid-run.
+    # 400 particles x 400 steps x 2 coordinates, and a radius of 12 makes 6
+    # particles diverge mid-run.
     sched = geometric_schedule(1.0, 0.25, 2)
     data = MixtureSpec.two_mode(10.0).sample(np.random.default_rng(3), 2000)
     net, _ = train(data, TrainConfig(schedule=sched, steps=300, seed=4), np.random.default_rng(4))
     cfg = SamplerConfig(schedule=sched, steps_per_level=200, step_size=0.1, beta_diff=1.0,
                         divergence_radius=12.0, seed=5)
     paths = ald_run(lambda x, ls: net.forward(x, ls), cfg, 400)
-    assert sum(p.status == DIVERGED for p in paths) == 8
+    assert sum(p.status == DIVERGED for p in paths) == 6
     out = tmp_path / "endpoints.csv"
     write_endpoints_csv(out, [p.final for p in paths], [p.status == DIVERGED for p in paths])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_ENDPOINTS_SHA256

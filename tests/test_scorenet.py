@@ -471,7 +471,8 @@ class TestTrain:
         assert multiprocessing.active_children() == []
 
     def test_trains_inside_a_daemonic_pool_worker(self, draw_path):
-        # A Pool worker may not start children, so it draws inline.
+        # A Pool worker is not the main process (nor may it start
+        # children), so it draws inline.
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply(train_losses, (300,))
         assert np.array_equal(got, train_losses(300))
@@ -561,14 +562,16 @@ class TestTrain:
 # sha256 of net.params bytes followed by the loss array's bytes, recorded
 # before the training step moved onto per-run buffers. The beta 2 and beta 1
 # pins were re-recorded when log_gamma became the C library's lgamma, which
-# moves their variance-matched alpha_unit (beta 0.7's does not move).
+# moves their variance-matched alpha_unit (beta 0.7's does not move). The
+# beta 2 pin was re-recorded when beta 2 noise came from standard_normal
+# (GN(0, alpha, 2) drawn as alpha/sqrt(2) times a standard normal).
 # reference_train shares dsm_loss with train, so only a recorded digest sees
 # a change to the bits.
 # The network's rounding depends on the BLAS kernel, so the pins hold per
 # host and BLAS build (x86-64 OpenBLAS). Keys: (beta, loss weight exponent,
 # batch size); beta = 0.7 runs the clamp check of the singular score.
 TRAIN_SHA256 = {
-    (2.0, 2.0, 256): "2ac183440e1ebab34698970e4c984d8fb322750d370b570945292dcbe9565714",
+    (2.0, 2.0, 256): "e3e56284412707f59dabc646ef261a644c49f287c475a269cb21123ce756c4e5",
     (1.0, 1.0, 37): "738799e03b972ea90587fcda11ca03f02043ca7ca170f9bfdd28ad733937fcb2",
     (0.7, 1.0, 37): "e60f51af3774bad8c0714f699cd422d77a38982acc5c284d1971f32d23353bca",
 }

@@ -235,10 +235,8 @@ class TestGaussianDraw:
             return dist.gn_sample(g, np.random.default_rng(51), 40_000)
         if path == "block_noise":
             return dist._block_noise(g, generators(3, seed=52), 20_000, 2)[:, 1].ravel()
-        record = np.dtype([("level", np.int64), ("rows", np.int64, (312,)),
-                           ("noise", np.float64, (312, 2))])
-        ring = np.empty((1, scorenet._CHUNK_STEPS), record)
-        chunk = next(scorenet._draw_chunks(np.random.default_rng(53), ring, [g], 100, 10**4))
+        # One chunk of 64 training steps at a 312 x 2 batch, drawn inline.
+        (chunk,) = scorenet._training_draws(np.random.default_rng(53), [g], 100, 312, 2, 64)
         return chunk["noise"].ravel()
 
     @pytest.mark.parametrize("path", ["gn_sample", "block_noise", "training_chunk"])

@@ -255,6 +255,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     if args.mode == "demo":
+        _require(0.0 < args.beta < math.inf, "--beta", args.beta, "finite and > 0")
         record = run_convergence_demo(args.levels, args.beta, out_dir)
         print(
             f"demo levels={args.levels} beta={args.beta}: "

@@ -9,9 +9,14 @@ each row on its own, like -x) results are therefore bitwise identical
 however particles are batched or fanned across workers. A network score is
 not yet row-stable: BLAS rounds a row differently with the batch's row
 count, so its results move by ulps with the number of alive rows in a
-block. Diffusion noise of any
+block. Results, and the pins and digests taken from them, are bit-exact
+per host and per BLAS kernel. Diffusion noise of any
 shape is rescaled to unit per-coordinate variance, keeping the sqrt(2 eps)
 coefficient of the update comparable across shapes.
+
+A particle diverges when np.linalg.norm of its row exceeds the divergence
+radius or is NaN. That is the one divergence test; `_coordinate_bound` skips
+it on steps where every coordinate of the block lies well inside the radius.
 
 `ald_run` returns one numpy record array with a row per particle: columns
 `final` and `status`, plus `positions` when paths are recorded. Each block
@@ -106,38 +111,14 @@ def particle_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def _within(xa: np.ndarray, radius: float) -> np.ndarray:
-    """np.linalg.norm(xa, axis=1) <= radius, bit for bit, from column sums.
-
-    The column sums add the same squares as the norm, in another order,
-    which moves a sum of d non-negative terms by at most about
-    2 (d - 1) 2^-53 relative. So a row whose column sum s is at most
-    r^2 (1 - d 1e-12) is inside, one whose s exceeds r^2 (1 + d 1e-12), or
-    is NaN, is outside, and only rows in the band between take the norm. A
-    subnormal or overflowing r^2 has no such bound, so then every row does.
-    At 1333 x 2 the column sums cost about 4 µs and the norm 27 µs.
-    """
-    r_sq = radius * radius
-    if not sys.float_info.min <= r_sq < math.inf:
-        return np.linalg.norm(xa, axis=1) <= radius
-    s = xa[:, 0] * xa[:, 0]
-    for j in range(1, xa.shape[1]):
-        s += xa[:, j] * xa[:, j]
-    band = xa.shape[1] * 1e-12
-    ok = s <= r_sq * (1.0 - band)
-    if not ok.all():
-        near = ~ok & (s <= r_sq * (1.0 + band))
-        if near.any():
-            ok[near] = np.linalg.norm(xa[near], axis=1) <= radius
-    return ok
-
-
 def _coordinate_bound(radius: float, dim: int) -> float:
     """A bound c such that every row whose coordinates all lie within +-c
-    has np.linalg.norm(row) <= radius: sqrt(d) c is below the radius by
-    d 1e-12 relative, far more than the norm's rounding (see _within).
-    Where r^2 is subnormal or overflows there is no such bound, and c is
-    r / (2 sqrt(d)) with no promise."""
+    has a computed np.linalg.norm(row) <= radius, so _run_block may skip the
+    norm: the row's exact norm is at most sqrt(d) c, below the radius by
+    d 1e-12 relative, while the computed norm (d squares, their sum, a root)
+    is off by at most about (d + 2) 2^-53 relative. Where r^2 is subnormal
+    or overflows the squares carry no such bound, and c is r / (2 sqrt(d))
+    with no promise."""
     normal = sys.float_info.min <= radius * radius < math.inf
     return radius / math.sqrt(dim) * (1.0 - dim * 1e-12 if normal else 0.5)
 
@@ -197,7 +178,7 @@ def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> No
                     # While every coordinate lies within +-inside, every
                     # norm is within the radius. NaN and inf fail both tests.
                     if not np.abs(xa).max() <= inside:
-                        ok = _within(xa, radius)
+                        ok = np.linalg.norm(xa, axis=1) <= radius
                         if not ok.all():
                             x[alive_rows[~ok]] = xa[~ok]
                             alive_rows = alive_rows[ok]

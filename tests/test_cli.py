@@ -570,6 +570,18 @@ class TestExperimentCommand:
         assert (out_dir / "paths.csv").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("beta", ["-1", "0", "nan"])
+    def test_demo_bad_beta_fails_before_any_work(self, tmp_path, capsys, monkeypatch, beta):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the demo ran despite a bad --beta")
+
+        monkeypatch.setattr(cli, "run_convergence_demo", no_run)
+        out_dir = tmp_path / "demo"
+        code = run_cli("experiment", "demo", "--levels", "1", "--beta", beta,
+                       "--out", str(out_dir))
+        assert code == 2 and not out_dir.exists()
+        assert "--beta must be finite and > 0" in capsys.readouterr().err
+
     def test_imbalance_with_config(self, tmp_path, capsys):
         out_dir = tmp_path / "grid"
         cfg = {

@@ -14,7 +14,6 @@ from htdsm.sampler import (
     DIVERGED,
     SamplerConfig,
     _coordinate_bound,
-    _within,
     ald_run,
     forward_chain,
     particle_rng,
@@ -206,31 +205,76 @@ class TestMidRunDivergence:
         assert any(np.linalg.norm(p.final) > self.CFG.divergence_radius for p in diverged)
         assert self.same(small, big[:64])
 
-    def test_matches_per_particle_reference(self):
-        # Each particle replayed alone from its own stream, frozen at the
-        # first position outside the radius or non-finite.
-        cfg = self.CFG
+    @staticmethod
+    def replay(score_fn, cfg, pid, steps=None):
+        """Particle pid run alone from its own stream, frozen at the first
+        position outside the radius or non-finite: its status and position
+        after its first `steps` steps (all of them by default)."""
         sigmas = cfg.schedule.sigmas
+        plan = [(cfg.step_size * sigma**2 / sigmas[0] ** 2, math.log(sigma))
+                for sigma, t_level in zip(sigmas, cfg.steps_per_level) for _ in range(t_level)]
         alpha_v = dist.unit_variance_alpha(cfg.beta_diff)
-        paths = ald_run(unstable_score, cfg, 64)
+        rng = particle_rng(cfg.seed, pid)
+        x = rng.uniform(-6.0, 6.0, 2)
+        z = dist.gn_sample(dist.GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rng,
+                           (len(plan), 2))
+        status = CONVERGED
+        for step, (eps, log_sigma) in enumerate(plan[:steps]):
+            if status == CONVERGED:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    score = score_fn(x[None], log_sigma)[0]
+                    x = x + eps * score + math.sqrt(2.0 * eps) * z[step]
+                    if not np.linalg.norm(x[None], axis=1)[0] <= cfg.divergence_radius:
+                        status = DIVERGED
+        return status, x
+
+    def test_matches_per_particle_reference(self):
+        paths = ald_run(unstable_score, self.CFG, 64)
         for pid, p in enumerate(paths):
-            rng = particle_rng(cfg.seed, pid)
-            x = rng.uniform(-6.0, 6.0, 2)
-            z = dist.gn_sample(dist.GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rng,
-                               (sum(cfg.steps_per_level), 2))
-            status, step = CONVERGED, 0
-            for sigma, t_level in zip(sigmas, cfg.steps_per_level):
-                eps = cfg.step_size * sigma**2 / sigmas[0] ** 2
-                for _ in range(t_level):
-                    if status == CONVERGED:
-                        with np.errstate(invalid="ignore"):
-                            score = unstable_score(x[None], math.log(sigma))[0]
-                            x = x + eps * score + math.sqrt(2.0 * eps) * z[step]
-                        if not np.linalg.norm(x[None], axis=1)[0] <= cfg.divergence_radius:
-                            status = DIVERGED
-                    step += 1
+            status, x = self.replay(unstable_score, self.CFG, pid)
             assert p.status == status
             assert p.final.tobytes() == x.tobytes()
+
+    def test_rows_that_overflow_mid_run_diverge_where_they_land(self):
+        # Four particles that converge under unstable_score are driven, at
+        # one step each, to a row with +inf, with -inf, with a 1e200
+        # coordinate, or with squares of 1.3e154 whose sum overflows. The
+        # score recognises each by its exact position before that step.
+        cfg = dataclasses.replace(self.CFG, record_paths=True)
+        sigmas, t_level = cfg.schedule.sigmas, cfg.steps_per_level[0]
+        survivors = [pid for pid in range(64)
+                     if self.replay(unstable_score, cfg, pid)[0] == CONVERGED]
+        chosen = dict(zip(survivors[::7], [40, 99, 100, 170]))
+        landing = [[np.inf, 0.0], [0.0, -np.inf], [0.0, 1e200], [1.3e154, 1.3e154]]
+        drives = {}
+        for (pid, step), row in zip(chosen.items(), landing):
+            sigma = sigmas[step // t_level]
+            eps = cfg.step_size * sigma**2 / sigmas[0] ** 2
+            before = self.replay(unstable_score, cfg, pid, steps=step)[1]
+            drives[before.tobytes()] = np.array(row) / eps
+
+        def driven(x, log_sigma):
+            score = unstable_score(x, log_sigma)
+            for i, row in enumerate(x):
+                score[i] = drives.get(row.tobytes(), score[i])
+            return score
+
+        paths = ald_run(driven, cfg, 64)
+        for pid, p in enumerate(paths):
+            if pid not in chosen:
+                status, x = self.replay(unstable_score, cfg, pid)
+                assert p.status == status and p.final.tobytes() == x.tobytes()
+                continue
+            step = chosen[pid]
+            assert p.status == DIVERGED
+            assert np.linalg.norm(p.positions[step]) <= cfg.divergence_radius
+            assert all(q.tobytes() == p.final.tobytes() for q in p.positions[step + 1:])
+            assert p.final.tobytes() == self.replay(driven, cfg, pid)[1].tobytes()
+        finals = [paths[pid].final for pid in chosen]
+        assert finals[0][0] == np.inf and finals[1][1] == -np.inf
+        assert np.isfinite(finals[2]).all() and abs(finals[2][1]) > 1e199
+        with np.errstate(over="ignore"):
+            assert np.isfinite(finals[3] ** 2).all() and np.linalg.norm(finals[3]) == np.inf
 
     def test_record_paths_does_not_change_finals(self):
         plain = ald_run(unstable_score, self.CFG, 64)
@@ -337,43 +381,8 @@ class TestDivergenceDetection:
             assert p.status == detect_divergence(p.positions, cfg.divergence_radius)
 
 
-class TestWithinRadius:
-    """_within, the sampler's divergence test, is the mask
-    np.linalg.norm(xa, axis=1) <= radius bit for bit."""
-
-    @staticmethod
-    def rows(dim, radius, rng):
-        """Rows far inside and outside, at a few ulps of the radius in random
-        directions, on the radius and one ulp either side of it along an
-        axis, and rows holding NaN, +-inf or squares that overflow."""
-        u = rng.standard_normal((30, dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        near = [u * (radius * (1.0 + j * 2.0**-52)) for j in range(-4, 5)]
-        far = u * (radius * rng.uniform(0.25, 4.0, (30, 1)))
-        on_axis = np.zeros((3, dim))
-        on_axis[:, rng.integers(dim)] = [np.nextafter(radius, 0.0), radius,
-                                         np.nextafter(radius, np.inf)]
-        special = rng.standard_normal((6, dim))
-        special[0, rng.integers(dim)] = np.nan
-        special[1, rng.integers(dim)] = np.inf
-        special[2, rng.integers(dim)] = -np.inf
-        special[3, rng.integers(dim)] = 1e200
-        special[4] = 1.3e154  # each square is finite, their sum overflows at d > 1
-        special[5, 0] = -0.0
-        xa = np.concatenate([*near, far, on_axis, special])
-        return xa[rng.permutation(len(xa))]
-
-    @settings(max_examples=300, deadline=None)
-    @given(dim=st.integers(1, 64),
-           radius=st.one_of(st.floats(1e-3, 1e6), st.sampled_from([1e-170, 1e160])),
-           seed=st.integers(0, 2**32 - 1))
-    def test_mask_equals_linalg_norm(self, dim, radius, seed):
-        xa = self.rows(dim, radius, np.random.default_rng(seed))
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.linalg.norm(xa, axis=1) <= radius
-            got = _within(xa, radius)
-        assert want.any() and not want.all()
-        assert got.dtype == bool and np.array_equal(got, want)
+class TestCoordinateBound:
+    """_coordinate_bound, below which _run_block skips the norm test."""
 
     @settings(max_examples=300, deadline=None)
     @given(dim=st.integers(1, 64), radius=st.floats(1e-3, 1e6), seed=st.integers(0, 2**32 - 1))
@@ -386,7 +395,3 @@ class TestWithinRadius:
         rows[25:] *= rng.uniform(0.99, 1.0, (25, dim))
         assert (np.linalg.norm(rows, axis=1) <= radius).all()
         assert bound * math.sqrt(dim) > radius * (1.0 - 1e-10 * dim)
-
-    def test_rows_on_the_radius_are_inside(self):
-        xa = np.array([[3.0, 4.0], [np.nextafter(5.0, 6.0), 0.0], [0.0, -5.0], [np.nan, 0.0]])
-        assert _within(xa, 5.0).tolist() == [True, False, True, False]

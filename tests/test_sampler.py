@@ -245,6 +245,7 @@ class TestMidRunDivergence:
         survivors = [pid for pid in range(64)
                      if self.replay(unstable_score, cfg, pid)[0] == CONVERGED]
         chosen = dict(zip(survivors[::7], [40, 99, 100, 170]))
+        assert len(chosen) == 4
         landing = [[np.inf, 0.0], [0.0, -np.inf], [0.0, 1e200], [1.3e154, 1.3e154]]
         drives = {}
         for (pid, step), row in zip(chosen.items(), landing):

@@ -51,6 +51,14 @@ def _require(ok: bool, flag: str, value, need: str) -> None:
         raise UsageError(f"{flag} must be {need}, got {value!r}")
 
 
+def _require_unit_variance(flag: str, beta: float) -> None:
+    """A UsageError naming flag where distributions.unit_variance_alpha refuses beta."""
+    try:
+        distributions.unit_variance_alpha(beta, flag)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -256,6 +264,7 @@ def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     if args.mode == "demo":
         _require(0.0 < args.beta < math.inf, "--beta", args.beta, "finite and > 0")
+        _require_unit_variance("--beta", args.beta)
         record = run_convergence_demo(args.levels, args.beta, out_dir)
         print(
             f"demo levels={args.levels} beta={args.beta}: "
@@ -267,6 +276,7 @@ def _cmd_experiment(args) -> int:
     _require(args.workers >= 1, "--workers", args.workers, ">= 1")
     for beta in args.sweep_betas:
         _require(0.0 < beta <= 2.0, "--sweep-betas", beta, "in (0, 2]")
+        _require_unit_variance("--sweep-betas", beta)
     cfg = default = ExperimentConfig()
     if args.config:
         cfg = _load_config(ExperimentConfig.from_dict, args.config, "experiment config")

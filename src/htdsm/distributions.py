@@ -219,8 +219,8 @@ def gn_sample(dist: GeneralizedNormal, rng: np.random.Generator, count) -> np.nd
 
 
 def _draw_threads() -> int:
-    """Threads for a block draw or a metric pass: one per core this process
-    may use."""
+    """The cores this process may use: PRDC's threads, one per core, and
+    whether training forks a draw process."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -229,6 +229,7 @@ def _draw_threads() -> int:
 def _map_on_cores(fn, *columns) -> list:
     """list(map(fn, *columns)) on one thread per usable core, at most one
     per task, from a pool that lives for this call; inline on one thread.
+    Only PRDC's passes run here.
 
     Reading every result re-raises a worker's exception here. The tasks run
     on worker threads, so they may call no public function: a tracer
@@ -256,60 +257,21 @@ def _row_view(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))
 
 
-# Values per generator draw (steps x dim) below which a block draws inline;
-# see _block_noise.
-_INLINE_DRAW = 4096
-
-
-def _block_noise(dist: GeneralizedNormal, rngs, steps: int, dim: int) -> np.ndarray:
-    """A sampler block's diffusion noise, step-major: shape (steps, len(rngs), dim).
-
-    `out[:, k]` is bit-equal to `gn_sample(dist, rngs[k], (steps, dim))`.
-    One thread per usable core draws each contiguous share of the
-    generators (_core_shares, _map_on_cores). numpy releases the GIL inside
-    `standard_normal`, `gamma`, `random` and `integers`, so the threads run
-    in parallel. Each generator is drawn by one thread, so the bits do not
-    depend on the thread count. A draw is written into its column through
-    row views, one element per step.
-
-    Draws of fewer than _INLINE_DRAW values each run inline: on short draws
-    two threads hand the GIL back and forth at every numpy call and lose to
-    one. Two threads against inline, medians of 7 calls over 100 and 600
-    generators at dim 2 on 2 cores (beta 2 from standard_normal, the range
-    of two rounds):
-
-        values per draw   beta 1         beta 2
-        1000              3.1x, 2.4x     1.45-1.62x, 1.18-1.26x
-        2000              1.5x, 1.6x     1.02-1.56x, 0.71-0.93x
-        4000              1.33x, 1.18x   0.87-0.95x, 0.66-0.70x
-        6000              1.04x, 1.04x   0.66-0.80x, 0.61-0.62x
-
-    ALD's 3000 steps x 2 make 6000 values a draw, and perfbench's warm-up
-    grid's 200 steps x 2 make 400.
-    """
-    out = np.empty((steps, len(rngs), dim))
-    out_rows = _row_view(out)
-
-    def fill(share: slice) -> None:
-        for k in range(share.start, share.stop):
-            draw = _gn_draw(dist, rngs[k], (steps, dim))
-            out_rows[:, k] = draw.view(out_rows.dtype)
-
-    long_draws = steps * dim >= _INLINE_DRAW
-    _map_on_cores(fill, _core_shares(len(rngs)) if long_draws else [slice(0, len(rngs))])
-    return out
-
-
 def gn_variance(alpha: float, beta: float) -> float:
     """Var of GN(., alpha, beta) = alpha^2 Gamma(3/beta) / Gamma(1/beta)."""
     alpha = _require_positive("alpha", alpha)
     return alpha**2 * squared_norm_mean_factor(beta)
 
 
-def unit_variance_alpha(beta: float) -> float:
-    """Scale alpha such that GN(0, alpha, beta) has per-coordinate variance 1."""
-    beta = _require_positive("beta", beta)
-    return math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
+def unit_variance_alpha(beta: float, name: str = "beta") -> float:
+    """Scale alpha such that GN(0, alpha, beta) has per-coordinate variance 1;
+    a ValueError naming `name` where it underflows (beta below 0.00777)."""
+    beta = _require_positive(name, beta)
+    alpha = math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
+    if alpha < np.finfo(float).tiny:
+        raise ValueError(f"{name} must be at least 0.00777 (below it GN's unit-variance "
+                         f"scale underflows), got {beta!r}")
+    return alpha
 
 
 # -- generalized gamma ----------------------------------------------------

@@ -2,17 +2,19 @@
 Langevin dynamics) with configurable diffusion-noise shape, and the forward
 noising chain.
 
-Particles are independent: every particle draws its initial position and
-its entire diffusion-noise stream from a generator seeded by
-(master seed, particle index). With an elementwise score (one that treats
-each row on its own, like -x) results are therefore bitwise identical
-however particles are batched or fanned across workers. A network score is
-not yet row-stable: BLAS rounds a row differently with the batch's row
-count, so its results move by ulps with the number of alive rows in a
-block. Results, and the pins and digests taken from them, are bit-exact
-per host and per BLAS kernel. Diffusion noise of any
-shape is rescaled to unit per-coordinate variance, keeping the sqrt(2 eps)
-coefficient of the update comparable across shapes.
+Particles are independent: every particle draws its initial position, then
+its entire diffusion-noise stream in one `gn_sample` call, from a generator
+seeded by (master seed, particle index); a block holds its particles'
+streams in one step-major (steps, particles, d) array, drawn before its
+first step. With an elementwise score (one that treats each row on its own,
+like -x) results are therefore bitwise identical however particles are
+batched or fanned across workers. A network score is not yet row-stable:
+BLAS rounds a row differently with the batch's row count, so its results
+move by ulps with the number of alive rows in a block. Results, and the
+pins and digests taken from them, are bit-exact per host and per BLAS
+kernel. Diffusion noise of any shape is rescaled to unit per-coordinate
+variance, keeping the sqrt(2 eps) coefficient of the update comparable
+across shapes.
 
 A particle diverges when np.linalg.norm of its row exceeds the divergence
 radius or is NaN. That is the one divergence test; `_coordinate_bound` skips
@@ -21,11 +23,6 @@ it on steps where every coordinate of the block lies well inside the radius.
 `ald_run` returns one numpy record array with a row per particle: columns
 `final` and `status`, plus `positions` when paths are recorded. Each block
 of particles writes its slice of it in place.
-
-A block's diffusion noise is drawn before its first step, step-major, by
-`distributions._block_noise` over the block's generators: one thread per
-core the process may use draws a contiguous share of them. Each generator
-is drawn by one thread only, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import numpy as np
 from htdsm._config import Config, check_int
 from htdsm.distributions import (
     GeneralizedNormal,
-    _block_noise,
     _row_view,
     gn_sample,
     unit_variance_alpha,
@@ -87,6 +83,7 @@ class SamplerConfig(Config):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        unit_variance_alpha(self.beta_diff, "beta_diff")
         if not isinstance(self.record_paths, bool):
             raise ValueError(f"record_paths must be true or false, got {self.record_paths!r}")
         if self.divergence_radius <= self.init_half_width:
@@ -137,17 +134,17 @@ def _run_block(score_fn, cfg: SamplerConfig, start: int, out: np.recarray) -> No
     steps = cfg.steps_per_level
     total_steps = sum(steps)
     sigma_max_sq = sigmas[0] ** 2
-    alpha_v = unit_variance_alpha(cfg.beta_diff)
     count = len(out)
 
     x = out.final
-    rngs = []
+    kernel = GeneralizedNormal(0.0, unit_variance_alpha(cfg.beta_diff), cfg.beta_diff)
+    # Step-major, so one step's noise for the whole block is contiguous.
+    noise = np.empty((total_steps, count, dim))
+    noise_rows = _row_view(noise)
     for row in range(count):
         rng = particle_rng(cfg.seed, start + row)
         x[row] = rng.uniform(-cfg.init_half_width, cfg.init_half_width, dim)
-        rngs.append(rng)
-    # Step-major, so one step's noise for the whole block is contiguous.
-    noise = _block_noise(GeneralizedNormal(0.0, alpha_v, cfg.beta_diff), rngs, total_steps, dim)
+        noise_rows[:, row] = _row_view(gn_sample(kernel, rng, (total_steps, dim)))
 
     radius = cfg.divergence_radius
     inside = _coordinate_bound(radius, dim)

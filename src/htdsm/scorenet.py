@@ -157,6 +157,7 @@ class TrainConfig(Config):
                 continue
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        self.resolved_alpha_unit()
         exponent = self.loss_weight_exponent
         if not math.isfinite(exponent):
             raise ValueError(f"loss_weight_exponent must be finite, got {exponent}")
@@ -164,7 +165,7 @@ class TrainConfig(Config):
     def resolved_alpha_unit(self) -> float:
         if self.alpha_unit is not None:
             return float(self.alpha_unit)
-        return unit_variance_alpha(self.beta_noise)
+        return unit_variance_alpha(self.beta_noise, "beta_noise")
 
 
 class ScoreNetwork:

@@ -117,6 +117,7 @@ class TestSampleInputValidation:
         ("steps_per_level", [5, 2.5], "steps per level must be an integer"),
         ("seed", 1.5, "seed must be an integer"), ("seed", True, "seed must be an integer"),
         ("record_paths", "false", "record_paths must be true or false"),
+        ("beta_diff", 0.005, "beta_diff must be at least 0.00777"),
     ])
     def test_bad_sampler_value_is_usage_error(self, tmp_path, capsys, monkeypatch, key, value,
                                               need):
@@ -439,6 +440,7 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     ("train", "learning_rate", -1, "must be finite and positive"),
     ("train", "learning_rate", float("nan"), "must be finite and positive"),
     ("train", "alpha_unit", -1, "must be finite and positive"),
+    ("train", "beta_noise", 0.005, "beta_noise must be at least 0.00777"),
     ("train", "loss_weight_exponent", float("nan"), "must be finite"),
     ("mixture", "means", [[1, 1], [-1]], "must all have one length"),
     ("mixture", "means", [[1, float("nan")], [-1, -1]], "must be finite"),
@@ -570,8 +572,13 @@ class TestExperimentCommand:
         assert (out_dir / "paths.csv").exists()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("beta", ["-1", "0", "nan"])
-    def test_demo_bad_beta_fails_before_any_work(self, tmp_path, capsys, monkeypatch, beta):
+    # 0.001 is positive, but its unit-variance diffusion scale underflows.
+    @pytest.mark.parametrize("beta, need", [
+        ("-1", "finite and > 0"), ("0", "finite and > 0"), ("nan", "finite and > 0"),
+        ("0.001", "at least 0.00777"),
+    ], ids=["-1", "0", "nan", "0.001"])
+    def test_demo_bad_beta_fails_before_any_work(self, tmp_path, capsys, monkeypatch, beta,
+                                                 need):
         def no_run(*args, **kwargs):
             raise AssertionError("the demo ran despite a bad --beta")
 
@@ -580,7 +587,7 @@ class TestExperimentCommand:
         code = run_cli("experiment", "demo", "--levels", "1", "--beta", beta,
                        "--out", str(out_dir))
         assert code == 2 and not out_dir.exists()
-        assert "--beta must be finite and > 0" in capsys.readouterr().err
+        assert f"--beta must be {need}" in capsys.readouterr().err
 
     def test_imbalance_with_config(self, tmp_path, capsys):
         out_dir = tmp_path / "grid"
@@ -619,6 +626,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--sweep-betas", "3"], ["--sweep-betas", "1.0", "0"], ["--sweep-betas", "nan"],
+        ["--sweep-betas", "1.0", "0.005"],
         ["--workers", "0"], ["--workers", "-2"],
     ])
     def test_imbalance_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch,

@@ -2,7 +2,6 @@ import ast
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -193,10 +192,6 @@ class TestSampling:
         assert sum(map(gammas, trees)) == gammas(kernel) == 2
 
 
-def generators(n, seed=0):
-    return [np.random.default_rng([seed, i]) for i in range(n)]
-
-
 class TestGaussianDraw:
     """At beta = 2 every GN draw is alpha/sqrt(2) times standard_normal;
     at the doubles either side of 2 it still goes through _gamma_root."""
@@ -230,16 +225,14 @@ class TestGaussianDraw:
 
     @staticmethod
     def draws(path, g):
-        """About 40k draws from g through one of the three draw paths."""
+        """About 40k draws from g through one of the two draw paths."""
         if path == "gn_sample":
             return dist.gn_sample(g, np.random.default_rng(51), 40_000)
-        if path == "block_noise":
-            return dist._block_noise(g, generators(3, seed=52), 20_000, 2)[:, 1].ravel()
         # One chunk of 64 training steps at a 312 x 2 batch, drawn inline.
         (chunk,) = scorenet._training_draws(np.random.default_rng(53), [g], 100, 312, 2, 64)
         return chunk["noise"].ravel()
 
-    @pytest.mark.parametrize("path", ["gn_sample", "block_noise", "training_chunk"])
+    @pytest.mark.parametrize("path", ["gn_sample", "training_chunk"])
     @pytest.mark.parametrize("beta", [2.0, *NEAR_TWO])
     def test_matches_scipy_gennorm(self, monkeypatch, path, beta):
         calls = self.spy_on_gamma_root(monkeypatch)
@@ -249,84 +242,6 @@ class TestGaussianDraw:
         assert (len(calls) > 0) == (beta != 2.0)
         ref = stats.gennorm(beta, loc=g.mu, scale=g.alpha)
         assert stats.kstest(draws, ref.cdf).pvalue > 0.01
-
-
-class TestBlockNoise:
-    """_block_noise against one gn_sample call per generator, in the
-    sampler's step-major (steps, n, dim) layout."""
-
-    # (steps, dim, generators), drawn on THREADS threads in uneven shares:
-    # 70 = 23 + 23 + 24 and 5 = 1 + 2 + 2. The thread tests set
-    # _INLINE_DRAW to 0, so every draw goes to the pool whatever its length.
-    CASES = [(700, 3, 70), (50_001, 1, 5)]
-    THREADS = 3
-
-    @staticmethod
-    def per_generator(g, steps, dim, n):
-        return np.stack([dist.gn_sample(g, r, (steps, dim)) for r in generators(n)], axis=1)
-
-    @pytest.mark.parametrize("steps, dim, n", CASES)
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 2.5, 30.0])
-    def test_bit_equal_to_per_generator_calls(self, monkeypatch, beta, steps, dim, n):
-        monkeypatch.setattr(dist, "_draw_threads", lambda: self.THREADS)
-        monkeypatch.setattr(dist, "_INLINE_DRAW", 0)
-        g = dist.GeneralizedNormal(0.25, 1.5, beta)
-        assert self.THREADS < n and n % self.THREADS
-        got = dist._block_noise(g, generators(n), steps, dim)
-        want = self.per_generator(g, steps, dim, n)
-        assert got.shape == want.shape == (steps, n, dim) and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
-
-    def test_one_and_no_generators(self):
-        g = dist.GeneralizedNormal(0.0, 1.0, 1.0)
-        one = dist._block_noise(g, generators(1), 4, 3)
-        assert one.shape == (4, 1, 3)
-        assert one.tobytes() == self.per_generator(g, 4, 3, 1).tobytes()
-        assert dist._block_noise(g, [], 4, 3).shape == (4, 0, 3)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_bits_do_not_depend_on_thread_count(self, monkeypatch, threads):
-        laplace, gauss = (dist.GeneralizedNormal(0.0, 1.0, beta) for beta in (1.0, 2.0))
-        want = [dist._block_noise(g, generators(70), 700, 3) for g in (laplace, gauss)]
-        monkeypatch.setattr(dist, "_draw_threads", lambda: threads)
-        monkeypatch.setattr(dist, "_INLINE_DRAW", 0)
-        # More threads than cores, switching as often as the interpreter allows.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [dist._block_noise(g, generators(70), 700, 3) for g in (laplace, gauss)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-    @pytest.mark.parametrize("cores, n, short, pools",
-                             [(3, 1, False, []), (1, 70, False, []), (3, 2, False, [2]),
-                              (3, 70, True, [])],
-                             ids=["one-generator", "one-core", "two-generators", "short-draws"])
-    def test_pool_only_for_two_threads_or_more(self, monkeypatch, cores, n, short, pools):
-        started = []
-
-        class Spy(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(dist, "ThreadPoolExecutor", Spy)
-        monkeypatch.setattr(dist, "_draw_threads", lambda: cores)
-        g = dist.GeneralizedNormal(0.0, 1.0, 2.0)
-        # At dim 2: the shortest draws that go to the pool, or one step less.
-        steps = dist._INLINE_DRAW // 2 - short
-        got = dist._block_noise(g, generators(n), steps, 2)
-        assert started == pools
-        assert got.tobytes() == self.per_generator(g, steps, 2, n).tobytes()
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(dist, "_draw_threads", lambda: 2)
-        monkeypatch.setattr(dist, "_INLINE_DRAW", 0)
-        rngs = generators(70)
-        rngs[65] = None
-        with pytest.raises(AttributeError):
-            dist._block_noise(dist.GeneralizedNormal(0.0, 1.0, 1.0), rngs, 700, 3)
 
 
 class TestVariance:
@@ -350,6 +265,20 @@ class TestVariance:
         for beta in (0.5, 1.0, 1.5, 2.0, 2.5):
             alpha = dist.unit_variance_alpha(beta)
             assert dist.gn_variance(alpha, beta) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0077, 0.0075, 0.0074, 0.005, 1e-300])
+    def test_unit_variance_alpha_refuses_an_underflowing_scale(self, beta):
+        # The scale is subnormal from beta 0.0077688 down and 0 from 0.0074433.
+        with pytest.raises(ValueError, match=f"beta_x must be at least 0.00777 .*got {beta}"):
+            dist.unit_variance_alpha(beta, "beta_x")
+
+    @pytest.mark.parametrize("beta", [0.00777, 0.008])
+    def test_unit_variance_alpha_is_normal_above_the_bound(self, beta):
+        alpha = dist.unit_variance_alpha(beta)
+        assert sys.float_info.min <= alpha < 1e-290
+        # Variance 1 in logs: alpha^2 and Gamma(3/beta) are out of range.
+        log_var = 2.0 * math.log(alpha) + math.lgamma(3.0 / beta) - math.lgamma(1.0 / beta)
+        assert log_var == pytest.approx(0.0, abs=1e-9)
 
 
 class TestGeneralizedGamma:

@@ -11,11 +11,12 @@ import ast
 import importlib.util
 import sys
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from htdsm import experiments, sampler, scorenet
+from htdsm import distributions, experiments, sampler, scorenet
 from htdsm.schedule import geometric_schedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,9 +43,9 @@ def test_trace_targets_resolve():
 
 def test_draw_workers_call_no_traced_function():
     # The tracer keeps one span stack per process, so the training draw
-    # process and every task run on _map_on_cores's threads (the block
-    # draw's and the metric passes') may call no traced name, nor may any
-    # private package function they call by name.
+    # process and every task run on _map_on_cores's threads (PRDC's passes)
+    # may call no traced name, nor may any private package function they
+    # call by name.
     functions, methods = load("run").trace_targets()
     traced = {entry[1] for entry in functions + methods}
     trees = {path.stem: ast.parse(path.read_text())
@@ -69,7 +70,7 @@ def test_draw_workers_call_no_traced_function():
              if isinstance(outer, ast.FunctionDef)
              for call in ast.walk(outer)
              if isinstance(call, ast.Call) and call_name(call) == "_map_on_cores"]
-    assert sorted(name for *_, name in tasks) == ["_cross_counts", "_knn_radii", "fill"]
+    assert sorted(name for *_, name in tasks) == ["_cross_counts", "_knn_radii"]
     roots = [defined("scorenet", "_draw_chunks", "_draw_chunks"),
              defined("scorenet", "_draw_process", "_draw_process")]
     for module, outer, name in tasks:
@@ -105,6 +106,40 @@ def test_ald_run_counter_reads_the_result():
     counters = defaultdict(float)
     count(counters, args, {}, result)
     assert counters == {"particle_steps": 64 * 200, "diverged": diverged}
+
+
+def test_ald_noise_draws_are_traced_under_ald_run(monkeypatch):
+    run, spans = load("run"), load("spans")
+    functions, _ = run.trace_targets()
+    traced = [f for f in functions if f[2] in ("sampler.ald_run", "distributions.gn_sample")]
+    cfg = sampler.SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=150,
+                                step_size=0.1, beta_diff=1.0, seed=8)
+    count, steps, dim = 10, 300, 2
+    # Blocks of 4, 4 and 2 particles.
+    monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 4 * steps * dim)
+    tracer = spans.Tracer()
+    with spans.patched(tracer, traced, []):
+        sampler.ald_run(lambda x, ls: -x, cfg, count)
+    assert tracer.stats["sampler.ald_run"].calls == 1
+    assert tracer.edges[("sampler.ald_run", "distributions.gn_sample")].calls == count
+    assert tracer.counters["gn_sample_values"] == count * steps * dim
+
+
+def test_ald_run_starts_no_thread_pool(monkeypatch):
+    started = []
+    real = ThreadPoolExecutor.__init__
+
+    def spy(self, *args, **kwargs):
+        started.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy)
+    monkeypatch.setattr(distributions, "_draw_threads", lambda: 2)
+    # 2100 steps x 2 values a particle: draws of at least 4,096 values.
+    cfg = sampler.SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=1050,
+                                step_size=0.1, seed=9)
+    result = sampler.ald_run(lambda x, ls: -x, cfg, 6)
+    assert len(result) == 6 and started == []
 
 
 def outward_beyond_net(edge: float, push: float) -> scorenet.ScoreNetwork:

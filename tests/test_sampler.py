@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htdsm import distributions as dist
+from htdsm import sampler
 from htdsm.experiments import write_endpoints_csv
 from htdsm.sampler import (
     CONVERGED,
@@ -63,6 +64,15 @@ class TestSamplerConfig:
     def test_non_finite_or_non_integer_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key.replace("_", "[_ ]")):
             SamplerConfig(schedule=single_level(), **{key: value})
+
+    @pytest.mark.parametrize("beta", [0.0077, 0.005])
+    def test_beta_whose_unit_variance_scale_underflows_rejected(self, beta):
+        with pytest.raises(ValueError, match=f"beta_diff must be at least 0.00777 .*got {beta}"):
+            SamplerConfig(schedule=single_level(), beta_diff=beta)
+
+    def test_beta_0_008_runs(self):
+        cfg = SamplerConfig(schedule=single_level(), steps_per_level=20, beta_diff=0.008)
+        assert (ald_run(lambda x, ls: -x, cfg, 5).status == CONVERGED).all()
 
     def test_zero_step_size_allowed(self):
         cfg = SamplerConfig(schedule=single_level(), step_size=0.0)
@@ -228,10 +238,15 @@ class TestMidRunDivergence:
                         status = DIVERGED
         return status, x
 
-    def test_matches_per_particle_reference(self):
-        paths = ald_run(unstable_score, self.CFG, 64)
+    # Beta 30 draws through _gamma_root's small-shape branch.
+    @pytest.mark.parametrize("beta_diff", [0.5, 1.0, 2.0, 2.5, 30.0])
+    def test_matches_per_particle_reference(self, monkeypatch, beta_diff):
+        cfg = dataclasses.replace(self.CFG, beta_diff=beta_diff)
+        # 200 steps x 2 values a particle: blocks of 21, 21, 21 and 1.
+        monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 21 * 200 * 2)
+        paths = ald_run(unstable_score, cfg, 64)
         for pid, p in enumerate(paths):
-            status, x = self.replay(unstable_score, self.CFG, pid)
+            status, x = self.replay(unstable_score, cfg, pid)
             assert p.status == status
             assert p.final.tobytes() == x.tobytes()
 

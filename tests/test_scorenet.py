@@ -558,6 +558,17 @@ class TestTrain:
                              alpha_unit=1.0, steps=77, learning_rate=0.5)
         assert sn.TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("beta", [0.0077, 0.005])
+    def test_beta_whose_unit_variance_scale_underflows_rejected(self, two_level_schedule, beta):
+        with pytest.raises(ValueError, match=f"beta_noise must be at least 0.00777 .*got {beta}"):
+            sn.TrainConfig(schedule=two_level_schedule, beta_noise=beta)
+        # A given alpha_unit is used in place of the unit-variance scale.
+        sn.TrainConfig(schedule=two_level_schedule, beta_noise=beta, alpha_unit=1.0)
+
+    def test_beta_0_008_accepted(self, two_level_schedule):
+        cfg = sn.TrainConfig(schedule=two_level_schedule, beta_noise=0.008)
+        assert cfg.resolved_alpha_unit() == dist.unit_variance_alpha(0.008) > 0.0
+
 
 # sha256 of net.params bytes followed by the loss array's bytes, recorded
 # before the training step moved onto per-run buffers. The beta 2 and beta 1

@@ -83,7 +83,7 @@ class SamplerConfig(Config):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        unit_variance_alpha(self.beta_diff, "beta_diff")
+        unit_variance_alpha(self.beta_diff, "beta_diff")  # raises where the scale underflows
         if not isinstance(self.record_paths, bool):
             raise ValueError(f"record_paths must be true or false, got {self.record_paths!r}")
         if self.divergence_radius <= self.init_half_width:

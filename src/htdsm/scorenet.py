@@ -157,7 +157,7 @@ class TrainConfig(Config):
                 continue
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        self.resolved_alpha_unit()
+        self.resolved_alpha_unit()  # raises where the unit-variance scale underflows
         exponent = self.loss_weight_exponent
         if not math.isfinite(exponent):
             raise ValueError(f"loss_weight_exponent must be finite, got {exponent}")

@@ -440,12 +440,12 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     ("train", "learning_rate", -1, "must be finite and positive"),
     ("train", "learning_rate", float("nan"), "must be finite and positive"),
     ("train", "alpha_unit", -1, "must be finite and positive"),
-    ("train", "beta_noise", 0.005, "beta_noise must be at least 0.00777"),
     ("train", "loss_weight_exponent", float("nan"), "must be finite"),
     ("mixture", "means", [[1, 1], [-1]], "must all have one length"),
     ("mixture", "means", [[1, float("nan")], [-1, -1]], "must be finite"),
     ("mixture", "stds", [0.5, float("inf")], "must be finite and positive"),
     ("mixture", "weights", [float("nan"), 0.5], "must be finite and positive"),
+    ("train", "beta_noise", 0.005, "beta_noise must be at least 0.00777"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
                                                  monkeypatch, section, key, value, need):
@@ -626,8 +626,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--sweep-betas", "3"], ["--sweep-betas", "1.0", "0"], ["--sweep-betas", "nan"],
-        ["--sweep-betas", "1.0", "0.005"],
-        ["--workers", "0"], ["--workers", "-2"],
+        ["--workers", "0"], ["--workers", "-2"], ["--sweep-betas", "1.0", "0.005"],
     ])
     def test_imbalance_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                       flags):

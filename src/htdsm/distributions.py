@@ -197,14 +197,6 @@ def _gamma_root(rng: np.random.Generator, k: float, r: float, shape) -> np.ndarr
     return root * (1.0 - rng.random(shape)) ** (1.0 / (k * r))
 
 
-def _gn_draw(dist: GeneralizedNormal, rng: np.random.Generator, shape) -> np.ndarray:
-    if dist.beta == 2.0:  # GN(mu, alpha, 2) is exactly N(mu, alpha^2 / 2)
-        return dist.mu + dist.alpha / math.sqrt(2.0) * rng.standard_normal(shape)
-    root = _gamma_root(rng, 1.0 / dist.beta, dist.beta, shape)
-    sign = rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    return dist.mu + sign * dist.alpha * root
-
-
 def gn_sample(dist: GeneralizedNormal, rng: np.random.Generator, count) -> np.ndarray:
     """Draw i.i.d. GN samples; `count` may be an int or a shape tuple.
 
@@ -215,12 +207,15 @@ def gn_sample(dist: GeneralizedNormal, rng: np.random.Generator, count) -> np.nd
     No draw collapses onto mu; up to beta 26.94 the root is
     rng.gamma(1/beta) ** (1/beta).
     """
-    return _gn_draw(dist, rng, count)
+    if dist.beta == 2.0:  # GN(mu, alpha, 2) is exactly N(mu, alpha^2 / 2)
+        return dist.mu + dist.alpha / math.sqrt(2.0) * rng.standard_normal(count)
+    root = _gamma_root(rng, 1.0 / dist.beta, dist.beta, count)
+    sign = rng.integers(0, 2, size=count) * 2.0 - 1.0
+    return dist.mu + sign * dist.alpha * root
 
 
 def _draw_threads() -> int:
-    """The cores this process may use: PRDC's threads, one per core, and
-    whether training forks a draw process."""
+    """The cores this process may use: PRDC's threads, one per core."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -6,20 +6,14 @@ The network is a small ReLU MLP over [x, log sigma] with a linear output
 head; parameters and gradients are flat numpy vectors, viewed per layer,
 so the backward pass can be checked against finite differences directly.
 
-Training's random draws (level, batch rows, noise) do not depend on the
-network, so a long run draws them in a forked process that replays train's
-generator calls in order on a copy of the caller's generator, while the
-step loop runs; the params and losses are bit-equal to drawing inline.
+Training's random draws (levels, batch rows, noise) do not depend on the
+network, so train draws them a chunk of steps at a time, in three
+vectorized calls, ahead of those steps.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import multiprocessing
-import signal
-import traceback
-from contextlib import closing, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +22,9 @@ from htdsm._config import Config, check_int
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
-    _draw_threads,
-    _gn_draw,
     _row_view,
     _score_of_delta,
+    gn_sample,
     unit_variance_alpha,
 )
 from htdsm.schedule import NoiseSchedule
@@ -433,8 +426,9 @@ def dsm_loss(
 
     `noise` is an array of the batch's shape drawn from that kernel, as
     `gn_sample(GeneralizedNormal(0, sigma * alpha_unit, beta_noise), rng,
-    batch.shape)` draws it; train passes its pre-drawn noise. Below beta 1
-    the noise's exact hits of the score singularity are clamped here.
+    batch.shape)` draws it; train passes a unit GN(0, 1, beta_noise) draw
+    times sigma * alpha_unit, which has the same law. Below beta 1 the
+    noise's exact hits of the score singularity are clamped here.
 
     Without `buffers` every call returns a new gradient vector; with
     train's (see _StepBuffers) it returns `buffers.grad`, valid until the
@@ -465,124 +459,11 @@ def dsm_loss(
     return loss, net.backward(activations, grad_out, buffers=buffers)
 
 
-# Steps per chunk of training draws: 256 KiB of noise and 128 KiB of batch
-# rows at the default 256 x 2 batch. Chunks of 48 to 256 steps trained
-# equally fast (20k steps, 2 cores).
+# Steps per chunk of training draws. The chunk size fixes the stream: each
+# chunk draws all its levels, then all its batch rows, then all its noise,
+# so another size gives other draws of the same law. 64 steps are 256 KiB
+# of noise and 128 KiB of batch rows at the default 256 x 2 batch.
 _CHUNK_STEPS = 64
-
-# Chunks the draw process may fill ahead of the step loop: a ring of 1.1
-# MiB at the default batch. With it the step loop waited 0.04 to 0.06 s
-# for draws per 20k steps, where a pipe carrying the chunks cost 0.2 s.
-_RING_SLOTS = 3
-
-# The fewest steps a draw process is started for. Forking and joining a
-# process took 5 to 7 ms (13 ms the first time in a process), and the
-# draws it takes off the step loop cost 28 to 31 us a step at beta 1 and
-# 19 to 20 us at beta 2 (256 x 2 batch, minimums of 7 runs of 2000 steps,
-# 2 cores), so it pays for itself after 160 to 370 steps when the second
-# core is idle. The margin above that covers a busy second core; shorter
-# runs, such as perfbench's 500-step warm-up grid, draw inline.
-_MIN_CHILD_STEPS = 1000
-
-
-def _draw_chunks(rng, ring, kernels, rows: int, steps: int):
-    """train's per-step draws, in train's order, a chunk at a time.
-
-    `ring` is a (slots, _CHUNK_STEPS) array of step records (see
-    _training_draws). Each step draws its level `rng.integers(len(kernels))`,
-    its batch rows `rng.integers(0, rows, batch_size)` and its noise from
-    the level's kernel into one record. Chunk c fills the leading steps of
-    ring[c % len(ring)] and is yielded as those records. Runs in the
-    calling process or in the draw process, so it calls no public function
-    (a tracer wrapping those keeps one span stack per process).
-    """
-    batch_size, dim = ring.dtype["noise"].shape
-    for c, start in enumerate(range(0, steps, _CHUNK_STEPS)):
-        chunk = ring[c % len(ring), :min(_CHUNK_STEPS, steps - start)]
-        levels, indices, noise = chunk["level"], chunk["rows"], chunk["noise"]
-        for i in range(len(chunk)):
-            level = levels[i] = rng.integers(len(kernels))
-            indices[i] = rng.integers(0, rows, batch_size)
-            noise[i] = _gn_draw(kernels[level], rng, (batch_size, dim))
-        yield chunk
-
-
-def _draw_process(conn, rng, ring, *args) -> None:
-    """The draw process: fills `ring` through _draw_chunks and sends an
-    empty message per chunk, waiting for the parent to free a slot before
-    refilling it; then sends the generator's state. On an exception it
-    sends the traceback instead. It ignores Ctrl-C: the parent gets it too,
-    and terminates the child."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        for c, _ in enumerate(_draw_chunks(rng, ring, *args)):
-            conn.send_bytes(b"")
-            if c + 1 >= len(ring):
-                conn.recv_bytes()  # chunk c + 1 - len(ring) is consumed
-        conn.send(rng.bit_generator.state)
-    except Exception:  # reported to the parent, which raises it
-        conn.send_bytes(traceback.format_exc().encode())
-
-
-def _training_draws(rng, kernels, rows: int, batch_size: int, dim: int, steps: int):
-    """Yield train's draws as chunks of up to _CHUNK_STEPS step records
-    (`level`, batch `rows` and (batch_size, dim) `noise`), each chunk valid
-    until the next.
-
-    With one usable core, fewer than _MIN_CHILD_STEPS steps, or in a
-    process that multiprocessing started (a grid worker, whose siblings
-    already fill the cores, or a Pool worker, which may not have children),
-    the chunks are drawn here from rng into one slot. Otherwise a forked
-    daemon process draws them from its copy of rng while the caller trains,
-    into a ring of _RING_SLOTS chunks of shared memory mapped once per
-    call, and rng takes the child's final state, so it ends where drawing
-    here leaves it. Closing the generator terminates and joins the child if
-    it is still running.
-    """
-    record = np.dtype([("level", np.int64), ("rows", np.int64, (batch_size,)),
-                       ("noise", np.float64, (batch_size, dim))])
-    if (_draw_threads() == 1 or steps < _MIN_CHILD_STEPS
-            or multiprocessing.parent_process() is not None):
-        yield from _draw_chunks(rng, np.empty((1, _CHUNK_STEPS), record), kernels, rows, steps)
-        return
-    ring = np.frombuffer(mmap.mmap(-1, _RING_SLOTS * _CHUNK_STEPS * record.itemsize),
-                         record).reshape(_RING_SLOTS, _CHUNK_STEPS)
-    # Forked, not spawned: the child inherits rng's state, the kernels and
-    # the ring, and starts in milliseconds. It runs only numpy's generator,
-    # so no lock held by a parent thread (an idle BLAS pool) is touched.
-    ctx = multiprocessing.get_context("fork")
-    conn, child_conn = ctx.Pipe()
-    child = ctx.Process(target=_draw_process, daemon=True,
-                        args=(child_conn, rng, ring, kernels, rows, steps))
-    child.start()
-    child_conn.close()
-
-    def receive(recv):
-        try:
-            return recv()
-        except (EOFError, OSError):
-            child.join()
-            raise RuntimeError(
-                f"training draw process exited with code {child.exitcode}"
-            ) from None
-
-    try:
-        for c, start in enumerate(range(0, steps, _CHUNK_STEPS)):
-            if c:
-                # Chunk c - 1's slot is free. A child that is gone shows
-                # in the receive below.
-                with suppress(OSError):
-                    conn.send_bytes(b"")
-            message = receive(conn.recv_bytes)
-            if message:
-                raise RuntimeError("training draw process failed:\n" + message.decode())
-            yield ring[c % _RING_SLOTS, :min(_CHUNK_STEPS, steps - start)]
-        rng.bit_generator.state = receive(conn.recv)
-    finally:
-        if child.is_alive():
-            child.terminate()
-        child.join()
-        conn.close()
 
 
 def train(data, cfg: TrainConfig, rng: np.random.Generator):
@@ -596,12 +477,13 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
     the params and losses are bit-equal to allocating them afresh on each
     step.
 
-    rng first draws the network's initial weights; then each step draws a
-    level, the batch rows and the noise, in that order. Those draws come in
-    chunks from _training_draws, on the second core for a long run (a
-    forked replay of rng's calls), and each step hands its noise to
-    dsm_loss. The params, the losses and rng's final state are bit-equal to
-    drawing each step inline.
+    rng first draws the network's initial weights. Then each chunk of n <=
+    _CHUNK_STEPS steps makes these calls, in this order:
+    `rng.integers(len(sigmas), size=n)` (the levels),
+    `rng.integers(0, N, (n, batch_size))` (the batch rows) and
+    `gn_sample(GeneralizedNormal(0, 1, beta_noise), rng, (n, batch_size, d))`,
+    a unit draw that each step's sigma * alpha_unit scales in place into the
+    GN(0, sigma * alpha_unit, beta_noise) noise dsm_loss takes.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -615,26 +497,28 @@ def train(data, cfg: TrainConfig, rng: np.random.Generator):
     if cfg.loss_weight_exponent != 2.0:
         rescales = [float(s) ** (cfg.loss_weight_exponent - 2.0) for s in sigmas]
     buffers = _StepBuffers(net, (cfg.batch_size, dim))
-    kernels = [buffers.level(s, alpha_unit, cfg.beta_noise)[0] for s in sigmas]
+    unit = GeneralizedNormal(0.0, 1.0, cfg.beta_noise)
+    scales = np.array(sigmas, dtype=float) * alpha_unit
     losses = np.empty(cfg.steps)
-    step = 0
-    draws = _training_draws(rng, kernels, data.shape[0], cfg.batch_size, dim, cfg.steps)
-    with closing(draws):
-        for chunk in draws:
-            for level, index, noise in zip(chunk["level"].tolist(), chunk["rows"],
-                                           chunk["noise"]):
-                sigma = sigmas[level]
-                batch = data.take(index, axis=0)
-                loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, noise,
-                                      buffers=buffers)
-                if rescales is not None:
-                    loss *= rescales[level]
-                    grad *= rescales[level]
-                net.sgd_step(grad, cfg.learning_rate)
-                losses[step] = loss
-                if not math.isfinite(loss) or not net.params_finite():
-                    raise TrainingDivergedError(step, sigma)
-                step += 1
+    for start in range(0, cfg.steps, _CHUNK_STEPS):
+        n = min(_CHUNK_STEPS, cfg.steps - start)
+        levels = rng.integers(len(sigmas), size=n)
+        rows = rng.integers(0, data.shape[0], (n, cfg.batch_size))
+        noise = gn_sample(unit, rng, (n, cfg.batch_size, dim))
+        noise *= scales[levels][:, None, None]
+        for step, level, index, step_noise in zip(range(start, start + n), levels.tolist(),
+                                                  rows, noise):
+            sigma = sigmas[level]
+            batch = data.take(index, axis=0)
+            loss, grad = dsm_loss(net, batch, sigma, alpha_unit, cfg.beta_noise, step_noise,
+                                  buffers=buffers)
+            if rescales is not None:
+                loss *= rescales[level]
+                grad *= rescales[level]
+            net.sgd_step(grad, cfg.learning_rate)
+            losses[step] = loss
+            if not math.isfinite(loss) or not net.params_finite():
+                raise TrainingDivergedError(step, sigma)
     return net, losses
 
 

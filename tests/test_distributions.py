@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from htdsm import distributions as dist
-from htdsm import scorenet
 
 
 class TestGeneralizedNormalDensity:
@@ -216,7 +215,7 @@ class TestGaussianDraw:
         calls = self.spy_on_gamma_root(monkeypatch)
         g = dist.GeneralizedNormal(mu, alpha, 2.0)
         rng, ref = np.random.default_rng(41), np.random.default_rng(41)
-        got = dist._gn_draw(g, rng, shape)
+        got = dist.gn_sample(g, rng, shape)
         want = g.mu + g.alpha / math.sqrt(2.0) * ref.standard_normal(shape)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # The generator is left where standard_normal alone leaves it.
@@ -228,9 +227,12 @@ class TestGaussianDraw:
         """About 40k draws from g through one of the two draw paths."""
         if path == "gn_sample":
             return dist.gn_sample(g, np.random.default_rng(51), 40_000)
-        # One chunk of 64 training steps at a 312 x 2 batch, drawn inline.
-        (chunk,) = scorenet._training_draws(np.random.default_rng(53), [g], 100, 312, 2, 64)
-        return chunk["noise"].ravel()
+        # As train draws a chunk's noise (64 steps at a 312 x 2 batch): a
+        # unit draw times the level's scale.
+        unit = dist.GeneralizedNormal(0.0, 1.0, g.beta)
+        noise = dist.gn_sample(unit, np.random.default_rng(53), (64, 312, 2))
+        noise *= g.alpha
+        return g.mu + noise.ravel()
 
     @pytest.mark.parametrize("path", ["gn_sample", "training_chunk"])
     @pytest.mark.parametrize("beta", [2.0, *NEAR_TWO])

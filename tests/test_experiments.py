@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htdsm import experiments, scorenet
+from htdsm import experiments
 from htdsm.experiments import (
     ExperimentConfig,
     run_convergence_demo,
@@ -112,17 +112,6 @@ class TestImbalanceGrid:
         parallel = run_imbalance_grid(tiny_config(), workers=2)
         assert strip_wall_times(parallel) == strip_wall_times(small_grid)
 
-    def test_workers_with_draw_processes_match_serial(self, small_grid, monkeypatch):
-        # small_grid draws its 300-step trainings inline. The patches would
-        # start a draw process per run, but only the main process forks
-        # one: the grid workers draw inline, and a draw process started in
-        # a worker would exit with code 3 and fail the grid.
-        monkeypatch.setattr(scorenet, "_MIN_CHILD_STEPS", 100)
-        monkeypatch.setattr(scorenet, "_draw_threads", lambda: 2)
-        monkeypatch.setattr(scorenet, "_draw_process", lambda *args: os._exit(3))
-        parallel = run_imbalance_grid(tiny_config(), workers=2)
-        assert strip_wall_times(parallel) == strip_wall_times(small_grid)
-
     def test_sweep_endpoints_coincide_with_grid_cells(self, small_grid):
         sweep = run_imbalance_grid(tiny_config(), sweep_betas=[1.0, 2.0])["sweep"]
         by_beta = {row["beta"]: row for row in sweep}
@@ -213,26 +202,36 @@ class TestImbalanceGrid:
         assert srows[0]["beta"] == "2.0"
 
 
-FORK_AFTER_THREADED_DRAW = textwrap.dedent("""
+FORK_AFTER_PRDC_POOL = textwrap.dedent("""
     import sys
     import threading
 
-    from htdsm import distributions
+    import numpy as np
+
+    from htdsm import distributions, metrics
     from htdsm.experiments import run_imbalance_grid
-    from htdsm.sampler import SamplerConfig, ald_run
-    from htdsm.schedule import geometric_schedule
     from tests.test_experiments import strip_wall_times, tiny_config
 
-    # 3000 steps x 2 coordinates fill tiles of 21 particles, so the parent's
-    # 64 particles and every grid run's 60 draw on three threads.
-    distributions._draw_threads = lambda: 3
-    cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=1500)
-    ald_run(lambda x, ls: -x, cfg, 64)
+    # PRDC's passes run on a pool of one thread per core, the package's one
+    # thread pool. Run it in the parent on two threads before the grid forks.
+    distributions._draw_threads = lambda: 2
+    started = []
+    thread_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        thread_start(self)
+
+    threading.Thread.start = start
+    points = np.random.default_rng(0).standard_normal((2, 500, 2))
+    metrics.prdc(points[0], points[1], 5)
+    threading.Thread.start = thread_start
+    if not started:
+        sys.exit("PRDC started no thread")
     if threading.active_count() != 1:
-        sys.exit("the draw left threads running")
-    grid = tiny_config(sampler=cfg)
-    forked = run_imbalance_grid(grid, workers=2)
-    serial = run_imbalance_grid(grid, workers=1)
+        sys.exit("PRDC left threads running")
+    forked = run_imbalance_grid(tiny_config(), workers=2)
+    serial = run_imbalance_grid(tiny_config(), workers=1)
     sys.exit(0 if strip_wall_times(forked) == strip_wall_times(serial) else "workers=2 differs")
 """)
 
@@ -240,7 +239,7 @@ FORK_AFTER_THREADED_DRAW = textwrap.dedent("""
 def test_grid_workers_fork_after_a_threaded_draw():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
-    proc = subprocess.run([sys.executable, "-c", FORK_AFTER_THREADED_DRAW], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", FORK_AFTER_PRDC_POOL], cwd=root, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

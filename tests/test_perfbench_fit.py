@@ -1,8 +1,8 @@
 """The benchmark in perfbench/ still fits the package: every function and
-method it traces resolves, no code run in a draw process or on a draw
-thread calls one of them, its ald_run counter reads a real sampler result,
-its forward counters see every score of a network ALD run, and its tiny
-noise_schedule workload runs with no failed operation.
+method it traces resolves, no code run on a PRDC thread calls one of them,
+its ald_run counter reads a real sampler result, it sees training's and
+ALD's noise draws, its forward counters see every score of a network ALD
+run, and its tiny noise_schedule workload runs with no failed operation.
 perfbench/run.py and perfbench/workloads.py are loaded by path; nothing here
 runs the benchmark's entry point, so its digest registry under
 perfbench/_work is neither read nor written."""
@@ -42,10 +42,9 @@ def test_trace_targets_resolve():
 
 
 def test_draw_workers_call_no_traced_function():
-    # The tracer keeps one span stack per process, so the training draw
-    # process and every task run on _map_on_cores's threads (PRDC's passes)
-    # may call no traced name, nor may any private package function they
-    # call by name.
+    # The tracer keeps one span stack per process, so no task run on
+    # _map_on_cores's threads (PRDC's passes) may call a traced name, nor may
+    # any private package function they call by name.
     functions, methods = load("run").trace_targets()
     traced = {entry[1] for entry in functions + methods}
     trees = {path.stem: ast.parse(path.read_text())
@@ -71,11 +70,9 @@ def test_draw_workers_call_no_traced_function():
              for call in ast.walk(outer)
              if isinstance(call, ast.Call) and call_name(call) == "_map_on_cores"]
     assert sorted(name for *_, name in tasks) == ["_cross_counts", "_knn_radii"]
-    roots = [defined("scorenet", "_draw_chunks", "_draw_chunks"),
-             defined("scorenet", "_draw_process", "_draw_process")]
-    for module, outer, name in tasks:
-        roots.extend(private[name] or [defined(module, outer, name)])
-    seen, todo = set(), list(roots)
+    todo = [node for module, outer, name in tasks
+            for node in private[name] or [defined(module, outer, name)]]
+    seen = set()
     while todo:
         node = todo.pop()
         for call in ast.walk(node):
@@ -86,7 +83,7 @@ def test_draw_workers_call_no_traced_function():
             if name in private and name not in seen:
                 seen.add(name)
                 todo.extend(private[name])
-    assert {"_draw_chunks", "_gn_draw", "_gamma_root", "_distances"} <= seen
+    assert "_distances" in seen
 
 
 def test_ald_run_counter_reads_the_result():
@@ -123,6 +120,21 @@ def test_ald_noise_draws_are_traced_under_ald_run(monkeypatch):
     assert tracer.stats["sampler.ald_run"].calls == 1
     assert tracer.edges[("sampler.ald_run", "distributions.gn_sample")].calls == count
     assert tracer.counters["gn_sample_values"] == count * steps * dim
+
+
+def test_training_noise_draws_are_traced_under_train():
+    run, spans = load("run"), load("spans")
+    functions, _ = run.trace_targets()
+    traced = [f for f in functions if f[2] in ("scorenet.train", "distributions.gn_sample")]
+    data = scorenet.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 500)
+    # Chunks of 64, 64 and 2 steps.
+    cfg = scorenet.TrainConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps=130,
+                               batch_size=16)
+    tracer = spans.Tracer()
+    with spans.patched(tracer, traced, []):
+        scorenet.train(data, cfg, np.random.default_rng(20))
+    assert tracer.edges[("scorenet.train", "distributions.gn_sample")].calls == 3
+    assert tracer.counters["gn_sample_values"] == 130 * 16 * 2
 
 
 def test_ald_run_starts_no_thread_pool(monkeypatch):

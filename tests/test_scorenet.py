@@ -394,6 +394,12 @@ def reference_train(data, cfg, rng):
     return net, np.array(losses)
 
 
+def train_losses(steps):
+    data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
+    cfg = sn.TrainConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps=steps)
+    return sn.train(data, cfg, np.random.default_rng(20))[1]
+
+
 class TestTrain:
     @pytest.mark.parametrize("beta, exponent, dim, hidden", [
         pytest.param(2.0, 2.0, 2, (16, 16), id="2.0-2.0"),
@@ -420,17 +426,41 @@ class TestTrain:
         # The generator ends where the reference loop leaves it.
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("beta", [2.0, 1.0])
+    def test_chunk_boundaries_match_reference_loop(self, two_level_schedule, beta, steps):
+        # One partial chunk, one whole chunk, a whole chunk and one step, and
+        # two whole chunks and one step; beta 2 draws through standard_normal
+        # and beta 1 through the gamma route.
+        data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(32), 500)
+        cfg = sn.TrainConfig(schedule=two_level_schedule, beta_noise=beta, steps=steps,
+                             batch_size=16)
+        rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
+        net, losses = sn.train(data, cfg, rng)
+        ref_net, ref_losses = reference_train(data, cfg, ref_rng)
+        assert len(losses) == steps
+        assert np.array_equal(losses, ref_losses)
+        assert np.array_equal(net.params, ref_net.params)
+        assert rng.random() == ref_rng.random()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_step_and_level_match_reference_loop(self, two_level_schedule):
+    @pytest.mark.parametrize("learning_rate", [1e12, 3.7], ids=["first-chunk", "later-chunk"])
+    def test_divergence_step_and_level_match_reference_loop(self, two_level_schedule,
+                                                            learning_rate):
         data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
-        cfg = sn.TrainConfig(schedule=two_level_schedule, steps=500, learning_rate=1e12)
+        cfg = sn.TrainConfig(schedule=two_level_schedule, steps=500,
+                             learning_rate=learning_rate)
         with pytest.raises(sn.TrainingDivergedError) as got:
             sn.train(data, cfg, np.random.default_rng(20))
         with pytest.raises(sn.TrainingDivergedError) as want:
             reference_train(data, cfg, np.random.default_rng(20))
         assert (got.value.step, got.value.sigma) == (want.value.step, want.value.sigma)
+        # The case's learning rate puts the divergence in the chunk it names.
+        assert (want.value.step >= sn._CHUNK_STEPS) == (learning_rate == 3.7)
 
-    def test_starts_no_process(self, two_level_schedule, monkeypatch):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [1e-3, 1e12], ids=["returns", "diverges"])
+    def test_starts_no_process(self, two_level_schedule, monkeypatch, learning_rate):
         def refuse(*args, **kwargs):
             raise AssertionError("train started a process")
 
@@ -438,10 +468,21 @@ class TestTrain:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         data = sn.MixtureSpec.two_mode(1.0).sample(np.random.default_rng(19), 1000)
         # A run long enough to be worth drawing on a second core.
-        cfg = sn.TrainConfig(schedule=two_level_schedule, steps=2000)
-        _, losses = sn.train(data, cfg, np.random.default_rng(20))
-        assert np.isfinite(losses).all()
+        cfg = sn.TrainConfig(schedule=two_level_schedule, steps=2000,
+                             learning_rate=learning_rate)
+        try:
+            _, losses = sn.train(data, cfg, np.random.default_rng(20))
+            assert np.isfinite(losses).all()
+        except sn.TrainingDivergedError:
+            assert learning_rate == 1e12
         assert multiprocessing.active_children() == []
+
+    def test_trains_inside_a_daemonic_pool_worker(self):
+        # A Pool worker is daemonic and may start no child; train draws in
+        # the calling process, so it runs there and gives the same bits.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(train_losses, (300,))
+        assert np.array_equal(got, train_losses(300))
 
     def test_loss_decreases(self, two_level_schedule):
         mix = sn.MixtureSpec.two_mode(1.0)

@@ -339,8 +339,10 @@ def run_convergence_demo(
 
     levels = 1 uses the single sigma = 1.0 level; levels = 2 the
     [1.0, 0.25] pair. Endpoints for every particle and full paths for the
-    first path_particles particles land in out_dir. Both come from one ALD
-    run, so each path ends at its particle's endpoint.
+    first path_particles particles land in out_dir. The paths come from a
+    second ALD run of just those particles, which is bit-equal to their rows
+    of the first (particles are seeded by index and the network's forward is
+    row-stable), so each path ends at its particle's endpoint.
     """
     if levels not in (1, 2) or path_particles < 1:
         raise ValueError(f"need levels 1 or 2, path_particles >= 1; got {levels}, {path_particles}")
@@ -386,11 +388,11 @@ def run_convergence_demo(
     t0 = time.perf_counter()
     seed = cfg.seeds[0]
     data, net, losses = _train_for_seed(cfg, seed, beta_noise)
-    paths, endpoints, diverged = _sample_cell(
-        cfg, seed, net, cfg.sampler.beta_diff, record_paths=True
-    )
+    _, endpoints, diverged = _sample_cell(cfg, seed, net, cfg.sampler.beta_diff)
     write_endpoints_csv(out_dir / "endpoints.csv", endpoints, diverged)
-    write_paths_csv(out_dir / "paths.csv", paths[:path_particles], cfg.sampler.steps_per_level)
+    path_cfg = replace(cfg, particles=min(path_particles, cfg.particles))
+    paths = _sample_cell(path_cfg, seed, net, cfg.sampler.beta_diff, record_paths=True)[0]
+    write_paths_csv(out_dir / "paths.csv", paths, cfg.sampler.steps_per_level)
 
     kept = endpoints[~diverged]
     capture = None

@@ -6,23 +6,25 @@ Particles are independent: every particle draws its initial position, then
 its entire diffusion-noise stream in one `gn_sample` call, from a generator
 seeded by (master seed, particle index); a block holds its particles'
 streams in one step-major (steps, particles, d) array, drawn before its
-first step. With an elementwise score (one that treats each row on its own,
-like -x) results are therefore bitwise identical however particles are
-batched or fanned across workers. A network score is not yet row-stable:
-BLAS rounds a row differently with the batch's row count, so its results
-move by ulps with the number of alive rows in a block. Results, and the
-pins and digests taken from them, are bit-exact per host and per BLAS
-kernel. Diffusion noise of any shape is rescaled to unit per-coordinate
-variance, keeping the sqrt(2 eps) coefficient of the update comparable
-across shapes.
+first step. With a row-stable score (one whose value for a row does not
+depend on the other rows or their number: an elementwise score like -x, or
+ScoreNetwork.forward, which pads its batch) results are therefore bitwise
+identical however particles are cut into blocks or fanned across workers,
+and whichever particles of a block have diverged. Results, and the pins and
+digests taken from them, are bit-exact per host and per BLAS kernel.
+Diffusion noise of any shape is rescaled to unit per-coordinate variance,
+keeping the sqrt(2 eps) coefficient of the update comparable across shapes.
 
 A particle diverges when np.linalg.norm of its row exceeds the divergence
 radius or is NaN. That is the one divergence test; `_coordinate_bound` skips
 it on steps where every coordinate of the block lies well inside the radius.
 
 `ald_run` returns one numpy record array with a row per particle: columns
-`final` and `status`, plus `positions` when paths are recorded. Each block
-of particles writes its slice of it in place.
+`final` and `status`, plus `positions` when paths are recorded. The
+particles run in ceil(count * steps * d / _BLOCK_BUDGET) blocks (at most
+one per particle) whose sizes differ by at most one, so a block holds fewer
+than _BLOCK_BUDGET noise values plus one particle's; each block writes its
+slice of the result in place.
 """
 
 from __future__ import annotations
@@ -54,8 +56,14 @@ __all__ = [
 CONVERGED = "converged"
 DIVERGED = "diverged"
 
-# Noise values per block: 8M float64, 64 MB of pregenerated noise.
-_BLOCK_BUDGET = 8_000_000
+# Noise values per block: 6M float64, a 48 MB buffer, which sets the peak
+# memory of a long run (sample_eval's 4,000 x 3,000-step runs go as four
+# blocks of 1,000 particles, the grid's 1,000 as one). It stays above
+# glibc's 32 MiB ceiling on its mmap threshold, so every block's buffer is
+# mapped and unmapped whole. Buffers under it come from the heap: one of
+# three runs with 30.5 MiB blocks kept two resident and peaked at 106.3 MB.
+# Blocks under about 750 rows also cost more per row-step.
+_BLOCK_BUDGET = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -213,9 +221,10 @@ def ald_run(score_fn, cfg: SamplerConfig, count: int) -> np.recarray:
     if cfg.record_paths:
         fields.append(("positions", float, (total_steps + 1, dim)))
     out = np.recarray(count, dtype=np.dtype(fields, align=True))
-    block = max(1, min(count, _BLOCK_BUDGET // max(total_steps * dim, 1)))
-    for start in range(0, count, block):
-        _run_block(score_fn, cfg, start, out[start : start + block])
+    blocks = min(count, -(-count * total_steps * dim // _BLOCK_BUDGET))
+    cuts = [count * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(cuts, cuts[1:]):
+        _run_block(score_fn, cfg, start, out[start:stop])
     return out
 
 

@@ -304,6 +304,27 @@ class TestConvergenceDemo:
         assert {r["level"] for r in rows} == {"0", "1"}
         assert record.loss_first_decile > 0
 
+    def test_each_path_ends_at_its_endpoint(self, tmp_path):
+        # The paths come from a separate 10-particle run. A radius of 7
+        # makes particles diverge mid-run in both runs, so the big run's
+        # alive row count changes under the network's forward.
+        sampler_cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2),
+                                    steps_per_level=200, step_size=0.1, beta_diff=1.0,
+                                    divergence_radius=7.0)
+        cfg = tiny_config(sampler=sampler_cfg, particles=500)
+        record = run_convergence_demo(2, 1.0, tmp_path, cfg=cfg, path_particles=10)
+        with open(tmp_path / "endpoints.csv") as fh:
+            endpoints = list(csv.DictReader(fh))
+        with open(tmp_path / "paths.csv") as fh:
+            paths = list(csv.DictReader(fh))
+        assert len(endpoints) == 500 and len(paths) == 10 * 401
+        last = [row for row in paths if row["step"] == "400"]
+        assert [row["particle_id"] for row in last] == [str(i) for i in range(10)]
+        for path_row, end_row in zip(last, endpoints):
+            assert (path_row["x0"], path_row["x1"]) == (end_row["x0"], end_row["x1"])
+        diverged = [row["status"] == "diverged" for row in endpoints]
+        assert 0 < sum(diverged[:10]) < 10 and sum(diverged) == record.diverged
+
     def test_single_level_schedule(self, tmp_path):
         cfg = tiny_config(mixture=MixtureSpec.two_mode(1.0), particles=10)
         record = run_convergence_demo(1, 2.0, tmp_path, cfg=cfg, path_particles=2)

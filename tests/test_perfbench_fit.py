@@ -112,7 +112,7 @@ def test_ald_noise_draws_are_traced_under_ald_run(monkeypatch):
     cfg = sampler.SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=150,
                                 step_size=0.1, beta_diff=1.0, seed=8)
     count, steps, dim = 10, 300, 2
-    # Blocks of 4, 4 and 2 particles.
+    # Blocks of 3, 3 and 4 particles.
     monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 4 * steps * dim)
     tracer = spans.Tracer()
     with spans.patched(tracer, traced, []):
@@ -175,8 +175,9 @@ def test_forward_counters_see_every_ald_score(monkeypatch):
     (forward,) = [m for m in methods if m[2] == "scorenet.forward"]
     cfg = sampler.SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=50,
                                 step_size=0.1, seed=5)
-    count, steps, block = 64, 100, 24
-    monkeypatch.setattr(sampler, "_BLOCK_BUDGET", block * steps * 2)
+    count, steps = 64, 100
+    # Blocks of 21, 21 and 22 particles.
+    monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 24 * steps * 2)
     tracer = spans.Tracer()
     with spans.patched(tracer, [], [forward]):
         _, _, diverged = experiments._sample_network(outward_beyond_net(5.0, 10.0), cfg, count)
@@ -184,9 +185,9 @@ def test_forward_counters_see_every_ald_score(monkeypatch):
     # Some particles diverge, and every block keeps one alive to the end,
     # so each block scores on every step.
     assert 0 < diverged.sum()
-    blocks = range(0, count, block)
-    assert all(not diverged[start : start + block].all() for start in blocks)
-    assert tracer.stats["scorenet.forward"].calls == len(blocks) * steps
+    cuts = (0, 21, 42, 64)
+    assert all(not diverged[start:stop].all() for start, stop in zip(cuts, cuts[1:]))
+    assert tracer.stats["scorenet.forward"].calls == 3 * steps
     rows = tracer.counters["forward_rows"]
     assert 0 < rows < count * steps
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from htdsm import distributions as dist
 from htdsm import sampler
-from htdsm.experiments import write_endpoints_csv
+from htdsm.experiments import _sample_network, write_endpoints_csv
 from htdsm.sampler import (
     CONVERGED,
     DIVERGED,
@@ -242,7 +243,7 @@ class TestMidRunDivergence:
     @pytest.mark.parametrize("beta_diff", [0.5, 1.0, 2.0, 2.5, 30.0])
     def test_matches_per_particle_reference(self, monkeypatch, beta_diff):
         cfg = dataclasses.replace(self.CFG, beta_diff=beta_diff)
-        # 200 steps x 2 values a particle: blocks of 21, 21, 21 and 1.
+        # 200 steps x 2 values a particle: four blocks of 16.
         monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 21 * 200 * 2)
         paths = ald_run(unstable_score, cfg, 64)
         for pid, p in enumerate(paths):
@@ -313,25 +314,93 @@ class TestMidRunDivergence:
 # in place of 8, when beta 2 draws came from standard_normal: the network
 # trains on beta 2 noise, so its weights and the endpoints moved. Re-recorded,
 # still with 6 divergences, when train came to draw each 64-step chunk's
-# levels, rows and noise in three calls, which moved the weights. The
-# network's rounding depends on the BLAS kernel, so the pin holds per host
-# and BLAS build (x86-64 OpenBLAS).
-NETWORK_ENDPOINTS_SHA256 = "05a4870d72ab58b08d6e7a012e9a9d8ad25ade9841ec9f31e0a75f9080c851c5"
+# levels, rows and noise in three calls, which moved the weights.
+# Re-recorded, still with 6 divergences, when forward came to pad its batch
+# to a multiple of 4 rows: each row's rounding no longer moves with the
+# number of particles alive. The network's rounding depends on the BLAS
+# kernel, so the pin holds per host and BLAS build (x86-64 OpenBLAS).
+NETWORK_ENDPOINTS_SHA256 = "bdda8b9db58c58ae08013e6ee198917364052323919385a98ee427efc2329e5b"
 
 
-def test_network_score_endpoints_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def pinned_net():
+    data = MixtureSpec.two_mode(10.0).sample(np.random.default_rng(3), 2000)
+    cfg = TrainConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps=300, seed=4)
+    return train(data, cfg, np.random.default_rng(4))[0]
+
+
+def test_network_score_endpoints_are_pinned(tmp_path, pinned_net):
     # 400 particles x 400 steps x 2 coordinates, and a radius of 12 makes 6
     # particles diverge mid-run.
-    sched = geometric_schedule(1.0, 0.25, 2)
-    data = MixtureSpec.two_mode(10.0).sample(np.random.default_rng(3), 2000)
-    net, _ = train(data, TrainConfig(schedule=sched, steps=300, seed=4), np.random.default_rng(4))
-    cfg = SamplerConfig(schedule=sched, steps_per_level=200, step_size=0.1, beta_diff=1.0,
-                        divergence_radius=12.0, seed=5)
+    net = pinned_net
+    cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=200,
+                        step_size=0.1, beta_diff=1.0, divergence_radius=12.0, seed=5)
     paths = ald_run(lambda x, ls: net.forward(x, ls), cfg, 400)
     assert sum(p.status == DIVERGED for p in paths) == 6
     out = tmp_path / "endpoints.csv"
     write_endpoints_csv(out, [p.final for p in paths], [p.status == DIVERGED for p in paths])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_ENDPOINTS_SHA256
+
+
+class TestNetworkScoreCuts:
+    """ald_run with a network score: a particle's final position and status
+    depend only on (seed, index), however the particles are cut into blocks
+    and whichever others diverge on the way."""
+
+    # 300 steps; a radius of 8 makes 172 of 1,000 particles diverge mid-run,
+    # 3 of them among the first 10.
+    CFG = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=150,
+                        step_size=0.1, beta_diff=1.0, divergence_radius=8.0, seed=5)
+
+    @staticmethod
+    def same(a, b):
+        return all(a[name].tobytes() == b[name].tobytes() for name in a.dtype.names)
+
+    def test_first_particles_of_a_big_run_equal_a_small_run(self, pinned_net):
+        big = _sample_network(pinned_net, self.CFG, 1000)[0]
+        small = _sample_network(pinned_net, self.CFG, 10)[0]
+        assert (big.status == DIVERGED).sum() == 172
+        assert (small.status == DIVERGED).sum() == 3
+        assert self.same(big[:10], small)
+
+    def test_two_block_budgets_give_identical_records(self, monkeypatch, pinned_net):
+        cfg = dataclasses.replace(self.CFG, record_paths=True)
+        whole = _sample_network(pinned_net, cfg, 100)[0]
+        # 300 steps x 2 values a particle: 15 blocks of 6 or 7.
+        monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 7 * 300 * 2)
+        cut = _sample_network(pinned_net, cfg, 100)[0]
+        assert (whole.status == DIVERGED).any()
+        assert self.same(whole, cut)
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.integers(1, 5000), steps=st.integers(1, 4000), dim=st.integers(1, 3),
+           budget=st.integers(1, 10**7))
+    def test_block_sizes_differ_by_at_most_one(self, count, steps, dim, budget):
+        cfg = SamplerConfig(schedule=single_level(n=dim), steps_per_level=steps)
+        blocks = []
+
+        def record(score_fn, cfg, start, out):
+            blocks.append((start, len(out)))
+
+        with mock.patch.object(sampler, "_run_block", record), \
+                mock.patch.object(sampler, "_BLOCK_BUDGET", budget):
+            ald_run(None, cfg, count)
+        starts, sizes = zip(*blocks)
+        assert list(starts) == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert sum(sizes) == count and max(sizes) - min(sizes) <= 1
+        assert len(sizes) == min(count, math.ceil(count * steps * dim / budget))
+        # Fewer than the budget's noise values plus one particle's.
+        assert (max(sizes) - 1) * steps * dim < budget
+
+    def test_sample_eval_runs_four_blocks_of_1000(self):
+        cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=1500)
+        sizes = []
+        with mock.patch.object(sampler, "_run_block", lambda f, c, s, out: sizes.append(len(out))):
+            ald_run(None, cfg, 4000)
+            ald_run(None, cfg, 1000)
+        assert sizes == [1000] * 5
 
 
 class TestDiffusionShapes:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -111,21 +112,26 @@ class TestScoreNetworkForward:
 
 
 def broadcast_forward(net, x, log_sigma):
-    """The forward pass with each bias broadcast over the rows, as it was
-    before forward took buffers."""
-    h = np.column_stack([x, np.full(len(x), log_sigma)])
+    """The forward pass with each bias broadcast over the rows and ReLU
+    against the scalar 0.0, as it was before forward took buffers, run on x
+    padded with zero points to a multiple of 4 rows, as forward pads it."""
+    rows = len(x)
+    padded = np.zeros((-(-rows // 4) * 4, x.shape[1]))
+    padded[:rows] = x
+    h = np.column_stack([padded, np.full(len(padded), log_sigma)])
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ w
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
-    return h
+    return h[:rows]
 
 
 class TestForwardBuffers:
-    """forward on private buffers (pre-tiled bias rows, reused arrays) is
-    bit-equal to forward without them and to the broadcast bias add."""
+    """forward on private buffers (pre-tiled bias rows, zero ReLU tiles,
+    reused arrays) is bit-equal to forward without them and to the
+    broadcast forward on the zero-padded batch."""
 
     ROWS = (*range(1, 65), 999, 1000, 1333)
 
@@ -147,7 +153,8 @@ class TestForwardBuffers:
 
     def test_shrinking_rows_on_one_buffer_set(self):
         # ald_run's row counts as particles diverge: the buffers keep their
-        # 1333 rows and later calls use the leading rows.
+        # 1336 rows (1333 padded to a multiple of 4) and later calls use the
+        # leading rows.
         net, x = self._net_and_points()
         buffers = sn._ForwardBuffers(net)
         for rows in (1333, 1200, 7, 1200, 1333):
@@ -190,6 +197,65 @@ class TestForwardBuffers:
             want = want[0]
         assert np.array_equal(net.forward(x, 0.6), want)
         assert np.array_equal(net.forward(x, 0.6, buffers=sn._ForwardBuffers(net)), want)
+
+
+class TestRowStability:
+    """Each row of forward's result has the same bits whatever the batch's
+    row count and the row's place in it: forward pads the batch to a
+    multiple of 4 rows."""
+
+    @pytest.fixture(scope="class")
+    def big_batch(self):
+        net, x = TestForwardBuffers._net_and_points(rows=2000)
+        return net, x, net.forward(x, -0.7).copy()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.sampled_from(TestForwardBuffers.ROWS), start=st.integers(0, 2000))
+    def test_every_row_equals_its_row_in_a_2000_row_batch(self, big_batch, rows, start):
+        net, x, full = big_batch
+        start = min(start, 2000 - rows)
+        want = full[start : start + rows].tobytes()
+        assert net.forward(x[start : start + rows], -0.7).tobytes() == want
+        # The buffer set has held more rows and fewer before the last call.
+        buffers = sn._ForwardBuffers(net)
+        for cut in (2000, rows, 1, rows):
+            got = net.forward(x[start : start + cut], -0.7, buffers=buffers)
+        assert got.tobytes() == want
+
+    def test_the_leading_rows_of_every_cut_equal_the_big_batch(self, big_batch):
+        # One buffer set through every row count, as an ALD block sees
+        # them while its particles diverge.
+        net, x, full = big_batch
+        buffers = sn._ForwardBuffers(net)
+        for rows in (*TestForwardBuffers.ROWS, *range(1399, 1330, -1)):
+            assert net.forward(x[:rows], -0.7).tobytes() == full[:rows].tobytes(), rows
+            got = net.forward(x[:rows], -0.7, buffers=buffers)
+            assert got.tobytes() == full[:rows].tobytes(), rows
+
+    def test_shrinking_past_inf_and_nan_rows_does_not_warn(self):
+        net, x = TestForwardBuffers._net_and_points(rows=8)
+        x[5:] = [[np.inf, 0.0], [np.nan, 1.0], [-np.inf, np.nan]]
+        buffers = sn._ForwardBuffers(net)
+        with np.errstate(over="ignore", invalid="ignore"):
+            net.forward(x, 0.1, buffers=buffers)
+        # Rows 5 to 7 are padding now, and no stale inf or NaN is left there.
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = net.forward(x[:5], 0.1, buffers=buffers)
+        assert got.tobytes() == broadcast_forward(net, x[:5], 0.1).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 5, 1333])
+    def test_relu_floor_is_bit_equal_to_the_scalar_zero(self, rows):
+        net = sn.ScoreNetwork([3, 16, 16, 2])
+        floor = sn._ForwardBuffers(net).views(rows)[4][0]
+        rng = np.random.default_rng(rows)
+        h = rng.standard_normal(floor.shape)
+        specials = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324]
+        spots = rng.choice(h.size, 4 * len(specials), replace=False)
+        h.flat[spots] = np.resize(specials, len(spots))
+        want = np.maximum(h, 0.0)
+        assert np.maximum(h, floor, out=h).tobytes() == want.tobytes()
+        assert np.signbit(want).any() and np.isnan(want).any()
 
 
 class TestBackward:

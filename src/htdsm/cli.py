@@ -4,7 +4,7 @@ Subcommands: schedule, noise, train, sample, metrics, experiment, selftest.
 Every command is pure in (config, seed) up to timing fields; outputs are
 JSON or CSV (RFC 4180 with CRLF line ends, floats as their shortest
 round-trip repr). Exit codes: 0 success, 1 numerical/runtime failure,
-2 usage or config error.
+2 usage or config error, or a path that cannot be opened or made.
 """
 
 from __future__ import annotations
@@ -61,11 +61,9 @@ def _require_unit_variance(flag: str, beta: float) -> None:
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -86,7 +84,9 @@ def _load_points_csv(path) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise UsageError(f"{path}: empty file")
             xs = [name for name in header if name.startswith("x")]
             names = [f"x{i}" for i in range(len(xs))]
             if not xs or set(xs) != set(names):
@@ -102,8 +102,6 @@ def _load_points_csv(path) -> np.ndarray:
                 if not all(map(math.isfinite, point)):
                     raise UsageError(f"{path}: data row {number} has a non-finite coordinate")
                 rows.append(point)
-    except FileNotFoundError as exc:
-        raise UsageError(f"input file not found: {path}") from exc
     except (ValueError, IndexError) as exc:
         raise UsageError(f"{path}: malformed CSV ({exc})") from exc
     if not rows:
@@ -284,6 +282,7 @@ def _cmd_experiment(args) -> int:
             if attrgetter(key)(cfg) != attrgetter(key)(default):
                 raise UsageError(f"bad experiment config {args.config}: {key} cannot be "
                                  "set, because the grid sets it per cell")
+    out_dir.mkdir(parents=True, exist_ok=True)
     grid = run_imbalance_grid(cfg, workers=args.workers, sweep_betas=args.sweep_betas)
     write_grid_outputs(out_dir, grid)
     for name, cell in grid["cells"].items():
@@ -405,6 +404,12 @@ def dispatch(argv) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # A path the command reads or writes could not be opened or made.
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

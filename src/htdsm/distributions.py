@@ -14,8 +14,6 @@ draw takes its Gamma variate from the one kernel _gamma_root.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,36 +210,6 @@ def gn_sample(dist: GeneralizedNormal, rng: np.random.Generator, count) -> np.nd
     root = _gamma_root(rng, 1.0 / dist.beta, dist.beta, count)
     sign = rng.integers(0, 2, size=count) * 2.0 - 1.0
     return dist.mu + sign * dist.alpha * root
-
-
-def _draw_threads() -> int:
-    """The cores this process may use: PRDC's threads, one per core."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_on_cores(fn, *columns) -> list:
-    """list(map(fn, *columns)) on one thread per usable core, at most one
-    per task, from a pool that lives for this call; inline on one thread.
-    Only PRDC's passes run here.
-
-    Reading every result re-raises a worker's exception here. The tasks run
-    on worker threads, so they may call no public function: a tracer
-    wrapping those keeps one span stack for the process.
-    """
-    threads = min(_draw_threads(), len(columns[0]))
-    if threads <= 1:
-        return list(map(fn, *columns))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *columns))
-
-
-def _core_shares(n: int) -> list:
-    """range(n) cut into contiguous slices, one per usable core and at most
-    one per item (one slice when n is 0)."""
-    shares = max(1, min(_draw_threads(), n))
-    return [slice(s * n // shares, (s + 1) * n // shares) for s in range(shares)]
 
 
 def _row_view(a: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -242,20 +243,15 @@ def _seed_records(args) -> dict:
             records[pair] = _run_record(cfg, seed, data, losses, endpoints[~diverged],
                                         int(diverged.sum()), t0)
         out[name] = records[pair].to_dict()
+    log.debug("seed %d done (%d shapes)", seed, len(shapes))
     return out
 
 
 def _run_shapes(cfg: ExperimentConfig, shapes, workers: int = 1) -> dict:
     """Records per shape name, seed-ordered. Seeds fan across workers."""
     tasks = [(cfg, seed, shapes) for seed in cfg.seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_seed_records, tasks))
-    else:
-        results = []
-        for task in tasks:
-            results.append(_seed_records(task))
-            log.debug("seed %d done (%d shapes)", task[1], len(shapes))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = list((pool.map if pool else map)(_seed_records, tasks))
     per_shape = {name: [] for name, *_ in shapes}
     for res in results:
         for name, record in res.items():

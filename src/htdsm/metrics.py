@@ -11,23 +11,26 @@ The metrics take the raw points as their features (the identity feature
 map); reports carry that label so downstream consumers know the values are
 not classifier-feature metrics.
 
-PRDC runs its independent passes on one thread per usable core
-(`distributions._map_on_cores`), inline on one core. Each pass's result
-depends only on its inputs, and the passes are combined by integer sums
-and boolean ORs, so the values do not depend on the thread count. KID
-takes its three kernel sums one after the other: on two threads they ran
-no faster.
+PRDC makes three passes: the k-NN radii of the real points, those of the
+fake points, and the cross pass. `_map_on_cores` cuts each pass's rows
+into one contiguous share per usable core and runs the shares on a pool of
+threads that lives for the call, inline on one core. A row's result
+depends only on its inputs, and the shares are joined by concatenation,
+integer sums and boolean ORs, so the values do not depend on the thread
+count. KID takes its three kernel sums one after the other: on two threads
+they ran no faster.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from htdsm._config import Config
-from htdsm.distributions import _core_shares, _map_on_cores
 from htdsm.scorenet import MixtureSpec
 
 # Entries per row block of a pairwise matrix: prdc and kid never hold a full
@@ -70,19 +73,48 @@ class MetricReport(Config):
     feature_map: str = "identity"
 
 
-def _points(x) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected an (M, d) matrix, got shape {pts.shape}")
-    return pts
+def _point_sets(real, fake) -> tuple:
+    """real and fake as (M, d) float matrices of one width d."""
+    sets = np.asarray(real, dtype=float), np.asarray(fake, dtype=float)
+    for pts in sets:
+        if pts.ndim != 2:
+            raise ValueError(f"expected an (M, d) matrix, got shape {pts.shape}")
+    if sets[0].shape[1] != sets[1].shape[1]:
+        raise ValueError("feature dimensions differ")
+    return sets
 
 
-def _row_blocks(rows: int, cols: int):
+def _usable_cores() -> int:
+    """The cores this process may use: PRDC's threads, one per core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_on_cores(fn, n: int, *args) -> list:
+    """[fn(share, *args) for each share], where the shares cut range(n) into
+    contiguous slices: one per usable core, at most one per row, and one
+    slice when n is 0. The shares run on a pool of one thread each that
+    lives for this call, inline when there is one share.
+
+    Reading every result re-raises a worker's exception here. The tasks run
+    on worker threads, so they may call no public function: a tracer
+    wrapping those keeps one span stack for the process.
+    """
+    count = max(1, min(_usable_cores(), n))
+    shares = [slice(s * n // count, (s + 1) * n // count) for s in range(count)]
+    if count == 1:
+        return [fn(shares[0], *args)]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        return list(pool.map(lambda share: fn(share, *args), shares))
+
+
+def _row_blocks(rows: slice, cols: int):
     """Slices of at most _BLOCK_ENTRIES // cols rows (at least one) covering
-    range(rows)."""
+    the rows of the slice rows."""
     step = max(1, _BLOCK_ENTRIES // cols)
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
+    for start in range(rows.start, rows.stop, step):
+        yield slice(start, min(start + step, rows.stop))
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,27 +135,29 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _knn_radii(pts: np.ndarray, k: int) -> np.ndarray:
-    radii = np.empty(pts.shape[0])
-    for rows in _row_blocks(pts.shape[0], pts.shape[0]):
+def _knn_radii(share: slice, pts: np.ndarray, k: int) -> np.ndarray:
+    """The k-th nearest-neighbor distances (self excluded) within pts of
+    the points pts[share]."""
+    radii = np.empty(share.stop - share.start)
+    for rows in _row_blocks(share, pts.shape[0]):
         d = _distances(pts[rows], pts)
         # Each row holds its own zero self distance, so the k-th nearest
         # neighbor (self excluded) is the row's k-th order statistic.
         d.partition(k, axis=1)
-        radii[rows] = d[:, k]
+        radii[rows.start - share.start : rows.stop - share.start] = d[:, k]
     return radii
 
 
-def _cross_counts(real: np.ndarray, radii_real: np.ndarray, fake: np.ndarray,
+def _cross_counts(share: slice, real: np.ndarray, radii_real: np.ndarray, fake: np.ndarray,
                   radii_fake: np.ndarray) -> tuple:
-    """prdc's cross pass over these real points and their radii:
+    """prdc's cross pass over the real points real[share] and their radii:
     (fake_hit, memberships, covered, recalled). fake_hit marks the fake
     points inside some of these real balls; memberships counts the (real,
     fake) pairs in a real ball, covered the real balls holding a fake point,
     and recalled the real points inside some fake ball."""
     fake_hit = np.zeros(fake.shape[0], dtype=bool)
     memberships = recalled = covered = 0
-    for rows in _row_blocks(real.shape[0], fake.shape[0]):
+    for rows in _row_blocks(share, fake.shape[0]):
         d_rf = _distances(real[rows], fake)
         in_real_balls = d_rf <= radii_real[rows, None]
         fake_hit |= in_real_balls.any(axis=0)
@@ -139,33 +173,29 @@ def prdc(real, fake, k: int):
     Balls are closed, radii are k-th nearest-neighbor distances within each
     set (self excluded). Returns (precision, recall, density, coverage).
     Pairwise distances are taken in row blocks, so memory is
-    O(_BLOCK_ENTRIES) per thread, not O(M_real * M_fake). The two sets'
-    radii are taken on two threads, and the cross pass splits the real
-    points into one contiguous share per usable core; the shares' counts
-    are added and their fake-point hits ORed.
+    O(_BLOCK_ENTRIES) per thread, not O(M_real * M_fake). Each set's radii
+    and the cross pass over the real points run as one share per usable
+    core (_map_on_cores); the radii shares are concatenated, and the cross
+    shares' counts are added and their fake-point hits ORed.
     """
-    r = _points(real)
-    f = _points(fake)
+    r, f = _point_sets(real, fake)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if r.shape[0] <= k or f.shape[0] <= k:
         raise ValueError(
             f"both sets need more than k={k} points, got {r.shape[0]} and {f.shape[0]}"
         )
-    if r.shape[1] != f.shape[1]:
-        raise ValueError("feature dimensions differ")
-    radii_r, radii_f = _map_on_cores(_knn_radii, (r, f), (k, k))
+    m, n = r.shape[0], f.shape[0]
+    radii_r = np.concatenate(_map_on_cores(_knn_radii, m, r, k))
+    radii_f = np.concatenate(_map_on_cores(_knn_radii, n, f, k))
     for name, radii in (("real", radii_r), ("fake", radii_f)):
         if radii.max() == 0.0:
             raise MetricError(
                 f"degenerate {name} points: every point has at least k={k} exact "
                 "duplicates, so every k-NN radius is 0", name)
 
-    m, n = r.shape[0], f.shape[0]
-    shares = _core_shares(m)
     hits, memberships, covered, recalled = zip(*_map_on_cores(
-        _cross_counts, [r[s] for s in shares], [radii_r[s] for s in shares],
-        [f] * len(shares), [radii_f] * len(shares)))
+        _cross_counts, m, r, radii_r, f, radii_f))
     precision = int(np.count_nonzero(np.logical_or.reduce(hits))) / n
     return precision, sum(recalled) / m, sum(memberships) / (k * n), sum(covered) / m
 
@@ -208,7 +238,7 @@ def _kernel_sum(a: np.ndarray, b: np.ndarray, skip_diagonal: bool) -> float:
     block_rows = min(m, max(1, _BLOCK_ENTRIES // n))
     scratch, kernel = np.empty((block_rows, n)), np.empty((block_rows, n))
     row_sums = np.empty(m)
-    for rows in _row_blocks(m, n):
+    for rows in _row_blocks(slice(0, m), n):
         size = rows.stop - rows.start
         block = _kernel_block(a[rows], b_cols, scratch[:size], kernel[:size])
         if skip_diagonal:
@@ -230,13 +260,10 @@ def kid(real, fake) -> float:
     on two threads they ran no faster (0.146-0.151 s a call at 4000 x 4000
     2D points on 2 cores, against 0.143-0.150 s serially).
     """
-    x = _points(real)
-    y = _points(fake)
+    x, y = _point_sets(real, fake)
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
         raise ValueError("kid needs at least 2 points per set")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("feature dimensions differ")
     sum_xx, sum_yy = _kernel_sum(x, x, True), _kernel_sum(y, y, True)
     sum_xy = _kernel_sum(x, y, m == n)
     if m == n:
@@ -258,15 +285,12 @@ def fid(real, fake) -> float:
     The cross covariance square root is computed through the symmetrized
     product S1^{1/2} S2 S1^{1/2} with negative eigenvalues clamped to zero.
     """
-    x = _points(real)
-    y = _points(fake)
+    x, y = _point_sets(real, fake)
     d = x.shape[1]
     if x.shape[0] <= d or y.shape[0] <= d:
         raise ValueError(
             f"fid needs more than d={d} points per set, got {x.shape[0]} and {y.shape[0]}"
         )
-    if y.shape[1] != d:
-        raise ValueError("feature dimensions differ")
     mu_x, mu_y = x.mean(axis=0), y.mean(axis=0)
     cov_x = np.cov(x, rowvar=False).reshape(d, d)
     cov_y = np.cov(y, rowvar=False).reshape(d, d)

@@ -1,5 +1,10 @@
 import csv
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,11 @@ from htdsm.scorenet import ScoreNetwork
 
 def run_cli(*args):
     return dispatch(list(args))
+
+
+def cannot_open(path, code):
+    """The stderr of a command stopped by path, which failed with errno code."""
+    return f"error: {path}: {os.strerror(code)}\n"
 
 
 class TestExitCodes:
@@ -32,6 +42,13 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"data_seed": "\u00e9"}'.encode("latin-1"))
+        code = run_cli("train", "--config", str(bad), "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        assert f"malformed JSON in {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_is_exit_one(self, tmp_path, train_config_file, capsys):
         # A valid train file whose learning rate blows the parameters up.
@@ -42,6 +59,36 @@ class TestExitCodes:
         code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
         assert code == 1
         assert "non-finite loss/parameters" in capsys.readouterr().err and not out.exists()
+
+
+class TestPathErrors:
+    """A path that cannot be opened or made exits 2 naming it, before any work."""
+
+    def test_train_config_is_a_directory(self, tmp_path, capsys):
+        code = run_cli("train", "--config", str(tmp_path), "--out", str(tmp_path / "c.json"))
+        assert code == 2 and capsys.readouterr().err == cannot_open(tmp_path, errno.EISDIR)
+
+    def test_sample_checkpoint_is_a_directory(self, tmp_path, capsys):
+        code = run_cli("sample", "--ckpt", str(tmp_path), "--config",
+                       str(_sampler_config(tmp_path, 2)), "--out", str(tmp_path / "out.csv"))
+        assert code == 2 and capsys.readouterr().err == cannot_open(tmp_path, errno.EISDIR)
+
+    def test_noise_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "n.csv"
+        code = run_cli("noise", "--beta", "1", "--alpha", "1", "--count", "3", "--out", str(out))
+        assert code == 2 and capsys.readouterr().err == cannot_open(out, errno.ENOENT)
+
+    def test_imbalance_out_that_is_a_file_fails_before_any_work(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid ran into an --out it cannot make")
+
+        monkeypatch.setattr(cli, "run_imbalance_grid", no_run)
+        out = tmp_path / "grid"
+        out.write_text("taken\n")
+        code = run_cli("experiment", "imbalance", "--out", str(out))
+        assert code == 2 and capsys.readouterr().err == cannot_open(out, errno.EEXIST)
+        assert out.read_text() == "taken\n"
 
 
 def _sampler_config(tmp_path, n):
@@ -235,6 +282,40 @@ class TestMetricsInputValidation:
         code, got = self._metrics(files, tmp_path, "same", "swapped", 5)
         assert code == 0 and got.read_text() == want
         capsys.readouterr()
+
+    def test_missing_input_is_usage_error(self, files, tmp_path, capsys):
+        files["nope"] = tmp_path / "nope.csv"
+        code, out = self._metrics(files, tmp_path, "real", "nope", 5)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == cannot_open(files["nope"], errno.ENOENT)
+
+    def test_empty_file_is_usage_error(self, files, tmp_path, capsys):
+        files["empty"] = tmp_path / "empty.csv"
+        files["empty"].write_text("")
+        code, out = self._metrics(files, tmp_path, "empty", "fake", 5)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {files['empty']}: empty file\n"
+
+    @pytest.mark.parametrize("row, reason", [
+        ("0.5,abc", "could not convert string to float: 'abc'"),
+        ("0.5", "list index out of range"),
+    ], ids=["not-a-number", "short-row"])
+    def test_malformed_csv_is_usage_error(self, files, tmp_path, capsys, row, reason):
+        lines = files["fake"].read_text().splitlines()
+        lines[4] = row
+        files["fake"].write_text("\n".join(lines) + "\n")
+        code, out = self._metrics(files, tmp_path, "real", "fake", 5)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {files['fake']}: malformed CSV ({reason})\n"
+
+    @pytest.mark.parametrize("rows", [[], ["0,diverged,1.0,2.0", "1,diverged,nan,inf"]],
+                             ids=["header-only", "all-diverged"])
+    def test_no_usable_rows_is_usage_error(self, files, tmp_path, capsys, rows):
+        files["none"] = tmp_path / "none.csv"
+        files["none"].write_text("\n".join(["particle_id,status,x0,x1", *rows]) + "\n")
+        code, out = self._metrics(files, tmp_path, "real", "none", 5)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {files['none']}: no usable rows\n"
 
     @pytest.mark.parametrize("header", ["x0,x1,xlabel", "x0,x2", "x0,x0", "x1", "y0,y1"])
     def test_coordinate_columns_must_be_x0_to_xd(self, files, tmp_path, capsys, header):
@@ -589,30 +670,31 @@ class TestExperimentCommand:
         assert code == 2 and not out_dir.exists()
         assert f"--beta must be {need}" in capsys.readouterr().err
 
+    SMALL_GRID = {
+        "train": {
+            "schedule": {
+                "kind": "geometric", "beta": 2.0, "n": 2,
+                "delta": None, "sigmas": [1.0, 0.25],
+            },
+            "steps": 200,
+        },
+        "sampler": {
+            "schedule": {
+                "kind": "geometric", "beta": 2.0, "n": 2,
+                "delta": None, "sigmas": [1.0, 0.25],
+            },
+            "steps_per_level": 30,
+            "step_size": 0.1,
+        },
+        "particles": 40,
+        "seeds": [0, 1],
+        "data_count": 1500,
+    }
+
     def test_imbalance_with_config(self, tmp_path, capsys):
         out_dir = tmp_path / "grid"
-        cfg = {
-            "train": {
-                "schedule": {
-                    "kind": "geometric", "beta": 2.0, "n": 2,
-                    "delta": None, "sigmas": [1.0, 0.25],
-                },
-                "steps": 200,
-            },
-            "sampler": {
-                "schedule": {
-                    "kind": "geometric", "beta": 2.0, "n": 2,
-                    "delta": None, "sigmas": [1.0, 0.25],
-                },
-                "steps_per_level": 30,
-                "step_size": 0.1,
-            },
-            "particles": 40,
-            "seeds": [0, 1],
-            "data_count": 1500,
-        }
         cfg_path = tmp_path / "exp.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(self.SMALL_GRID))
         code = run_cli("experiment", "imbalance", "--config", str(cfg_path),
                        "--out", str(out_dir), "--sweep-betas", "2.0")
         assert code == 0
@@ -623,6 +705,25 @@ class TestExperimentCommand:
         assert (out_dir / "per_seed.csv").exists()
         assert (out_dir / "sweep.csv").exists()
         capsys.readouterr()
+
+    def test_verbose_logs_every_seed_on_any_worker_count(self, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(self.SMALL_GRID))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        per_seed = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"workers{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "htdsm.cli", "-v", "experiment", "imbalance", "--config",
+                 str(cfg_path), "--out", str(out_dir), "--workers", workers, "--sweep-betas"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            done = [line for line in proc.stderr.splitlines() if " done (" in line]
+            assert sorted(done) == [f"DEBUG htdsm.experiments: seed {seed} done (4 shapes)"
+                                    for seed in (0, 1)], proc.stderr
+            per_seed.append((out_dir / "per_seed.csv").read_bytes())
+        assert per_seed[0] == per_seed[1]
 
     @pytest.mark.parametrize("flags", [
         ["--sweep-betas", "3"], ["--sweep-betas", "1.0", "0"], ["--sweep-betas", "nan"],

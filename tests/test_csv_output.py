@@ -158,6 +158,14 @@ def test_paths_of_another_length_are_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_a_run_without_recorded_paths_is_rejected(tmp_path):
+    cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=3)
+    out = tmp_path / "paths.csv"
+    with pytest.raises(ValueError, match="paths were not recorded"):
+        write_paths_csv(out, ald_run(lambda x, ls: -x, cfg, 2), (3, 3))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_output_does_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, rows):
     monkeypatch.setattr(experiments, "_CSV_ROWS", rows)

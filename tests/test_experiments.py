@@ -208,13 +208,13 @@ FORK_AFTER_PRDC_POOL = textwrap.dedent("""
 
     import numpy as np
 
-    from htdsm import distributions, metrics
+    from htdsm import metrics
     from htdsm.experiments import run_imbalance_grid
     from tests.test_experiments import strip_wall_times, tiny_config
 
     # PRDC's passes run on a pool of one thread per core, the package's one
     # thread pool. Run it in the parent on two threads before the grid forks.
-    distributions._draw_threads = lambda: 2
+    metrics._usable_cores = lambda: 2
     started = []
     thread_start = threading.Thread.start
 
@@ -347,6 +347,16 @@ class TestConvergenceDemo:
             run_convergence_demo(3, 2.0, tmp_path)
         with pytest.raises(ValueError, match="path_particles"):
             run_convergence_demo(2, 2.0, tmp_path, path_particles=0)
+
+    @pytest.mark.parametrize("levels, sampler_levels, steps", [(2, 3, (10, 20, 30)),
+                                                               (1, 2, (10, 20))])
+    def test_steps_per_level_must_fit_the_demo(self, tmp_path, levels, sampler_levels, steps):
+        # Unequal steps per level are kept only when there is one per demo level.
+        cfg = tiny_config(sampler=SamplerConfig(
+            schedule=geometric_schedule(1.0, 0.25, sampler_levels), steps_per_level=steps))
+        with pytest.raises(ValueError, match=f"does not fit a {levels}-level demo"):
+            run_convergence_demo(levels, 2.0, tmp_path / "demo", cfg=cfg)
+        assert not (tmp_path / "demo").exists()
 
 
 class TestFullScaleDemo:

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from htdsm import distributions, metrics
+from htdsm import metrics
 from htdsm.metrics import (
     MetricError,
     bootstrap_ci,
@@ -86,6 +86,25 @@ def kid_longdouble(x, y):
 
 # A dense float64 matrix of 4000 x 4000 entries: 122 MiB.
 DENSE_4000_BYTES = 4000 * 4000 * 8
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("name", ["prdc", "kid", "fid"])
+    def test_width_mismatch_is_refused(self, name):
+        rng = np.random.default_rng(4)
+        real, fake = rng.standard_normal((20, 2)), rng.standard_normal((20, 3))
+        args = (real, fake, 5) if name == "prdc" else (real, fake)
+        with pytest.raises(ValueError, match="feature dimensions differ"):
+            getattr(metrics, name)(*args)
+
+    @pytest.mark.parametrize("name", ["prdc", "kid", "fid"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_matrix_is_refused(self, name, side):
+        sets = [np.zeros((20, 2)), np.zeros((20, 2))]
+        sets[side] = np.zeros(20)
+        args = (*sets, 5) if name == "prdc" else sets
+        with pytest.raises(ValueError, match=r"expected an \(M, d\) matrix, got shape \(20,\)"):
+            getattr(metrics, name)(*args)
 
 
 class TestPrdc:
@@ -186,7 +205,7 @@ class TestBlockedMetrics:
             real = rng.integers(-4, 5, size=(int(rng.integers(12, 40)), 2)).astype(float)
             fake = rng.integers(-3, 6, size=(int(rng.integers(12, 40)), 2)).astype(float)
             assert prdc(real, fake, 3) == prdc_brute_force(real.tolist(), fake.tolist(), 3)
-            radii = metrics._knn_radii(real, 3)
+            radii = metrics._knn_radii(slice(0, len(real)), real, 3)
             ties += sum(math.dist(f, r) == rad for r, rad in zip(real, radii) for f in fake)
         assert ties > 0
 
@@ -207,10 +226,12 @@ class TestBlockedMetrics:
 
 def serial_prdc(real, fake, k):
     """prdc with its passes run one after the other on the calling thread,
-    the cross pass as one share."""
-    radii_r, radii_f = metrics._knn_radii(real, k), metrics._knn_radii(fake, k)
-    hit, memberships, covered, recalled = metrics._cross_counts(real, radii_r, fake, radii_f)
+    each pass as one share."""
     m, n = len(real), len(fake)
+    radii_r = metrics._knn_radii(slice(0, m), real, k)
+    radii_f = metrics._knn_radii(slice(0, n), fake, k)
+    hit, memberships, covered, recalled = metrics._cross_counts(slice(0, m), real, radii_r,
+                                                                fake, radii_f)
     return np.count_nonzero(hit) / n, recalled / m, memberships / (k * n), covered / m
 
 
@@ -239,7 +260,7 @@ class TestMetricThreads:
         rng = np.random.default_rng(m + 7 * n)
         real, fake = rng.standard_normal((m, 2)), rng.standard_normal((n, 2)) * 1.3 + 0.2
         monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 40 * n)
-        assert len(list(metrics._row_blocks(m, n))) == blocks
+        assert len(list(metrics._row_blocks(slice(0, m), n))) == blocks
         want = serial_prdc(real, fake, 5), serial_kid(real, fake)
         pools = []
 
@@ -248,8 +269,8 @@ class TestMetricThreads:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(distributions, "ThreadPoolExecutor", Spy)
-        monkeypatch.setattr(distributions, "_draw_threads", lambda: threads)
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: threads)
         # Switching threads as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -258,9 +279,28 @@ class TestMetricThreads:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-        # prdc: the two radius passes, then one cross share per thread; kid
-        # makes no pool. One thread makes no pool.
-        assert pools == ([] if threads == 1 else [2, threads])
+        # prdc: the real radii, the fake radii and the cross pass, each as
+        # one share per thread; kid makes no pool. One thread makes no pool.
+        assert pools == ([] if threads == 1 else [threads] * 3)
+
+    @pytest.mark.parametrize("cores, n, shares", [
+        (3, 0, [slice(0, 0)]), (3, 2, [slice(0, 1), slice(1, 2)]),
+        (3, 7, [slice(0, 2), slice(2, 4), slice(4, 7)]), (1, 5, [slice(0, 5)]),
+    ])
+    def test_shares_cut_the_rows(self, monkeypatch, cores, n, shares):
+        # One contiguous share per core, at most one per row, one when n is 0.
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: cores)
+        assert metrics._map_on_cores(lambda share, tag: (share, tag), n, "t") == [
+            (share, "t") for share in shares]
+
+    def test_a_worker_exception_is_raised_in_the_caller(self, monkeypatch):
+        def fail(share):
+            if share.start:
+                raise ArithmeticError(f"share {share.start}")
+
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+        with pytest.raises(ArithmeticError, match="share 2"):
+            metrics._map_on_cores(fail, 4)
 
     def test_degenerate_real_points_are_reported_first(self):
         same = np.zeros((10, 2))

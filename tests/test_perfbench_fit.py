@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from htdsm import distributions, experiments, sampler, scorenet
+from htdsm import experiments, metrics, sampler, scorenet
 from htdsm.schedule import geometric_schedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -69,7 +69,7 @@ def test_draw_workers_call_no_traced_function():
              if isinstance(outer, ast.FunctionDef)
              for call in ast.walk(outer)
              if isinstance(call, ast.Call) and call_name(call) == "_map_on_cores"]
-    assert sorted(name for *_, name in tasks) == ["_cross_counts", "_knn_radii"]
+    assert sorted(name for *_, name in tasks) == ["_cross_counts", "_knn_radii", "_knn_radii"]
     todo = [node for module, outer, name in tasks
             for node in private[name] or [defined(module, outer, name)]]
     seen = set()
@@ -146,7 +146,7 @@ def test_ald_run_starts_no_thread_pool(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy)
-    monkeypatch.setattr(distributions, "_draw_threads", lambda: 2)
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
     # 2100 steps x 2 values a particle: draws of at least 4,096 values.
     cfg = sampler.SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=1050,
                                 step_size=0.1, seed=9)

@@ -232,6 +232,23 @@ class TestRowStability:
             got = net.forward(x[:rows], -0.7, buffers=buffers)
             assert got.tobytes() == full[:rows].tobytes(), rows
 
+    @pytest.mark.parametrize("sizes", [[2, 16, 1], [3, 8, 2], [3, 32, 32, 2], [4, 16, 16, 3],
+                                       [3, 16, 16, 16, 2]], ids=str)
+    def test_every_network_shape_is_row_stable(self, sizes):
+        rng = np.random.default_rng(len(sizes) * 100 + sizes[1])
+        net = sn.ScoreNetwork(sizes, rng)
+        for b in net.biases:
+            b[...] = rng.standard_normal(b.shape)
+        x = rng.standard_normal((2000, sizes[-1])) * 3.0
+        full = net.forward(x, -0.7).copy()
+        buffers = sn._ForwardBuffers(net)
+        for rows in (*range(1, 70), 255, 256, 257, 999, 1000, 1001, 1333, 1399):
+            for start in (0, 1, 3, 7):
+                want = full[start : start + rows].tobytes()
+                assert net.forward(x[start : start + rows], -0.7).tobytes() == want, (rows, start)
+                got = net.forward(x[start : start + rows], -0.7, buffers=buffers)
+                assert got.tobytes() == want, (rows, start)
+
     def test_shrinking_past_inf_and_nan_rows_does_not_warn(self):
         net, x = TestForwardBuffers._net_and_points(rows=8)
         x[5:] = [[np.inf, 0.0], [np.nan, 1.0], [-np.inf, np.nan]]
@@ -416,6 +433,24 @@ class TestDsmLoss:
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
+
+    def test_exact_singularity_hits_are_clamped_by_sign(self):
+        # Below beta 1 the target's |delta|^(beta - 1) is infinite at 0, so
+        # noise entries below SCORE_DELTA_FLOOR in magnitude become
+        # +-SCORE_DELTA_FLOOR: + for 0.0 and -0.0, else the entry's sign.
+        floor = dist.SCORE_DELTA_FLOOR
+        net = sn.ScoreNetwork([3, 8, 2], np.random.default_rng(15))
+        batch = np.random.default_rng(16).standard_normal((8, 2))
+        noise = dsm_noise(0.5, 1.0, 0.7, np.random.default_rng(17), batch.shape)
+        assert np.abs(noise).min() >= floor
+        clamped = noise.copy()
+        for spot, (hit, moved) in zip((0, 3, 8, 13), [(0.0, floor), (-0.0, floor),
+                                                    (1e-12, floor), (-1e-12, -floor)]):
+            noise.flat[spot], clamped.flat[spot] = hit, moved
+        loss, grad = sn.dsm_loss(net, batch, 0.5, 1.0, 0.7, noise)
+        want_loss, want_grad = sn.dsm_loss(net, batch, 0.5, 1.0, 0.7, clamped)
+        assert math.isfinite(loss) and loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
     def test_subunit_shape_clamps_singularity(self):
         net = sn.ScoreNetwork([2, 4, 1], np.random.default_rng(13))

@@ -2,11 +2,14 @@
 nested configs as objects, tuples as lists. Loading is strict, since a
 misspelled key would otherwise be dropped and its field silently keep the
 default; omitted keys keep theirs, and each `__post_init__` turns lists
-back into tuples and checks its fields, integer ones through `check_int`.
+back into tuples and checks its fields: integer ones through `check_int`,
+real ones through `check_real`, which both refuse bools and strings.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import fields
 from typing import get_args, get_type_hints
@@ -35,6 +38,19 @@ def check_int(name: str, value, minimum: int) -> int:
     return value
 
 
+def check_real(name: str, value, *, positive: bool = False) -> float:
+    """value as a float, or a ValueError naming the field unless it is a
+    finite real, and above 0 when positive is set. Reals are what
+    numbers.Real accepts, bools aside; a string is refused, not parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        need = "finite and positive" if positive else "finite"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return value
+
+
 class Config:
     """Mixin for dataclasses that round-trip through JSON."""
 
@@ -42,6 +58,11 @@ class Config:
         """check_int each named field against its minimum, in place."""
         for name, minimum in minimums.items():
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+
+    def _check_reals(self, *names, positive: bool = False) -> None:
+        """check_real each named field, in place."""
+        for name in names:
+            object.__setattr__(self, name, check_real(name, getattr(self, name), positive=positive))
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}

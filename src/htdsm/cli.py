@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -124,16 +126,14 @@ def _cmd_schedule(args) -> int:
         _require(log_top <= _LOG_DBL_MAX, "--beta", args.beta,
                  f"large enough that --empirical squared norms stay finite at --dim {args.dim}")
     _require(args.seed >= 0, "--seed", args.seed, ">= 0")
-    sched = schedule.quantile_matched_schedule(
-        args.beta,
-        args.dim,
-        args.delta,
-        args.sigma_min,
-        args.sigma_max,
-        empirical=args.empirical,
-        mc_count=args.mc_count,
-        rng=np.random.default_rng(args.seed),
-    )
+    try:
+        sched = schedule.quantile_matched_schedule(
+            args.beta, args.dim, args.delta, args.sigma_min, args.sigma_max,
+            empirical=args.empirical, mc_count=args.mc_count,
+            rng=np.random.default_rng(args.seed),
+        )
+    except schedule.ScheduleError as exc:  # the flags leave no schedule to build
+        raise UsageError(str(exc)) from exc
     write_json(args.out, sched.to_dict())
     print(f"{len(sched)} levels: {sched.sigmas[0]:.6g} .. {sched.sigmas[-1]:.6g}")
     print(f"wrote {args.out}")
@@ -191,7 +191,17 @@ class TrainFile(Config):
         self._check_ints(data_count=1, data_seed=0)
 
 
+def _require_out_dir(path) -> None:
+    """The OSError that writing path would raise for want of its directory,
+    raised before a command does its work."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_train(args) -> int:
+    _require_out_dir(args.out)
     spec = _load_config(TrainFile.from_dict, args.config, "train config")
     cfg = spec.train
     data = spec.mixture.sample(np.random.default_rng(spec.data_seed), spec.data_count)
@@ -209,6 +219,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     _require(args.count >= 1, "--count", args.count, ">= 1")
+    _require_out_dir(args.out)
     net = _load_config(scorenet.ScoreNetwork.from_dict, args.ckpt, "checkpoint")
     cfg = _load_config(sampler.SamplerConfig.from_dict, args.config, "sampler config")
     if cfg.schedule.n != net.data_dim:
@@ -230,25 +241,13 @@ def _cmd_metrics(args) -> int:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     real = _load_points_csv(args.real)
     fake = _load_points_csv(args.fake)
-    if real.shape[1] != fake.shape[1]:
-        raise UsageError(
-            f"{args.real} has {real.shape[1]} coordinate columns, "
-            f"but {args.fake} has {fake.shape[1]}"
-        )
-    # PRDC needs more than k points per set, FID more than d.
-    need = max(args.k, real.shape[1]) + 1
-    for path, pts in ((args.real, real), (args.fake, fake)):
-        if pts.shape[0] < need:
-            raise UsageError(
-                f"{path} has {pts.shape[0]} usable points; --k {args.k} in "
-                f"{pts.shape[1]} dimensions needs at least {need}"
-            )
     try:
         p, r, d, c = metrics.prdc(real, fake, args.k)
         report = metrics.MetricReport(p, r, d, c, metrics.kid(real, fake), metrics.fid(real, fake))
     except metrics.MetricError as exc:
-        path = {"real": args.real, "fake": args.fake}.get(exc.point_set)
-        raise UsageError(f"{path}: {exc}" if path else str(exc)) from exc
+        paths = {"real": args.real, "fake": args.fake}
+        path = paths.get(exc.point_set, " and ".join(paths.values()))
+        raise UsageError(f"{path}: {exc}") from exc
     write_json(args.out, report.to_dict())
     print(
         f"precision {p:.4f} recall {r:.4f} density {d:.4f} coverage {c:.4f} "
@@ -261,7 +260,6 @@ def _cmd_metrics(args) -> int:
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     if args.mode == "demo":
-        _require(0.0 < args.beta < math.inf, "--beta", args.beta, "finite and > 0")
         _require_unit_variance("--beta", args.beta)
         record = run_convergence_demo(args.levels, args.beta, out_dir)
         print(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from htdsm._config import check_int, check_real
 from htdsm.specfun import inv_reg_lower_inc_gamma, log_gamma, reg_lower_inc_gamma
 
 __all__ = [
@@ -50,13 +51,6 @@ class SingularScoreError(ValueError):
     """Raised when the conditional score is evaluated at its singularity."""
 
 
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class GeneralizedNormal:
     """GN(mu, alpha, beta) with density proportional to exp{-(|x-mu|/alpha)^beta}.
@@ -70,11 +64,9 @@ class GeneralizedNormal:
     beta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "alpha", _require_positive("alpha", self.alpha))
-        object.__setattr__(self, "beta", _require_positive("beta", self.beta))
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
+        object.__setattr__(self, "mu", check_real("mu", self.mu))
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, positive=True))
+        object.__setattr__(self, "beta", check_real("beta", self.beta, positive=True))
 
 
 @dataclass(frozen=True)
@@ -86,11 +78,8 @@ class GeneralizedGamma:
     p: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _require_positive("a", self.a))
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "p", _require_positive("p", self.p))
-        if self.d / self.p <= 0.0:
-            raise ValueError(f"d/p must be positive, got d={self.d}, p={self.p}")
+        for name in ("a", "d", "p"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), positive=True))
 
 
 @dataclass(frozen=True)
@@ -107,11 +96,9 @@ class NormModel:
     beta: float
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma))
-        object.__setattr__(self, "beta", _require_positive("beta", self.beta))
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        for name in ("sigma", "beta"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), positive=True))
 
     @property
     def gg(self) -> GeneralizedGamma:
@@ -154,8 +141,8 @@ def gn_score(x_tilde, x, alpha: float, beta: float):
     an exact hit raises SingularScoreError and leaves clamping policy to
     the caller (training clamps |delta| to SCORE_DELTA_FLOOR).
     """
-    alpha = _require_positive("alpha", alpha)
-    beta = _require_positive("beta", beta)
+    alpha = check_real("alpha", alpha, positive=True)
+    beta = check_real("beta", beta, positive=True)
     delta = np.asarray(x_tilde, dtype=float) - np.asarray(x, dtype=float)
     return _score_of_delta(delta, beta / alpha**beta, beta)
 
@@ -222,14 +209,14 @@ def _row_view(a: np.ndarray) -> np.ndarray:
 
 def gn_variance(alpha: float, beta: float) -> float:
     """Var of GN(., alpha, beta) = alpha^2 Gamma(3/beta) / Gamma(1/beta)."""
-    alpha = _require_positive("alpha", alpha)
+    alpha = check_real("alpha", alpha, positive=True)
     return alpha**2 * squared_norm_mean_factor(beta)
 
 
 def unit_variance_alpha(beta: float, name: str = "beta") -> float:
     """Scale alpha such that GN(0, alpha, beta) has per-coordinate variance 1;
     a ValueError naming `name` where it underflows (beta below 0.00777)."""
-    beta = _require_positive(name, beta)
+    beta = check_real(name, beta, positive=True)
     alpha = math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
     if alpha < np.finfo(float).tiny:
         raise ValueError(f"{name} must be at least 0.00777 (below it GN's unit-variance "
@@ -297,13 +284,13 @@ def gg_sample(dist: GeneralizedGamma, rng: np.random.Generator, count) -> np.nda
 
 def squared_norm_mean_factor(beta: float) -> float:
     """Gamma(3/beta) / Gamma(1/beta): unit-scale mean of a squared GN coordinate."""
-    beta = _require_positive("beta", beta)
+    beta = check_real("beta", beta, positive=True)
     return math.exp(log_gamma(3.0 / beta) - log_gamma(1.0 / beta))
 
 
 def squared_norm_var_factor(beta: float) -> float:
     """Gamma(5/beta)/Gamma(1/beta) - (Gamma(3/beta)/Gamma(1/beta))^2."""
-    beta = _require_positive("beta", beta)
+    beta = check_real("beta", beta, positive=True)
     c1 = squared_norm_mean_factor(beta)
     return math.exp(log_gamma(5.0 / beta) - log_gamma(1.0 / beta)) - c1**2
 
@@ -314,7 +301,7 @@ def norm_model_skew(beta: float) -> float:
     C2^{-3/2} (Gamma(7/beta)/Gamma(1/beta) - 3 C1 C2 - C1^3). At beta = 1
     this equals 74 / 5^{3/2} exactly.
     """
-    beta = _require_positive("beta", beta)
+    beta = check_real("beta", beta, positive=True)
     c1 = squared_norm_mean_factor(beta)
     c2 = squared_norm_var_factor(beta)
     third = math.exp(log_gamma(7.0 / beta) - log_gamma(1.0 / beta))

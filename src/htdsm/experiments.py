@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from htdsm._config import Config, check_int
-from htdsm.metrics import MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
+from htdsm.metrics import MetricError, MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
 from htdsm.sampler import CONVERGED, DIVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig, _ForwardBuffers, train
@@ -120,6 +120,7 @@ class ExperimentConfig(Config):
             raise ValueError("seeds must be nonempty")
         self._check_ints(particles=1, data_count=1, master_seed=0, bootstrap_resamples=1)
         object.__setattr__(self, "seeds", tuple(check_int("seeds", s, 0) for s in self.seeds))
+        self._check_reals("bootstrap_level")
         if not 0.0 < self.bootstrap_level < 1.0:
             raise ValueError(f"bootstrap_level must lie in (0, 1), got {self.bootstrap_level!r}")
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
@@ -151,18 +152,24 @@ def _loss_deciles(losses: np.ndarray) -> tuple:
     return float(losses[:n10].mean()), float(losses[-n10:].mean())
 
 
+def _statistic(fn, *args):
+    """fn(*args), or None where metrics refuses the inputs as undefined."""
+    try:
+        return fn(*args)
+    except MetricError:
+        return None
+
+
 def _endpoint_metrics(pts, data, names) -> MetricReport | None:
+    """The named metrics of pts against as many data points, PRDC at k = 5;
+    None for a metric not named or refused."""
     if not names:
         return None
-    report = MetricReport()
-    if "prdc" in names and pts.shape[0] > 5:
-        ref = data[: max(pts.shape[0], 6)]
-        report.precision, report.recall, report.density, report.coverage = prdc(ref, pts, 5)
-    if "kid" in names and pts.shape[0] >= 2:
-        report.kid = kid(data[: pts.shape[0]], pts)
-    if "fid" in names and pts.shape[0] > data.shape[1]:
-        report.fid = fid(data[: pts.shape[0]], pts)
-    return report
+    ref = data[: len(pts)]
+    prdc_values = _statistic(prdc, ref, pts, 5) if "prdc" in names else None
+    return MetricReport(*(prdc_values or (None,) * 4),
+                        kid=_statistic(kid, ref, pts) if "kid" in names else None,
+                        fid=_statistic(fid, ref, pts) if "fid" in names else None)
 
 
 def _run_record(cfg: ExperimentConfig, seed: int, data, losses, kept, diverged: int,
@@ -171,7 +178,7 @@ def _run_record(cfg: ExperimentConfig, seed: int, data, losses, kept, diverged: 
     first, last = _loss_deciles(losses)
     return RunRecord(
         seed=seed,
-        imbalance=mode_imbalance(kept, cfg.mixture) if len(kept) else None,
+        imbalance=_statistic(mode_imbalance, kept, cfg.mixture),
         diverged=diverged,
         loss_first_decile=first,
         loss_last_decile=last,
@@ -250,6 +257,8 @@ def _seed_records(args) -> dict:
 def _run_shapes(cfg: ExperimentConfig, shapes, workers: int = 1) -> dict:
     """Records per shape name, seed-ordered. Seeds fan across workers."""
     tasks = [(cfg, seed, shapes) for seed in cfg.seeds]
+    # A fork pool starts all its workers at the first submit: one per seed at most.
+    workers = min(workers, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = list((pool.map if pool else map)(_seed_records, tasks))
     per_shape = {name: [] for name, *_ in shapes}

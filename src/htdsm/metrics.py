@@ -54,8 +54,9 @@ __all__ = [
 
 
 class MetricError(ValueError):
-    """Degenerate inputs made a metric undefined. `point_set` is "real" or
-    "fake" when one argument alone is at fault, else None."""
+    """The inputs leave a metric undefined: a point set that is not a
+    matrix, two widths, too few points, or degenerate points. `point_set` is
+    "real" or "fake" when one argument alone is at fault, else None."""
 
     def __init__(self, message: str, point_set: str | None = None):
         super().__init__(message)
@@ -73,15 +74,24 @@ class MetricReport(Config):
     feature_map: str = "identity"
 
 
-def _point_sets(real, fake) -> tuple:
-    """real and fake as (M, d) float matrices of one width d."""
-    sets = np.asarray(real, dtype=float), np.asarray(fake, dtype=float)
-    for pts in sets:
+def _point_sets(real, fake, fewest, metric: str) -> tuple:
+    """real and fake as (M, d) float matrices of one width d, each of at
+    least fewest(d) rows, or a MetricError that names metric. The one place
+    where a metric's input shapes and point counts are checked."""
+    sets = {"real": np.asarray(real, dtype=float), "fake": np.asarray(fake, dtype=float)}
+    for name, pts in sets.items():
         if pts.ndim != 2:
-            raise ValueError(f"expected an (M, d) matrix, got shape {pts.shape}")
-    if sets[0].shape[1] != sets[1].shape[1]:
-        raise ValueError("feature dimensions differ")
-    return sets
+            raise MetricError(f"{name}: expected an (M, d) matrix, got shape {pts.shape}", name)
+    r, f = sets.values()
+    if r.shape[1] != f.shape[1]:
+        raise MetricError(f"feature dimensions differ: real has {r.shape[1]}, "
+                          f"fake has {f.shape[1]}")
+    need = fewest(r.shape[1])
+    for name, pts in sets.items():
+        if pts.shape[0] < need:
+            raise MetricError(f"{metric} needs at least {need} points per set of width "
+                              f"{r.shape[1]}; {name} has {pts.shape[0]}", name)
+    return r, f
 
 
 def _usable_cores() -> int:
@@ -178,13 +188,9 @@ def prdc(real, fake, k: int):
     core (_map_on_cores); the radii shares are concatenated, and the cross
     shares' counts are added and their fake-point hits ORed.
     """
-    r, f = _point_sets(real, fake)
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if r.shape[0] <= k or f.shape[0] <= k:
-        raise ValueError(
-            f"both sets need more than k={k} points, got {r.shape[0]} and {f.shape[0]}"
-        )
+        raise MetricError(f"k must be >= 1, got {k}")
+    r, f = _point_sets(real, fake, lambda d: k + 1, f"prdc with k={k}")
     m, n = r.shape[0], f.shape[0]
     radii_r = np.concatenate(_map_on_cores(_knn_radii, m, r, k))
     radii_f = np.concatenate(_map_on_cores(_knn_radii, n, f, k))
@@ -260,10 +266,8 @@ def kid(real, fake) -> float:
     on two threads they ran no faster (0.146-0.151 s a call at 4000 x 4000
     2D points on 2 cores, against 0.143-0.150 s serially).
     """
-    x, y = _point_sets(real, fake)
+    x, y = _point_sets(real, fake, lambda d: 2, "kid")
     m, n = x.shape[0], y.shape[0]
-    if m < 2 or n < 2:
-        raise ValueError("kid needs at least 2 points per set")
     sum_xx, sum_yy = _kernel_sum(x, x, True), _kernel_sum(y, y, True)
     sum_xy = _kernel_sum(x, y, m == n)
     if m == n:
@@ -285,12 +289,8 @@ def fid(real, fake) -> float:
     The cross covariance square root is computed through the symmetrized
     product S1^{1/2} S2 S1^{1/2} with negative eigenvalues clamped to zero.
     """
-    x, y = _point_sets(real, fake)
+    x, y = _point_sets(real, fake, lambda d: d + 1, "fid")
     d = x.shape[1]
-    if x.shape[0] <= d or y.shape[0] <= d:
-        raise ValueError(
-            f"fid needs more than d={d} points per set, got {x.shape[0]} and {y.shape[0]}"
-        )
     mu_x, mu_y = x.mean(axis=0), y.mean(axis=0)
     cov_x = np.cov(x, rowvar=False).reshape(d, d)
     cov_y = np.cov(y, rowvar=False).reshape(d, d)

@@ -85,12 +85,10 @@ class SamplerConfig(Config):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.step_size < math.inf:
-            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
-        for name in ("beta_diff", "init_half_width", "divergence_radius"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        self._check_reals("step_size")
+        if self.step_size < 0.0:
+            raise ValueError(f"step_size must be >= 0, got {self.step_size!r}")
+        self._check_reals("beta_diff", "init_half_width", "divergence_radius", positive=True)
         unit_variance_alpha(self.beta_diff, "beta_diff")  # raises where the scale underflows
         if not isinstance(self.record_paths, bool):
             raise ValueError(f"record_paths must be true or false, got {self.record_paths!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config
+from htdsm._config import Config, check_int, check_real
 from htdsm.distributions import empirical_norm_quantile
 from htdsm.specfun import inv_reg_lower_inc_gamma
 
@@ -39,12 +39,16 @@ class NoiseSchedule(Config):
 
     def __post_init__(self) -> None:
         self._check_ints(n=1)
-        sigmas = tuple(float(s) for s in self.sigmas)
+        self._check_reals("beta", positive=True)
+        if self.delta is not None:
+            self._check_reals("delta")
+        try:
+            sigmas = tuple(check_real("sigmas", s, positive=True) for s in self.sigmas)
+        except ValueError as exc:
+            raise ScheduleError(str(exc)) from None
         object.__setattr__(self, "sigmas", sigmas)
         if len(sigmas) < 1:
             raise ScheduleError("schedule needs at least one level")
-        if any(not math.isfinite(s) or s <= 0.0 for s in sigmas):
-            raise ScheduleError(f"sigmas must be finite and positive: {sigmas}")
         if any(a <= b for a, b in zip(sigmas, sigmas[1:])):
             raise ScheduleError(f"sigmas must be strictly descending: {sigmas}")
         if self.kind not in ("quantile_matched", "geometric"):
@@ -108,10 +112,8 @@ def quantile_matched_schedule(
         raise ValueError(
             f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}"
         )
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    n = check_int("n", n, 1)
+    beta = check_real("beta", beta, positive=True)
 
     if empirical:
         if rng is None:
@@ -130,8 +132,8 @@ def quantile_matched_schedule(
         ascending.append(min(nxt, sigma_max))
     return NoiseSchedule(
         sigmas=tuple(reversed(ascending)),
-        beta=float(beta),
-        n=int(n),
+        beta=beta,
+        n=n,
         delta=float(delta),
         kind="quantile_matched",
     )

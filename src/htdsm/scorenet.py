@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, check_int
+from htdsm._config import Config, check_int, check_real
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
@@ -62,20 +62,14 @@ class MixtureSpec(Config):
     weights: tuple
 
     def __post_init__(self) -> None:
-        means = tuple(tuple(float(v) for v in m) for m in self.means)
-        stds = tuple(float(s) for s in self.stds)
-        weights = tuple(float(w) for w in self.weights)
+        means = tuple(tuple(check_real("means", v) for v in m) for m in self.means)
+        stds = tuple(check_real("stds", s, positive=True) for s in self.stds)
+        weights = tuple(check_real("weights", w, positive=True) for w in self.weights)
         if not (len(means) == len(stds) == len(weights)):
             raise ValueError("means, stds and weights must have equal length")
         dims = sorted({len(m) for m in means})
         if len(dims) > 1 or dims == [0]:
             raise ValueError(f"means must all have one length >= 1, got lengths {dims}")
-        if not all(map(math.isfinite, sum(means, ()))):
-            raise ValueError(f"means must be finite: {means}")
-        if any(not 0 < s < math.inf for s in stds):
-            raise ValueError(f"component stds must be finite and positive: {stds}")
-        if any(not 0 < w < math.inf for w in weights):
-            raise ValueError(f"weights must be finite and positive: {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(weights)}")
         object.__setattr__(self, "means", means)
@@ -144,20 +138,15 @@ class TrainConfig(Config):
         self._check_ints(batch_size=1, steps=1, seed=0)
         object.__setattr__(self, "hidden", tuple(check_int("hidden widths", h, 1)
                                                  for h in self.hidden))
-        for name in ("beta_noise", "learning_rate", "alpha_unit"):
-            value = getattr(self, name)
-            if value is None and name == "alpha_unit":
-                continue
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        self._check_reals("beta_noise", "learning_rate", positive=True)
+        if self.alpha_unit is not None:
+            self._check_reals("alpha_unit", positive=True)
+        self._check_reals("loss_weight_exponent")
         self.resolved_alpha_unit()  # raises where the unit-variance scale underflows
-        exponent = self.loss_weight_exponent
-        if not math.isfinite(exponent):
-            raise ValueError(f"loss_weight_exponent must be finite, got {exponent}")
 
     def resolved_alpha_unit(self) -> float:
         if self.alpha_unit is not None:
-            return float(self.alpha_unit)
+            return self.alpha_unit
         return unit_variance_alpha(self.beta_noise, "beta_noise")
 
 
@@ -593,8 +582,10 @@ def score_field_cosine(
     outside it the objective says nothing and the network extrapolates
     freely.
     """
+    if mixture.dim != 2:
+        raise ValueError(f"score_field_cosine needs a 2-D mixture, got dim {mixture.dim}")
     axis = np.linspace(-half_width, half_width, points)
-    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, mixture.dim)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     means = mixture.mean_array()
     radii = region_sigmas * np.sqrt(np.asarray(mixture.stds) ** 2 + sigma**2)
     dists = np.linalg.norm(grid[:, None, :] - means[None], axis=2)

@@ -22,6 +22,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from htdsm._config import check_real
+
 __all__ = [
     "ConvergenceError",
     "log_gamma",
@@ -53,10 +55,7 @@ class ConvergenceError(RuntimeError):
 
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0, from the C library's lgamma."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
+    return math.lgamma(check_real("x", x, positive=True))
 
 
 def _elementwise(fn, values: np.ndarray) -> np.ndarray:
@@ -136,13 +135,6 @@ def _upper_continued_fraction(s: float, x: np.ndarray, log_gamma_s: float) -> np
     raise ConvergenceError(f"incomplete gamma fraction stalled at s={s}, x={x[rows[0]]}")
 
 
-def _require_shape(name: str, s) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"{name} requires s > 0, got {s!r}")
-    return s
-
-
 def reg_lower_inc_gamma(s: float, x, *, complement=False):
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
 
@@ -157,7 +149,7 @@ def reg_lower_inc_gamma(s: float, x, *, complement=False):
     the tail, and from 1 - P only where Q is at least 1e-3 (see _SERIES_X).
     x = +inf gives P = 1 and Q = 0; NaN and negative x raise ValueError.
     """
-    s = _require_shape("reg_lower_inc_gamma", s)
+    s = check_real("s", s, positive=True)
     x = np.asarray(x, dtype=float)
     bad = np.isnan(x) | (x < 0.0)
     if bad.any():
@@ -287,7 +279,7 @@ def inv_reg_lower_inc_gamma(s: float, q):
     accuracy. Each step evaluates P or Q once per element, and iteration
     stops on a relative step below _INV_RTOL.
     """
-    s = _require_shape("inv_reg_lower_inc_gamma", s)
+    s = check_real("s", s, positive=True)
     q = np.asarray(q, dtype=float)
     bad = ~((q >= 0.0) & (q < 1.0))
     if bad.any():

@@ -78,6 +78,32 @@ class TestPathErrors:
         code = run_cli("noise", "--beta", "1", "--alpha", "1", "--count", "3", "--out", str(out))
         assert code == 2 and capsys.readouterr().err == cannot_open(out, errno.ENOENT)
 
+    def test_train_out_in_a_missing_directory_fails_before_any_work(self, tmp_path, capsys,
+                                                                     monkeypatch,
+                                                                     train_config_file):
+        def no_run(*args, **kwargs):
+            raise AssertionError("trained for an --out it cannot write")
+
+        monkeypatch.setattr(cli.scorenet, "train", no_run)
+        out = tmp_path / "missing" / "c.json"
+        code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
+        assert code == 2 and capsys.readouterr().err == cannot_open(out, errno.ENOENT)
+        assert not out.parent.exists()
+
+    def test_sample_out_in_a_missing_directory_fails_before_any_work(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("sampled for an --out it cannot write")
+
+        monkeypatch.setattr(cli, "_sample_network", no_run)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
+        out = tmp_path / "missing" / "out.csv"
+        code = run_cli("sample", "--ckpt", str(ckpt), "--config",
+                       str(_sampler_config(tmp_path, 2)), "--out", str(out))
+        assert code == 2 and capsys.readouterr().err == cannot_open(out, errno.ENOENT)
+        assert not out.parent.exists()
+
     def test_imbalance_out_that_is_a_file_fails_before_any_work(self, tmp_path, capsys,
                                                                  monkeypatch):
         def no_run(*args, **kwargs):
@@ -158,8 +184,11 @@ class TestSampleInputValidation:
         assert "bad sampler config" in err and "seed must be >= 0, got -1" in err
 
     @pytest.mark.parametrize("key, value, need", [
-        ("step_size", float("nan"), "finite and >= 0"), ("step_size", float("inf"), "finite"),
+        ("step_size", float("nan"), "step_size must be finite"),
+        ("step_size", float("inf"), "finite"), ("step_size", -0.5, "step_size must be >= 0"),
         ("init_half_width", float("nan"), "finite and positive"),
+        *((key, value, f"{key} must be a real number") for value in (True, "0.5")
+          for key in ("step_size", "beta_diff", "init_half_width", "divergence_radius")),
         ("steps_per_level", 1.5, "steps per level must be an integer"),
         ("steps_per_level", [5, 2.5], "steps per level must be an integer"),
         ("seed", 1.5, "seed must be an integer"), ("seed", True, "seed must be an integer"),
@@ -227,14 +256,16 @@ class TestMetricsInputValidation:
     def test_dimension_mismatch_is_usage_error(self, files, tmp_path, capsys):
         code, out = self._metrics(files, tmp_path, "real", "fake3d", 5)
         assert code == 2 and not out.exists()
-        err = capsys.readouterr().err
-        assert "real.csv has 2 coordinate columns" in err and "fake3d.csv has 3" in err
+        assert capsys.readouterr().err == (f"error: {files['real']} and {files['fake3d']}: "
+                                           "feature dimensions differ: real has 2, fake has 3\n")
 
     @pytest.mark.parametrize("real, fake", [("few", "fake"), ("real", "few")])
     def test_too_few_points_is_usage_error(self, files, tmp_path, capsys, real, fake):
         code, out = self._metrics(files, tmp_path, real, fake, 5)
         assert code == 2 and not out.exists()
-        assert "few.csv has 5 usable points" in capsys.readouterr().err
+        side = "real" if real == "few" else "fake"
+        assert capsys.readouterr().err == (f"error: {files['few']}: prdc with k=5 needs at least "
+                                           f"6 points per set of width 2; {side} has 5\n")
 
     @pytest.mark.parametrize("real, fake", [("same", "fake"), ("real", "same")])
     def test_degenerate_points_are_usage_error(self, files, tmp_path, capsys, real, fake):
@@ -378,6 +409,14 @@ class TestScheduleCommand:
                        "--sigma-min", sigma_min, "--sigma-max", sigma_max, "--out", str(out))
         assert code == 2 and not out.exists()
         assert "--sigma-min, --sigma-max must be" in capsys.readouterr().err
+
+    def test_degenerate_schedule_is_usage_error(self, tmp_path, capsys):
+        # Both quantile levels of delta = 1e-17 round to 0.5: the ratio is 1.
+        out = tmp_path / "s.json"
+        code = run_cli("schedule", "--beta", "1", "--dim", "2", "--delta", "1e-17",
+                       "--sigma-min", "0.25", "--sigma-max", "1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: degenerate level ratio 1.0 for delta=1e-17\n"
 
     def test_infinite_sigma_max_fails_instead_of_looping(self, tmp_path, capsys):
         code = run_cli("schedule", "--beta", "1", "--dim", "2", "--delta", "0.9",
@@ -527,6 +566,15 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     ("mixture", "stds", [0.5, float("inf")], "must be finite and positive"),
     ("mixture", "weights", [float("nan"), 0.5], "must be finite and positive"),
     ("train", "beta_noise", 0.005, "beta_noise must be at least 0.00777"),
+    *((section, key, value, f"{key} must be a real number") for value in (True, "0.5")
+      for section, key in (("train", "beta_noise"), ("train", "alpha_unit"),
+                           ("train", "learning_rate"), ("train", "loss_weight_exponent"),
+                           ("train.schedule", "beta"), ("train.schedule", "delta"))),
+    *((section, key, [value, 0.5], f"{key} must be a real number") for value in (True, "0.5")
+      for section, key in (("train.schedule", "sigmas"), ("mixture", "stds"),
+                           ("mixture", "weights"))),
+    *(("mixture", "means", [[value, 1], [-1, -1]], "means must be a real number")
+      for value in (True, "0.5")),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
                                                  monkeypatch, section, key, value, need):
@@ -534,8 +582,10 @@ def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, ca
         raise AssertionError("trained despite a bad train config")
 
     monkeypatch.setattr(cli.scorenet, "train", no_run)
-    raw = json.loads(train_config_file.read_text())
-    (raw if section is None else raw[section])[key] = value
+    raw = target = json.loads(train_config_file.read_text())
+    for part in section.split(".") if section else ():
+        target = target[part]
+    target[key] = value
     train_config_file.write_text(json.dumps(raw))
     out = tmp_path / "ckpt.json"
     code = run_cli("train", "--config", str(train_config_file), "--out", str(out))
@@ -655,7 +705,8 @@ class TestExperimentCommand:
 
     # 0.001 is positive, but its unit-variance diffusion scale underflows.
     @pytest.mark.parametrize("beta, need", [
-        ("-1", "finite and > 0"), ("0", "finite and > 0"), ("nan", "finite and > 0"),
+        ("-1", "finite and positive"), ("0", "finite and positive"),
+        ("nan", "finite and positive"),
         ("0.001", "at least 0.00777"),
     ], ids=["-1", "0", "nan", "0.001"])
     def test_demo_bad_beta_fails_before_any_work(self, tmp_path, capsys, monkeypatch, beta,
@@ -739,6 +790,19 @@ class TestExperimentCommand:
         code = run_cli("experiment", "imbalance", "--out", str(out_dir), *flags)
         assert code == 2 and not out_dir.exists()
         assert f"{flags[0]} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_imbalance_bad_real_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid ran despite a bad config value")
+
+        monkeypatch.setattr(cli, "run_imbalance_grid", no_run)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"bootstrap_level": value}))
+        code = run_cli("experiment", "imbalance", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 2 and not (tmp_path / "grid").exists()
+        assert f"bootstrap_level must be a real number, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "beta_noise", 0.5), ("train", "alpha_unit", 1.0), ("train", "seed", 9),

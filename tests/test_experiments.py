@@ -23,7 +23,7 @@ from htdsm.experiments import (
     _seed_int,
     _STREAM_SAMPLE,
 )
-from htdsm.metrics import MetricReport
+from htdsm.metrics import MetricReport, fid, kid, prdc
 from htdsm.sampler import SamplerConfig, particle_rng
 from htdsm.schedule import geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig
@@ -263,6 +263,80 @@ def test_record_of_an_all_diverged_run():
     assert record.imbalance is None
     assert record.diverged == cfg.particles
     assert record.metrics == MetricReport()
+
+
+class RecordingPool:
+    """A stand-in for experiments.ProcessPoolExecutor that records its
+    max_workers and maps in this process: no process starts."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, seeds, pools", [
+    (64, (0, 1, 2), [3]), (2, (0, 1, 2), [2]), (3, (5, 4, 9), [3]), (5, (0,), []), (1, (0, 1), []),
+])
+def test_workers_never_outnumber_the_seeds(monkeypatch, workers, seeds, pools):
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_seed_records",
+                        lambda task: {name: {"seed": task[1]} for name, *_ in task[2]})
+    shapes = [("a", 2.0, 2.0), ("b", 1.0, 1.0)]
+    per_shape = experiments._run_shapes(tiny_config(seeds=seeds), shapes, workers)
+    assert RecordingPool.made == pools
+    assert per_shape == {name: [{"seed": s} for s in seeds] for name in ("a", "b")}
+
+
+def test_workers_capped_at_the_seeds_give_the_serial_grid(monkeypatch):
+    cfg = tiny_config(seeds=(3, 1), particles=20)
+    serial = run_imbalance_grid(cfg, sweep_betas=(1.0,))
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    capped = run_imbalance_grid(cfg, workers=64, sweep_betas=(1.0,))
+    assert RecordingPool.made == [2]
+    assert json.dumps(strip_wall_times(capped)) == json.dumps(strip_wall_times(serial))
+
+
+@pytest.fixture(scope="module")
+def endpoint_sets():
+    """Reference data and 40 endpoints, from the 10:1 mixture."""
+    mix = MixtureSpec.two_mode(10.0)
+    return mix.sample(np.random.default_rng(7), 200), mix.sample(np.random.default_rng(8), 40)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 40])
+def test_endpoint_metrics_are_none_exactly_where_undefined(endpoint_sets, n):
+    data, endpoints = endpoint_sets
+    pts = endpoints[:n]
+    report = experiments._endpoint_metrics(pts, data, ("prdc", "kid", "fid"))
+    # The guards this table pins: PRDC (k = 5) needs more than 5 points, KID
+    # at least 2, FID more than the dimension, 2.
+    want = MetricReport()
+    if n > 5:
+        want.precision, want.recall, want.density, want.coverage = prdc(data[:n], pts, 5)
+    if n >= 2:
+        want.kid = kid(data[:n], pts)
+    if n > 2:
+        want.fid = fid(data[:n], pts)
+    assert report == want
+
+
+def test_a_refused_statistic_is_recorded_as_none():
+    # Six copies of one point: every 5-NN radius is 0, so PRDC is undefined.
+    same = np.ones((6, 2))
+    report = experiments._endpoint_metrics(same, same + 1.0, ("prdc",))
+    assert report == MetricReport()
 
 
 class TestStandardMemberAlpha:

@@ -94,8 +94,9 @@ class TestInputChecks:
         rng = np.random.default_rng(4)
         real, fake = rng.standard_normal((20, 2)), rng.standard_normal((20, 3))
         args = (real, fake, 5) if name == "prdc" else (real, fake)
-        with pytest.raises(ValueError, match="feature dimensions differ"):
+        with pytest.raises(MetricError, match="feature dimensions differ") as info:
             getattr(metrics, name)(*args)
+        assert info.value.point_set is None
 
     @pytest.mark.parametrize("name", ["prdc", "kid", "fid"])
     @pytest.mark.parametrize("side", [0, 1])
@@ -103,8 +104,26 @@ class TestInputChecks:
         sets = [np.zeros((20, 2)), np.zeros((20, 2))]
         sets[side] = np.zeros(20)
         args = (*sets, 5) if name == "prdc" else sets
-        with pytest.raises(ValueError, match=r"expected an \(M, d\) matrix, got shape \(20,\)"):
+        pattern = r"expected an \(M, d\) matrix, got shape \(20,\)"
+        with pytest.raises(MetricError, match=pattern) as info:
             getattr(metrics, name)(*args)
+        assert info.value.point_set == ("real", "fake")[side]
+
+
+    @pytest.mark.parametrize("name, short, args", [
+        ("prdc", 5, (5,)), ("kid", 1, ()), ("fid", 2, ()),
+    ])
+    @pytest.mark.parametrize("side", ["real", "fake"])
+    def test_too_few_points_name_the_short_set(self, name, short, args, side):
+        rng = np.random.default_rng(5)
+        sets = {"real": rng.standard_normal((30, 2)), "fake": rng.standard_normal((30, 2))}
+        sets[side] = sets[side][:short]
+        with pytest.raises(MetricError, match=f"; {side} has {short}$") as info:
+            getattr(metrics, name)(sets["real"], sets["fake"], *args)
+        assert info.value.point_set == side
+        # One point more is enough.
+        sets[side] = rng.standard_normal((short + 1, 2))
+        getattr(metrics, name)(sets["real"], sets["fake"], *args)
 
 
 class TestPrdc:

@@ -686,6 +686,15 @@ def test_train_bits_are_pinned(two_level_schedule, key):
     assert digest == TRAIN_SHA256[key]
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_score_field_cosine_refuses_a_mixture_that_is_not_2d(dim):
+    mix = sn.MixtureSpec(means=((1.0,) * dim, (-1.0,) * dim), stds=(0.5, 0.5),
+                         weights=(0.5, 0.5))
+    net = sn.ScoreNetwork([dim + 1, 8, dim], np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"needs a 2-D mixture, got dim {dim}"):
+        sn.score_field_cosine(net, mix, 0.25)
+
+
 class TestAnalyticMixtureScore:
     def test_single_component_closed_form(self):
         mix = sn.MixtureSpec(means=((1.0, -2.0),), stds=(0.7,), weights=(1.0,))

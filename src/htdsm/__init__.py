@@ -22,6 +22,7 @@ from htdsm.distributions import (
 from htdsm.experiments import (
     ExperimentConfig,
     RunRecord,
+    demo_config,
     run_convergence_demo,
     run_imbalance_grid,
 )

@@ -2,8 +2,9 @@
 nested configs as objects, tuples as lists. Loading is strict, since a
 misspelled key would otherwise be dropped and its field silently keep the
 default; omitted keys keep theirs, and each `__post_init__` turns lists
-back into tuples and checks its fields: integer ones through `check_int`,
-real ones through `check_real`, which both refuse bools and strings.
+back into tuples through `check_list` and checks its fields: integer ones
+through `check_int`, real ones through `check_real`, which both refuse
+bools and strings.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ def check_int(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def check_list(name: str, value) -> tuple:
+    """value as a tuple, or a ValueError naming the field unless it is a list
+    or a tuple; a scalar or a string is refused rather than iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def check_real(name: str, value, *, positive: bool = False) -> float:

@@ -31,6 +31,7 @@ from htdsm.experiments import (
     ExperimentConfig,
     _loss_deciles,
     _sample_network,
+    demo_config,
     run_convergence_demo,
     run_imbalance_grid,
     write_csv,
@@ -227,12 +228,13 @@ def _cmd_sample(args) -> int:
             f"sampler config {args.config} has schedule.n = {cfg.schedule.n}, "
             f"but checkpoint {args.ckpt} is a {net.data_dim}-dimensional network"
         )
-    paths, endpoints, diverged = _sample_network(net, cfg, args.count)
+    result = _sample_network(net, cfg, args.count)
     if cfg.record_paths:
-        write_paths_csv(args.out, paths, cfg.steps_per_level)
+        write_paths_csv(args.out, result, cfg.steps_per_level)
     else:
-        write_endpoints_csv(args.out, endpoints, diverged)
-    print(f"{args.count} particles, {diverged.sum()} diverged; wrote {args.out}")
+        write_endpoints_csv(args.out, result)
+    diverged = (result.status == sampler.DIVERGED).sum()
+    print(f"{args.count} particles, {diverged} diverged; wrote {args.out}")
     return 0
 
 
@@ -261,7 +263,7 @@ def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     if args.mode == "demo":
         _require_unit_variance("--beta", args.beta)
-        record = run_convergence_demo(args.levels, args.beta, out_dir)
+        record = run_convergence_demo(demo_config(args.levels, args.beta), out_dir)
         print(
             f"demo levels={args.levels} beta={args.beta}: "
             f"imbalance={record.imbalance}, diverged={record.diverged}, "

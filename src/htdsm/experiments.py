@@ -1,6 +1,8 @@
-"""Scenario runners for the 2D mixture experiments: convergence demos,
-the 10:1 imbalance grid over {training noise shape} x {diffusion shape},
-and the matched noise/diffusion shape sweep.
+"""Scenario runners for the 2D mixture experiments: the 10:1 imbalance
+grid over {training noise shape} x {diffusion shape}, the matched
+noise/diffusion shape sweep, and the convergence demo, which runs one grid
+cell of its config through the grid's own cell pipeline and writes its
+endpoints, paths and record.
 
 Every run is a pure function of (config, master seed): data, training and
 sampling streams are derived from named substreams, seeds fan out across
@@ -20,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from htdsm._config import Config, check_int
+from htdsm._config import Config, check_int, check_list
 from htdsm.metrics import MetricError, MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
-from htdsm.sampler import CONVERGED, DIVERGED, SamplerConfig, ald_run
+from htdsm.sampler import CONVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig, _ForwardBuffers, train
 
@@ -32,6 +34,7 @@ __all__ = [
     "ExperimentConfig",
     "RunRecord",
     "standard_member_alpha",
+    "demo_config",
     "run_convergence_demo",
     "run_imbalance_grid",
     "write_endpoints_csv",
@@ -116,14 +119,15 @@ class ExperimentConfig(Config):
     bootstrap_level: float = 0.95
 
     def __post_init__(self) -> None:
-        if len(self.seeds) == 0:
+        seeds = check_list("seeds", self.seeds)
+        if not seeds:
             raise ValueError("seeds must be nonempty")
         self._check_ints(particles=1, data_count=1, master_seed=0, bootstrap_resamples=1)
-        object.__setattr__(self, "seeds", tuple(check_int("seeds", s, 0) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(check_int("seeds", s, 0) for s in seeds))
         self._check_reals("bootstrap_level")
         if not 0.0 < self.bootstrap_level < 1.0:
             raise ValueError(f"bootstrap_level must lie in (0, 1), got {self.bootstrap_level!r}")
-        object.__setattr__(self, "metric_names", tuple(self.metric_names))
+        object.__setattr__(self, "metric_names", check_list("metric_names", self.metric_names))
         unknown = [name for name in self.metric_names if name not in _METRICS]
         if unknown:
             raise ValueError(f"metric_names must be among {', '.join(_METRICS)}, got {unknown}")
@@ -172,19 +176,18 @@ def _endpoint_metrics(pts, data, names) -> MetricReport | None:
                         fid=_statistic(fid, ref, pts) if "fid" in names else None)
 
 
-def _run_record(cfg: ExperimentConfig, seed: int, data, losses, kept, diverged: int,
-                t0: float, mode_capture: float | None = None) -> RunRecord:
-    """The record of one cell from its kept endpoints and diverged count, timed from t0."""
+def _run_record(cfg: ExperimentConfig, seed: int, data, losses, result, t0: float) -> RunRecord:
+    """The record of one cell from ald_run's record array, timed from t0."""
     first, last = _loss_deciles(losses)
+    kept = result.final[result.status == CONVERGED]
     return RunRecord(
         seed=seed,
         imbalance=_statistic(mode_imbalance, kept, cfg.mixture),
-        diverged=diverged,
+        diverged=len(result) - len(kept),
         loss_first_decile=first,
         loss_last_decile=last,
         metrics=_endpoint_metrics(kept, data, cfg.metric_names),
         wall_time=time.perf_counter() - t0,
-        mode_capture=mode_capture,
     )
 
 
@@ -203,21 +206,18 @@ def _train_for_seed(cfg: ExperimentConfig, seed: int, beta_noise: float):
     return data, net, losses
 
 
-def _sample_network(net, sampler_cfg: SamplerConfig, count: int):
-    """(paths, endpoints, diverged) of one ALD run of count particles under net's
-    score: ald_run's record array, its `final` column, and the boolean mask of
-    the particles that diverged. The one place a status becomes a mask.
+def _sample_network(net, sampler_cfg: SamplerConfig, count: int) -> np.recarray:
+    """ald_run's record array for count particles under net's score.
 
     Every score goes through net.forward on one set of forward buffers per
     run; ald_run uses each score before asking for the next."""
     buffers = _ForwardBuffers(net)
-    paths = ald_run(lambda x, ls: net.forward(x, ls, buffers=buffers), sampler_cfg, count)
-    return paths, paths.final, paths.status == DIVERGED
+    return ald_run(lambda x, ls: net.forward(x, ls, buffers=buffers), sampler_cfg, count)
 
 
 def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float,
-                 record_paths: bool = False):
-    """(paths, endpoints, diverged) of one cell's ALD run."""
+                 record_paths: bool = False) -> np.recarray:
+    """ald_run's record array of one cell, seeded from the master seed."""
     sampler_cfg = replace(
         cfg.sampler,
         beta_diff=beta_diff,
@@ -225,6 +225,19 @@ def _sample_cell(cfg: ExperimentConfig, seed: int, net, beta_diff: float,
         seed=_seed_int(cfg.master_seed, seed, _STREAM_SAMPLE),
     )
     return _sample_network(net, sampler_cfg, cfg.particles)
+
+
+def _run_cell(cfg: ExperimentConfig, seed: int, trained: dict, beta_noise: float,
+              beta_diff: float):
+    """(record, net, ald_run's record array) of one cell. The beta_noise
+    shape is trained into trained[beta_noise] unless it is there already;
+    the record's wall time covers the training and the sampling."""
+    t0 = time.perf_counter()
+    if beta_noise not in trained:
+        trained[beta_noise] = _train_for_seed(cfg, seed, beta_noise)
+    data, net, losses = trained[beta_noise]
+    result = _sample_cell(cfg, seed, net, beta_diff)
+    return _run_record(cfg, seed, data, losses, result, t0), net, result
 
 
 def _seed_records(args) -> dict:
@@ -242,13 +255,7 @@ def _seed_records(args) -> dict:
     for name, beta_noise, beta_diff in shapes:
         pair = (beta_noise, beta_diff)
         if pair not in records:
-            t0 = time.perf_counter()
-            if beta_noise not in trained:
-                trained[beta_noise] = _train_for_seed(cfg, seed, beta_noise)
-            data, net, losses = trained[beta_noise]
-            _, endpoints, diverged = _sample_cell(cfg, seed, net, beta_diff)
-            records[pair] = _run_record(cfg, seed, data, losses, endpoints[~diverged],
-                                        int(diverged.sum()), t0)
+            records[pair] = _run_cell(cfg, seed, trained, beta_noise, beta_diff)[0]
         out[name] = records[pair].to_dict()
     log.debug("seed %d done (%d shapes)", seed, len(shapes))
     return out
@@ -332,81 +339,60 @@ def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1, sweep_betas=()) 
     return grid
 
 
-def run_convergence_demo(
-    levels: int,
-    beta_noise: float,
-    out_dir,
-    *,
-    cfg: ExperimentConfig | None = None,
-    path_particles: int = 10,
-) -> RunRecord:
-    """Balanced-mixture demo: train, anneal 1,000 particles, write CSVs.
-
-    levels = 1 uses the single sigma = 1.0 level; levels = 2 the
-    [1.0, 0.25] pair. Endpoints for every particle and full paths for the
-    first path_particles particles land in out_dir. The paths come from a
-    second ALD run of just those particles, which is bit-equal to their rows
-    of the first (particles are seeded by index and the network's forward is
-    row-stable), so each path ends at its particle's endpoint.
-    """
-    if levels not in (1, 2) or path_particles < 1:
-        raise ValueError(f"need levels 1 or 2, path_particles >= 1; got {levels}, {path_particles}")
+def demo_config(levels: int, beta: float) -> ExperimentConfig:
+    """The balanced-mixture demo's protocol: one seed, shape beta for both
+    the training noise and the diffusion, and one schedule for both, the
+    single sigma = 1.0 level at levels = 1 or the [1.0, 0.25] pair at
+    levels = 2. It takes 1,000 Langevin steps per level at step size 0.1,
+    and a learning rate high enough for the fixed 20k-step budget to reach
+    the smoothed score (the imbalance grid deliberately stays at the slower
+    default, where the mode-collapse contrast lives)."""
+    if levels not in (1, 2):
+        raise ValueError(f"levels must be 1 or 2, got {levels!r}")
     schedule = (
         NoiseSchedule(sigmas=(1.0,), beta=2.0, n=2, kind="geometric")
         if levels == 1
         else geometric_schedule(1.0, 0.25, 2)
     )
-    if cfg is None:
-        # The demo protocol: 1,000 Langevin steps per level at step size 0.1,
-        # diffusion shape matched to the training noise, and a learning rate
-        # high enough for the fixed 20k-step budget to reach the smoothed
-        # score (the imbalance grid deliberately stays at the slower
-        # default, where the mode-collapse contrast lives).
-        cfg = ExperimentConfig(
-            mixture=MixtureSpec.two_mode(1.0),
-            train=TrainConfig(
-                schedule=geometric_schedule(1.0, 0.25, 2), learning_rate=0.02
-            ),
-            sampler=SamplerConfig(
-                schedule=geometric_schedule(1.0, 0.25, 2),
-                steps_per_level=1000,
-                step_size=0.1,
-                beta_diff=beta_noise,
-            ),
-        )
-    steps = cfg.sampler.steps_per_level
-    if len(set(steps)) == 1:
-        steps = steps[0]
-    elif len(steps) != len(schedule):
-        raise ValueError(
-            f"steps_per_level {steps} does not fit a {len(schedule)}-level demo"
-        )
-    cfg = replace(
-        cfg,
-        train=replace(cfg.train, schedule=schedule, beta_noise=beta_noise),
-        sampler=replace(cfg.sampler, schedule=schedule, steps_per_level=steps),
-        seeds=cfg.seeds[:1],
+    return ExperimentConfig(
+        mixture=MixtureSpec.two_mode(1.0),
+        train=TrainConfig(schedule=schedule, beta_noise=beta, learning_rate=0.02),
+        sampler=SamplerConfig(schedule=schedule, steps_per_level=1000, step_size=0.1,
+                              beta_diff=beta),
+        seeds=(0,),
     )
+
+
+def run_convergence_demo(cfg: ExperimentConfig, out_dir) -> RunRecord:
+    """One grid cell of cfg as given, with its files in out_dir: the cell of
+    the first seed, training shape cfg.train.beta_noise and diffusion shape
+    cfg.sampler.beta_diff. demo_config builds the demo's own protocol.
+
+    endpoints.csv holds every particle and paths.csv the full paths of the
+    first 10. The paths come from a second ALD run of just those particles,
+    which is bit-equal to their rows of the first (particles are seeded by
+    index and the network's forward is row-stable), so each path ends at its
+    particle's endpoint. record.json is the cell's record plus mode_capture,
+    the share of kept endpoints within 3 stds of a mode; its wall time
+    covers the training and the sampling of the cell.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    seed = cfg.seeds[0]
-    data, net, losses = _train_for_seed(cfg, seed, beta_noise)
-    _, endpoints, diverged = _sample_cell(cfg, seed, net, cfg.sampler.beta_diff)
-    write_endpoints_csv(out_dir / "endpoints.csv", endpoints, diverged)
-    path_cfg = replace(cfg, particles=min(path_particles, cfg.particles))
-    paths = _sample_cell(path_cfg, seed, net, cfg.sampler.beta_diff, record_paths=True)[0]
+    seed, beta_diff = cfg.seeds[0], cfg.sampler.beta_diff
+    record, net, result = _run_cell(cfg, seed, {}, cfg.train.beta_noise, beta_diff)
+    write_endpoints_csv(out_dir / "endpoints.csv", result)
+    path_cfg = replace(cfg, particles=min(10, cfg.particles))
+    paths = _sample_cell(path_cfg, seed, net, beta_diff, record_paths=True)
     write_paths_csv(out_dir / "paths.csv", paths, cfg.sampler.steps_per_level)
 
-    kept = endpoints[~diverged]
+    kept = result.final[result.status == CONVERGED]
     capture = None
     if len(kept):
         dists = np.linalg.norm(
             kept[:, None, :] - cfg.mixture.mean_array()[None], axis=2
         ).min(axis=1)
         capture = float((dists <= 3.0 * max(cfg.mixture.stds)).mean())
-    record = _run_record(cfg, seed, data, losses, kept, int(diverged.sum()), t0, capture)
+    record = replace(record, mode_capture=capture)
     write_json(out_dir / "record.json", record.to_dict())
     return record
 
@@ -443,12 +429,10 @@ def write_csv(path, header, columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def write_endpoints_csv(path, endpoints, diverged) -> None:
-    """One row per particle: particle_id, status (from the diverged mask), x0..xd-1."""
-    endpoints = np.asarray(endpoints, dtype=float)
-    header = ["particle_id", "status", *(f"x{i}" for i in range(endpoints.shape[1]))]
-    statuses = np.where(diverged, DIVERGED, CONVERGED)
-    write_csv(path, header, [np.arange(len(endpoints)), statuses, *endpoints.T])
+def write_endpoints_csv(path, result) -> None:
+    """One row per particle of ald_run's record array: particle_id, status, x0..xd-1."""
+    header = ["particle_id", "status", *(f"x{i}" for i in range(result.final.shape[1]))]
+    write_csv(path, header, [np.arange(len(result)), result.status, *result.final.T])
 
 
 def write_paths_csv(path, particle_paths, steps_per_level) -> None:

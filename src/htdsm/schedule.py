@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, check_int, check_real
+from htdsm._config import Config, check_int, check_list, check_real
 from htdsm.distributions import empirical_norm_quantile
 from htdsm.specfun import inv_reg_lower_inc_gamma
 
@@ -43,7 +43,8 @@ class NoiseSchedule(Config):
         if self.delta is not None:
             self._check_reals("delta")
         try:
-            sigmas = tuple(check_real("sigmas", s, positive=True) for s in self.sigmas)
+            sigmas = tuple(check_real("sigmas", s, positive=True)
+                           for s in check_list("sigmas", self.sigmas))
         except ValueError as exc:
             raise ScheduleError(str(exc)) from None
         object.__setattr__(self, "sigmas", sigmas)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, check_int, check_real
+from htdsm._config import Config, check_int, check_list, check_real
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
@@ -62,9 +62,11 @@ class MixtureSpec(Config):
     weights: tuple
 
     def __post_init__(self) -> None:
-        means = tuple(tuple(check_real("means", v) for v in m) for m in self.means)
-        stds = tuple(check_real("stds", s, positive=True) for s in self.stds)
-        weights = tuple(check_real("weights", w, positive=True) for w in self.weights)
+        means = tuple(tuple(check_real("means", v) for v in check_list("means", m))
+                      for m in check_list("means", self.means))
+        stds = tuple(check_real("stds", s, positive=True) for s in check_list("stds", self.stds))
+        weights = tuple(check_real("weights", w, positive=True)
+                        for w in check_list("weights", self.weights))
         if not (len(means) == len(stds) == len(weights)):
             raise ValueError("means, stds and weights must have equal length")
         dims = sorted({len(m) for m in means})
@@ -137,7 +139,7 @@ class TrainConfig(Config):
     def __post_init__(self) -> None:
         self._check_ints(batch_size=1, steps=1, seed=0)
         object.__setattr__(self, "hidden", tuple(check_int("hidden widths", h, 1)
-                                                 for h in self.hidden))
+                                                 for h in check_list("hidden", self.hidden)))
         self._check_reals("beta_noise", "learning_rate", positive=True)
         if self.alpha_unit is not None:
             self._check_reals("alpha_unit", positive=True)
@@ -159,7 +161,7 @@ class ScoreNetwork:
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
-        layer_sizes = [int(s) for s in layer_sizes]
+        layer_sizes = [check_int("layer_sizes", s, 1) for s in layer_sizes]
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
         if layer_sizes[0] != layer_sizes[-1] + 1:

@@ -159,6 +159,18 @@ class TestSampleInputValidation:
         assert code == 2 and not out.exists()
         assert "unknown SamplerConfig key(s): 'stepsize'" in capsys.readouterr().err
 
+    def test_float_layer_sizes_checkpoint_is_usage_error(self, tmp_path, capsys):
+        ckpt = ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()
+        ckpt["layer_sizes"] = [3.9, 8.7, 2.2]
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ckpt))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 2)),
+                       "--count", "5", "--out", str(out))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "bad checkpoint" in err and "layer_sizes must be an integer, got 3.9" in err
+
     def test_non_finite_checkpoint_is_usage_error(self, tmp_path, capsys):
         ckpt = ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()
         ckpt["weights"][0][1][3] = float("nan")
@@ -575,6 +587,13 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
                            ("mixture", "weights"))),
     *(("mixture", "means", [[value, 1], [-1, -1]], "means must be a real number")
       for value in (True, "0.5")),
+    ("train", "hidden", 16, "hidden must be a list, got 16"),
+    ("train", "hidden", "16", "hidden must be a list, got '16'"),
+    ("train.schedule", "sigmas", 0.5, "sigmas must be a list, got 0.5"),
+    ("mixture", "means", [[1, 1], 2.5], "means must be a list, got 2.5"),
+    ("mixture", "means", "ab", "means must be a list, got 'ab'"),
+    ("mixture", "stds", 0.5, "stds must be a list, got 0.5"),
+    ("mixture", "weights", 1.0, "weights must be a list, got 1.0"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
                                                  monkeypatch, section, key, value, need):
@@ -859,6 +878,9 @@ class TestExperimentCommand:
         ({"sampler": {"schedule": {"kind": "geometric", "beta": 2.0, "n": 3, "delta": None,
                                    "sigmas": [1.0, 0.25]}, "steps_per_level": 50}},
          "sampler.schedule.n must equal mixture.dim, got 3 and 2"),
+        ({"seeds": 3}, "seeds must be a list, got 3"),
+        ({"seeds": "01"}, "seeds must be a list, got '01'"),
+        ({"metric_names": "prdc"}, "metric_names must be a list, got 'prdc'"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch, cfg,
                                                  message):

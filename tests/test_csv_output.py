@@ -54,14 +54,17 @@ def write_noise(path, beta, count) -> int:
 
 
 def endpoint_fixture():
-    """Endpoints spanning 16 decades, with nan, inf, -0.0 and subnormal rows."""
+    """ald_run's record array of 300 endpoints spanning 16 decades, with nan,
+    inf, -0.0 and subnormal rows."""
     rng = np.random.default_rng(2024)
     pts = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, (300, 3))
     pts[:4] = [[np.nan, 1.0, -2.0], [np.inf, -np.inf, 0.0],
                [-0.0, 5e-324, 1e308], [np.nan, np.nan, np.inf]]
     with np.errstate(over="ignore"):
         ok = np.isfinite(pts).all(axis=1) & (np.linalg.norm(pts, axis=1) <= 100.0)
-    return pts, ~ok
+    result = np.recarray(300, dtype=[("final", float, (3,)), ("status", "U9")])
+    result.final, result.status = pts, np.where(ok, CONVERGED, DIVERGED)
+    return result
 
 
 def escaping_score(x, log_sigma):
@@ -96,7 +99,7 @@ def grid_fixture():
 
 def write_all(tmp_path) -> dict:
     """Every non-noise fixture written once; digests by name."""
-    write_endpoints_csv(tmp_path / "endpoints.csv", *endpoint_fixture())
+    write_endpoints_csv(tmp_path / "endpoints.csv", endpoint_fixture())
     write_paths_csv(tmp_path / "paths.csv", paths_fixture(), (100, 100))
     grid, sweep = grid_fixture()
     experiments.write_grid_outputs(tmp_path / "grid", {**grid, "sweep": sweep})

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from htdsm import experiments
 from htdsm.experiments import (
     ExperimentConfig,
+    demo_config,
     run_convergence_demo,
     run_imbalance_grid,
     standard_member_alpha,
@@ -24,8 +26,8 @@ from htdsm.experiments import (
     _STREAM_SAMPLE,
 )
 from htdsm.metrics import MetricReport, fid, kid, prdc
-from htdsm.sampler import SamplerConfig, particle_rng
-from htdsm.schedule import geometric_schedule
+from htdsm.sampler import DIVERGED, SamplerConfig, particle_rng
+from htdsm.schedule import NoiseSchedule, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig
 
 
@@ -255,11 +257,10 @@ class Escaper:
 
 def test_record_of_an_all_diverged_run():
     cfg = tiny_config(metric_names=("prdc", "kid", "fid"))
-    _, endpoints, diverged = experiments._sample_network(Escaper(), cfg.sampler, cfg.particles)
-    assert diverged.all()
+    result = experiments._sample_network(Escaper(), cfg.sampler, cfg.particles)
+    assert (result.status == DIVERGED).all()
     data = cfg.mixture.sample(np.random.default_rng(0), cfg.data_count)
-    record = experiments._run_record(cfg, 0, data, np.ones(10), endpoints[~diverged],
-                                     int(diverged.sum()), 0.0)
+    record = experiments._run_record(cfg, 0, data, np.ones(10), result, 0.0)
     assert record.imbalance is None
     assert record.diverged == cfg.particles
     assert record.metrics == MetricReport()
@@ -345,10 +346,15 @@ class TestStandardMemberAlpha:
         assert standard_member_alpha(1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def demo_tiny_config(beta_noise=2.0, **overrides):
+    """tiny_config on the balanced mixture, training with beta_noise."""
+    base = tiny_config(mixture=MixtureSpec.two_mode(1.0))
+    return replace(base, train=replace(base.train, beta_noise=beta_noise), **overrides)
+
+
 class TestConvergenceDemo:
     def test_zero_step_endpoints_equal_init(self, tmp_path):
-        cfg = tiny_config(
-            mixture=MixtureSpec.two_mode(1.0),
+        cfg = demo_tiny_config(
             sampler=SamplerConfig(
                 schedule=geometric_schedule(1.0, 0.25, 2),
                 steps_per_level=5,
@@ -356,7 +362,7 @@ class TestConvergenceDemo:
             ),
             particles=30,
         )
-        record = run_convergence_demo(2, 2.0, tmp_path, cfg=cfg)
+        record = run_convergence_demo(cfg, tmp_path)
         with open(tmp_path / "endpoints.csv") as fh:
             rows = list(csv.DictReader(fh))
         sampler_seed = _seed_int(cfg.master_seed, cfg.seeds[0], _STREAM_SAMPLE)
@@ -367,14 +373,13 @@ class TestConvergenceDemo:
         assert record.diverged == 0
 
     def test_demo_outputs(self, tmp_path):
-        cfg = tiny_config(mixture=MixtureSpec.two_mode(1.0), particles=40)
-        record = run_convergence_demo(2, 1.0, tmp_path, cfg=cfg, path_particles=3)
+        record = run_convergence_demo(demo_tiny_config(1.0, particles=40), tmp_path)
         assert (tmp_path / "record.json").exists()
         with open(tmp_path / "paths.csv") as fh:
             rows = list(csv.DictReader(fh))
-        # 3 particles, 100 steps plus the initial position each.
-        assert len(rows) == 3 * 101
-        assert {r["particle_id"] for r in rows} == {"0", "1", "2"}
+        # 10 particles, 100 steps plus the initial position each.
+        assert len(rows) == 10 * 101
+        assert {r["particle_id"] for r in rows} == {str(i) for i in range(10)}
         assert {r["level"] for r in rows} == {"0", "1"}
         assert record.loss_first_decile > 0
 
@@ -385,8 +390,9 @@ class TestConvergenceDemo:
         sampler_cfg = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2),
                                     steps_per_level=200, step_size=0.1, beta_diff=1.0,
                                     divergence_radius=7.0)
-        cfg = tiny_config(sampler=sampler_cfg, particles=500)
-        record = run_convergence_demo(2, 1.0, tmp_path, cfg=cfg, path_particles=10)
+        base = tiny_config(sampler=sampler_cfg, particles=500)
+        cfg = replace(base, train=replace(base.train, beta_noise=1.0))
+        record = run_convergence_demo(cfg, tmp_path)
         with open(tmp_path / "endpoints.csv") as fh:
             endpoints = list(csv.DictReader(fh))
         with open(tmp_path / "paths.csv") as fh:
@@ -400,8 +406,11 @@ class TestConvergenceDemo:
         assert 0 < sum(diverged[:10]) < 10 and sum(diverged) == record.diverged
 
     def test_single_level_schedule(self, tmp_path):
-        cfg = tiny_config(mixture=MixtureSpec.two_mode(1.0), particles=10)
-        record = run_convergence_demo(1, 2.0, tmp_path, cfg=cfg, path_particles=2)
+        one = NoiseSchedule(sigmas=(1.0,), beta=2.0, n=2, kind="geometric")
+        base = demo_tiny_config(particles=10)
+        cfg = replace(base, train=replace(base.train, schedule=one),
+                      sampler=replace(base.sampler, schedule=one, steps_per_level=50))
+        record = run_convergence_demo(cfg, tmp_path)
         with open(tmp_path / "paths.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["level"] for r in rows} == {"0"}
@@ -409,42 +418,75 @@ class TestConvergenceDemo:
 
     def test_configured_alpha_unit_is_not_read(self, tmp_path):
         # The demo scales noise by the standard member, as the grid does.
-        cfg = tiny_config(mixture=MixtureSpec.two_mode(1.0), particles=20)
+        cfg = demo_tiny_config(1.0, particles=20)
         half = replace(cfg, train=replace(cfg.train, alpha_unit=0.5))
         for name, c in (("default", cfg), ("half", half)):
-            run_convergence_demo(2, 1.0, tmp_path / name, cfg=c)
+            run_convergence_demo(c, tmp_path / name)
         endpoints = [(tmp_path / name / "endpoints.csv").read_bytes() for name in ("default", "half")]
         assert endpoints[0] == endpoints[1]
 
-    def test_invalid_levels(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_convergence_demo(3, 2.0, tmp_path)
-        with pytest.raises(ValueError, match="path_particles"):
-            run_convergence_demo(2, 2.0, tmp_path, path_particles=0)
+    def test_invalid_levels(self):
+        for levels in (0, 3):
+            with pytest.raises(ValueError, match="levels must be 1 or 2"):
+                demo_config(levels, 2.0)
 
-    @pytest.mark.parametrize("levels, sampler_levels, steps", [(2, 3, (10, 20, 30)),
-                                                               (1, 2, (10, 20))])
-    def test_steps_per_level_must_fit_the_demo(self, tmp_path, levels, sampler_levels, steps):
-        # Unequal steps per level are kept only when there is one per demo level.
-        cfg = tiny_config(sampler=SamplerConfig(
-            schedule=geometric_schedule(1.0, 0.25, sampler_levels), steps_per_level=steps))
-        with pytest.raises(ValueError, match=f"does not fit a {levels}-level demo"):
-            run_convergence_demo(levels, 2.0, tmp_path / "demo", cfg=cfg)
-        assert not (tmp_path / "demo").exists()
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_demo_config_shares_one_schedule_and_beta(self, levels):
+        cfg = demo_config(levels, 1.3)
+        assert cfg.train.schedule == cfg.sampler.schedule
+        assert cfg.train.schedule.sigmas == (1.0, 0.25)[:levels]
+        assert cfg.sampler.steps_per_level == (1000,) * levels
+        assert (cfg.train.beta_noise, cfg.sampler.beta_diff, cfg.seeds) == (1.3, 1.3, (0,))
+
+    @pytest.mark.parametrize("cell, beta", [("dsm_gaussian", 2.0), ("htdsm_laplace", 1.0)])
+    def test_demo_equals_a_grid_cell(self, tmp_path, cell, beta):
+        # The demo runs one grid cell through the grid's own code.
+        base = tiny_config(seeds=(1,), particles=30, metric_names=("kid",))
+        cfg = replace(base, train=replace(base.train, beta_noise=beta),
+                      sampler=replace(base.sampler, beta_diff=beta))
+        demo = run_convergence_demo(cfg, tmp_path).to_dict()
+        (grid_record,) = run_imbalance_grid(base)["cells"][cell]["per_seed"]
+        skip = ("wall_time", "mode_capture")
+        assert {k: v for k, v in demo.items() if k not in skip} == \
+            {k: v for k, v in grid_record.items() if k not in skip}
 
 
 class TestFullScaleDemo:
-    """The demo at its real protocol (20k steps, 1,000 particles)."""
+    """The demo at its real protocol (20k steps, 1,000 particles), pinned
+    byte for byte: the sha256 of endpoints.csv and paths.csv, and every
+    record field but wall_time. The network's rounding depends on the BLAS
+    kernel, so the pins hold per host and BLAS build (x86-64 OpenBLAS)."""
+
+    PINS = {
+        2.0: ("bfccde8324650eba2210f0851d967af820697bbc642c76f017c9bc0b30fe305a",
+              "2cde5b281256f3d5b1863fd77c8812edcdfbb64d56269e97e63d1915cbb1d057",
+              dict(seed=0, imbalance=49.0, diverged=0, loss_first_decile=0.6865953647547606,
+                   loss_last_decile=0.5114161762363838, metrics=None, mode_capture=0.971)),
+        1.0: ("dfea0cdcff7e77e8809d53755d22604676debe883729fc571555e0b94089fef2",
+              "0df6304e3f396f89ffaae2c0809e73dca127fec20007b386db032a8541a0a759",
+              dict(seed=0, imbalance=41.4, diverged=0, loss_first_decile=0.7879386249518184,
+                   loss_last_decile=0.653631465020779, metrics=None, mode_capture=0.89)),
+    }
+
+    def assert_pinned(self, out_dir, beta, record):
+        endpoints, paths, fields = self.PINS[beta]
+        digests = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in ("endpoints.csv", "paths.csv")]
+        assert digests == [endpoints, paths]
+        written = json.loads((out_dir / "record.json").read_text())
+        for rec in (record.to_dict(), written):
+            assert {k: v for k, v in rec.items() if k != "wall_time"} == fields
 
     def test_gaussian_two_level_mode_capture(self, tmp_path):
-        record = run_convergence_demo(2, 2.0, tmp_path / "g")
+        record = run_convergence_demo(demo_config(2, 2.0), tmp_path / "g")
         assert record.mode_capture >= 0.95
         assert record.loss_last_decile < record.loss_first_decile
+        self.assert_pinned(tmp_path / "g", 2.0, record)
 
     def test_laplace_two_level_all_converge(self, tmp_path):
         # Laplace training noise with matched Laplace diffusion: every
         # particle converges and the loss decreases.
-        record = run_convergence_demo(2, 1.0, tmp_path / "l")
+        record = run_convergence_demo(demo_config(2, 1.0), tmp_path / "l")
         assert record.diverged == 0
         assert record.loss_last_decile < record.loss_first_decile
         # paths.csv and endpoints.csv come from one run: each path ends at
@@ -456,6 +498,7 @@ class TestFullScaleDemo:
         assert len(last) == 10
         for pid, row in last.items():
             assert (row["x0"], row["x1"]) == (ends[int(pid)]["x0"], ends[int(pid)]["x1"])
+        self.assert_pinned(tmp_path / "l", 1.0, record)
 
 
 class TestConfigRoundtrip:

@@ -180,10 +180,11 @@ def test_forward_counters_see_every_ald_score(monkeypatch):
     monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 24 * steps * 2)
     tracer = spans.Tracer()
     with spans.patched(tracer, [], [forward]):
-        _, _, diverged = experiments._sample_network(outward_beyond_net(5.0, 10.0), cfg, count)
+        result = experiments._sample_network(outward_beyond_net(5.0, 10.0), cfg, count)
     assert not hasattr(scorenet.ScoreNetwork.forward, "__wrapped__")
     # Some particles diverge, and every block keeps one alive to the end,
     # so each block scores on every step.
+    diverged = result.status == sampler.DIVERGED
     assert 0 < diverged.sum()
     cuts = (0, 21, 42, 64)
     assert all(not diverged[start:stop].all() for start, stop in zip(cuts, cuts[1:]))

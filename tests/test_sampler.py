@@ -338,7 +338,7 @@ def test_network_score_endpoints_are_pinned(tmp_path, pinned_net):
     paths = ald_run(lambda x, ls: net.forward(x, ls), cfg, 400)
     assert sum(p.status == DIVERGED for p in paths) == 6
     out = tmp_path / "endpoints.csv"
-    write_endpoints_csv(out, [p.final for p in paths], [p.status == DIVERGED for p in paths])
+    write_endpoints_csv(out, paths)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_ENDPOINTS_SHA256
 
 
@@ -357,18 +357,18 @@ class TestNetworkScoreCuts:
         return all(a[name].tobytes() == b[name].tobytes() for name in a.dtype.names)
 
     def test_first_particles_of_a_big_run_equal_a_small_run(self, pinned_net):
-        big = _sample_network(pinned_net, self.CFG, 1000)[0]
-        small = _sample_network(pinned_net, self.CFG, 10)[0]
+        big = _sample_network(pinned_net, self.CFG, 1000)
+        small = _sample_network(pinned_net, self.CFG, 10)
         assert (big.status == DIVERGED).sum() == 172
         assert (small.status == DIVERGED).sum() == 3
         assert self.same(big[:10], small)
 
     def test_two_block_budgets_give_identical_records(self, monkeypatch, pinned_net):
         cfg = dataclasses.replace(self.CFG, record_paths=True)
-        whole = _sample_network(pinned_net, cfg, 100)[0]
+        whole = _sample_network(pinned_net, cfg, 100)
         # 300 steps x 2 values a particle: 15 blocks of 6 or 7.
         monkeypatch.setattr(sampler, "_BLOCK_BUDGET", 7 * 300 * 2)
-        cut = _sample_network(pinned_net, cfg, 100)[0]
+        cut = _sample_network(pinned_net, cfg, 100)
         assert (whole.status == DIVERGED).any()
         assert self.same(whole, cut)
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import warnings
 
 import numpy as np
@@ -96,6 +97,19 @@ class TestScoreNetworkForward:
         ckpt = sn.ScoreNetwork([3, 16, 16, 2], np.random.default_rng(4)).to_dict()
         del ckpt["biases"][-1]
         with pytest.raises(ValueError, match="2 bias arrays for 3 layers"):
+            sn.ScoreNetwork.from_dict(ckpt)
+
+    @pytest.mark.parametrize("sizes, need", [
+        ([3.9, 8.7, 2.2], "layer_sizes must be an integer, got 3.9"),
+        ([2, True], "layer_sizes must be an integer, got True"),
+        ("32", "layer_sizes must be an integer, got '3'"),
+        ([3, 0, 2], "layer_sizes must be >= 1, got 0"),
+    ], ids=["floats", "bool", "string", "zero-width"])
+    def test_checkpoint_layer_sizes_are_checked_integers(self, sizes, need):
+        # Each was truncated or iterated into a network, or divided by zero.
+        ckpt = {**sn.ScoreNetwork([3, 8, 2], np.random.default_rng(4)).to_dict(),
+                "layer_sizes": sizes}
+        with pytest.raises(ValueError, match=re.escape(need)):
             sn.ScoreNetwork.from_dict(ckpt)
 
     def test_checkpoint_non_finite_values_rejected(self):

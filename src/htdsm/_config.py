@@ -1,19 +1,27 @@
-"""The JSON format of every config dataclass: fields in declaration order,
-nested configs as objects, tuples as lists. Loading is strict, since a
-misspelled key would otherwise be dropped and its field silently keep the
-default; omitted keys keep theirs, and each `__post_init__` turns lists
-back into tuples through `check_list` and checks its fields: integer ones
-through `check_int`, real ones through `check_real`, which both refuse
-bools and strings.
+"""The JSON format of every config dataclass, and the checks on its fields.
+
+Configs are written with fields in declaration order, nested configs as
+objects and tuples as lists. Loading is strict, since a misspelled key would
+otherwise be dropped and its field silently keep the default; omitted keys
+keep theirs. Each field's rule is its type hint, which check_field applies
+when a `Checked` dataclass is built; a class's own __post_init__ keeps only
+the rules that join two or more fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
 from dataclasses import fields
-from typing import get_args, get_type_hints
+from types import NoneType, UnionType
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
+
+Index = Annotated[int, 0]
+Count = Annotated[int, 1]
+Real = Annotated[float, False]
+Positive = Annotated[float, True]
 
 
 def _plain(value):
@@ -60,18 +68,48 @@ def check_real(name: str, value, *, positive: bool = False) -> float:
     return value
 
 
-class Config:
-    """Mixin for dataclasses that round-trip through JSON."""
+def check_field(name: str, hint, value):
+    """value as field `name` of type hint holds it, or a ValueError naming
+    the field. Index and Count are integers of at least 0 and 1 (check_int),
+    Real a finite real and Positive one above 0 (check_real); tuple[T, ...]
+    is a list or a tuple (check_list) of T. T | None also takes None, and a
+    list takes the tuple member of Count | tuple[Count, ...]. Any other class
+    is an isinstance check: a nested config given as null is refused."""
+    origin = get_origin(hint)
+    if origin is Annotated:
+        base, rule = get_args(hint)
+        if base is int:
+            return check_int(name, value, rule)
+        return check_real(name, value, positive=rule)
+    if origin is tuple:
+        return tuple(check_field(name, get_args(hint)[0], v) for v in check_list(name, value))
+    if origin is Union or origin is UnionType:
+        members = get_args(hint)
+        if value is None and NoneType in members:
+            return None
+        listed = isinstance(value, (list, tuple))
+        member = next((m for m in members if (get_origin(m) is tuple) == listed), members[0])
+        return check_field(name, member, value)
+    if not isinstance(value, hint):
+        raise ValueError(f"{name} must be a {hint.__name__}, got {value!r}")
+    return value
 
-    def _check_ints(self, **minimums) -> None:
-        """check_int each named field against its minimum, in place."""
-        for name, minimum in minimums.items():
-            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
 
-    def _check_reals(self, *names, positive: bool = False) -> None:
-        """check_real each named field, in place."""
-        for name in names:
-            object.__setattr__(self, name, check_real(name, getattr(self, name), positive=positive))
+# A class's field types by name, the Annotated rules kept.
+_hints = functools.cache(functools.partial(get_type_hints, include_extras=True))
+
+
+class Checked:
+    """Mixin for dataclasses whose fields check_field checks from their type
+    hints when built; a subclass's __post_init__ calls this one first."""
+
+    def __post_init__(self) -> None:
+        for name, hint in _hints(type(self)).items():
+            object.__setattr__(self, name, check_field(name, hint, getattr(self, name)))
+
+
+class Config(Checked):
+    """Mixin for checked dataclasses that round-trip through JSON."""
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
@@ -83,7 +121,7 @@ class Config:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
-        hints = get_type_hints(cls)
+        hints = _hints(cls)
         kwargs = dict(d)
         for name, value in d.items():
             for hint in get_args(hints[name]) or (hints[name],):

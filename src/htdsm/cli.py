@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest, specfun
-from htdsm._config import Config
+from htdsm._config import Config, Count, Index
 from htdsm.experiments import (
     GRID_OWNED,
     ExperimentConfig,
@@ -185,11 +185,8 @@ class TrainFile(Config):
 
     train: scorenet.TrainConfig
     mixture: scorenet.MixtureSpec
-    data_count: int = 20_000
-    data_seed: int = 0
-
-    def __post_init__(self) -> None:
-        self._check_ints(data_count=1, data_seed=0)
+    data_count: Count = 20_000
+    data_seed: Index = 0
 
 
 def _require_out_dir(path) -> None:

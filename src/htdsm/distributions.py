@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import check_int, check_real
+from htdsm._config import Checked, Count, Positive, Real, check_real
 from htdsm.specfun import inv_reg_lower_inc_gamma, log_gamma, reg_lower_inc_gamma
 
 __all__ = [
@@ -52,38 +52,29 @@ class SingularScoreError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneralizedNormal:
+class GeneralizedNormal(Checked):
     """GN(mu, alpha, beta) with density proportional to exp{-(|x-mu|/alpha)^beta}.
 
     (alpha, beta) = (sqrt(2), 2) is the standard normal and (1, 1) the
     standard Laplace.
     """
 
-    mu: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", check_real("mu", self.mu))
-        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, positive=True))
-        object.__setattr__(self, "beta", check_real("beta", self.beta, positive=True))
+    mu: Real
+    alpha: Positive
+    beta: Positive
 
 
 @dataclass(frozen=True)
-class GeneralizedGamma:
+class GeneralizedGamma(Checked):
     """GG(a, d, p) on x > 0 with density (p/a^d)/Gamma(d/p) x^{d-1} e^{-(x/a)^p}."""
 
-    a: float
-    d: float
-    p: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "d", "p"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), positive=True))
+    a: Positive
+    d: Positive
+    p: Positive
 
 
 @dataclass(frozen=True)
-class NormModel:
+class NormModel(Checked):
     """Scaled GG model of ||X||_2^2 for an n-dimensional GN(0, sigma, beta) vector.
 
     Models the squared norm as GG(a = n sigma^2, d = 1/2, p = beta/2). The
@@ -91,14 +82,9 @@ class NormModel:
     empirical_norm_quantile for the honest Monte-Carlo reference.
     """
 
-    n: int
-    sigma: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", check_int("n", self.n, 1))
-        for name in ("sigma", "beta"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), positive=True))
+    n: Count
+    sigma: Positive
+    beta: Positive
 
     @property
     def gg(self) -> GeneralizedGamma:

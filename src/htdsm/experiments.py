@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from htdsm._config import Config, check_int, check_list
+from htdsm._config import Config, Count, Index, Real
 from htdsm.metrics import MetricError, MetricReport, bootstrap_ci, fid, kid, mode_imbalance, prdc
 from htdsm.sampler import CONVERGED, SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, geometric_schedule
@@ -110,24 +110,22 @@ class ExperimentConfig(Config):
             step_size=0.1,
         )
     )
-    particles: int = 1000
-    seeds: tuple = tuple(range(10))
-    metric_names: tuple = ()
-    data_count: int = 20_000
-    master_seed: int = 0
-    bootstrap_resamples: int = 10_000
-    bootstrap_level: float = 0.95
+    particles: Count = 1000
+    seeds: tuple[Index, ...] = tuple(range(10))
+    metric_names: tuple[str, ...] = ()
+    data_count: Count = 20_000
+    master_seed: Index = 0
+    bootstrap_resamples: Count = 10_000
+    bootstrap_level: Real = 0.95
 
     def __post_init__(self) -> None:
-        seeds = check_list("seeds", self.seeds)
-        if not seeds:
+        super().__post_init__()
+        if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        self._check_ints(particles=1, data_count=1, master_seed=0, bootstrap_resamples=1)
-        object.__setattr__(self, "seeds", tuple(check_int("seeds", s, 0) for s in seeds))
-        self._check_reals("bootstrap_level")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if not 0.0 < self.bootstrap_level < 1.0:
             raise ValueError(f"bootstrap_level must lie in (0, 1), got {self.bootstrap_level!r}")
-        object.__setattr__(self, "metric_names", check_list("metric_names", self.metric_names))
         unknown = [name for name in self.metric_names if name not in _METRICS]
         if unknown:
             raise ValueError(f"metric_names must be among {', '.join(_METRICS)}, got {unknown}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, check_int
+from htdsm._config import Config, Count, Index, Positive, Real
 from htdsm.distributions import (
     GeneralizedNormal,
     _row_view,
@@ -76,37 +76,30 @@ class SamplerConfig(Config):
     """
 
     schedule: NoiseSchedule
-    steps_per_level: int | tuple = 1000
-    step_size: float = 0.1
-    beta_diff: float = 2.0
-    init_half_width: float = 6.0
-    divergence_radius: float = 100.0
+    steps_per_level: Count | tuple[Count, ...] = 1000
+    step_size: Real = 0.1
+    beta_diff: Positive = 2.0
+    init_half_width: Positive = 6.0
+    divergence_radius: Positive = 100.0
     record_paths: bool = False
-    seed: int = 0
+    seed: Index = 0
 
     def __post_init__(self) -> None:
-        self._check_reals("step_size")
+        super().__post_init__()
         if self.step_size < 0.0:
             raise ValueError(f"step_size must be >= 0, got {self.step_size!r}")
-        self._check_reals("beta_diff", "init_half_width", "divergence_radius", positive=True)
         unit_variance_alpha(self.beta_diff, "beta_diff")  # raises where the scale underflows
-        if not isinstance(self.record_paths, bool):
-            raise ValueError(f"record_paths must be true or false, got {self.record_paths!r}")
         if self.divergence_radius <= self.init_half_width:
             raise ValueError(
                 "divergence_radius must exceed init_half_width, got "
                 f"{self.divergence_radius} <= {self.init_half_width}"
             )
-        steps = self.steps_per_level
-        if np.isscalar(steps):
-            steps = (steps,) * len(self.schedule)
-        elif len(steps) != len(self.schedule):
-            raise ValueError(
-                f"steps_per_level has {len(steps)} entries for {len(self.schedule)} levels"
-            )
-        steps = tuple(check_int("steps per level", t, 1) for t in steps)
-        object.__setattr__(self, "steps_per_level", steps)
-        self._check_ints(seed=0)
+        levels = len(self.schedule)
+        if isinstance(self.steps_per_level, int):
+            object.__setattr__(self, "steps_per_level", (self.steps_per_level,) * levels)
+        if len(self.steps_per_level) != levels:
+            raise ValueError(f"steps_per_level has {len(self.steps_per_level)} entries "
+                             f"for {levels} levels")
 
 
 def particle_rng(seed: int, index: int) -> np.random.Generator:

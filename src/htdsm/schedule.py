@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, check_int, check_list, check_real
+from htdsm._config import Config, Count, Positive, Real, check_int, check_real
 from htdsm.distributions import empirical_norm_quantile
 from htdsm.specfun import inv_reg_lower_inc_gamma
 
@@ -32,26 +32,20 @@ class NoiseSchedule(Config):
     """
 
     kind: str
-    beta: float
-    n: int
-    delta: float | None = None
-    sigmas: tuple
+    beta: Positive
+    n: Count
+    delta: Real | None = None
+    sigmas: tuple[Positive, ...]
 
     def __post_init__(self) -> None:
-        self._check_ints(n=1)
-        self._check_reals("beta", positive=True)
-        if self.delta is not None:
-            self._check_reals("delta")
         try:
-            sigmas = tuple(check_real("sigmas", s, positive=True)
-                           for s in check_list("sigmas", self.sigmas))
+            super().__post_init__()
         except ValueError as exc:
             raise ScheduleError(str(exc)) from None
-        object.__setattr__(self, "sigmas", sigmas)
-        if len(sigmas) < 1:
+        if not self.sigmas:
             raise ScheduleError("schedule needs at least one level")
-        if any(a <= b for a, b in zip(sigmas, sigmas[1:])):
-            raise ScheduleError(f"sigmas must be strictly descending: {sigmas}")
+        if any(a <= b for a, b in zip(self.sigmas, self.sigmas[1:])):
+            raise ScheduleError(f"sigmas must be strictly descending: {self.sigmas}")
         if self.kind not in ("quantile_matched", "geometric"):
             raise ScheduleError(f"unknown schedule kind {self.kind!r}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, check_int, check_list, check_real
+from htdsm._config import Config, Count, Index, Positive, Real, check_int, check_list
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
@@ -57,26 +57,19 @@ class TrainingDivergedError(RuntimeError):
 class MixtureSpec(Config):
     """Isotropic Gaussian mixture: component means, stds and weights."""
 
-    means: tuple
-    stds: tuple
-    weights: tuple
+    means: tuple[tuple[Real, ...], ...]
+    stds: tuple[Positive, ...]
+    weights: tuple[Positive, ...]
 
     def __post_init__(self) -> None:
-        means = tuple(tuple(check_real("means", v) for v in check_list("means", m))
-                      for m in check_list("means", self.means))
-        stds = tuple(check_real("stds", s, positive=True) for s in check_list("stds", self.stds))
-        weights = tuple(check_real("weights", w, positive=True)
-                        for w in check_list("weights", self.weights))
-        if not (len(means) == len(stds) == len(weights)):
+        super().__post_init__()
+        if not (len(self.means) == len(self.stds) == len(self.weights)):
             raise ValueError("means, stds and weights must have equal length")
-        dims = sorted({len(m) for m in means})
+        dims = sorted({len(m) for m in self.means})
         if len(dims) > 1 or dims == [0]:
             raise ValueError(f"means must all have one length >= 1, got lengths {dims}")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)}")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
-        object.__setattr__(self, "weights", weights)
+        if abs(sum(self.weights) - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
 
     @property
     def dim(self) -> int:
@@ -127,23 +120,17 @@ class TrainConfig(Config):
     """
 
     schedule: NoiseSchedule
-    beta_noise: float = 2.0
-    alpha_unit: float | None = None
-    batch_size: int = 256
-    steps: int = 20_000
-    learning_rate: float = 1e-3
-    loss_weight_exponent: float = 2.0
-    hidden: tuple = (16, 16)
-    seed: int = 0
+    beta_noise: Positive = 2.0
+    alpha_unit: Positive | None = None
+    batch_size: Count = 256
+    steps: Count = 20_000
+    learning_rate: Positive = 1e-3
+    loss_weight_exponent: Real = 2.0
+    hidden: tuple[Count, ...] = (16, 16)
+    seed: Index = 0
 
     def __post_init__(self) -> None:
-        self._check_ints(batch_size=1, steps=1, seed=0)
-        object.__setattr__(self, "hidden", tuple(check_int("hidden widths", h, 1)
-                                                 for h in check_list("hidden", self.hidden)))
-        self._check_reals("beta_noise", "learning_rate", positive=True)
-        if self.alpha_unit is not None:
-            self._check_reals("alpha_unit", positive=True)
-        self._check_reals("loss_weight_exponent")
+        super().__post_init__()
         self.resolved_alpha_unit()  # raises where the unit-variance scale underflows
 
     def resolved_alpha_unit(self) -> float:
@@ -161,7 +148,8 @@ class ScoreNetwork:
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
-        layer_sizes = [check_int("layer_sizes", s, 1) for s in layer_sizes]
+        layer_sizes = [check_int("layer_sizes", s, 1)
+                       for s in check_list("layer_sizes", layer_sizes)]
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
         if layer_sizes[0] != layer_sizes[-1] + 1:
@@ -296,14 +284,16 @@ class ScoreNetwork:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScoreNetwork":
-        """Load a checkpoint; every array must match its layer's shape and
-        hold finite values."""
+    def from_dict(cls, d) -> "ScoreNetwork":
+        """Load a checkpoint: an object whose layer_sizes, weights and biases
+        are lists. Every array must match its layer's shape and hold finite
+        values."""
+        if not isinstance(d, dict):
+            raise TypeError(f"checkpoint must be an object, got {type(d).__name__}")
         net = cls(d["layer_sizes"])
-        for kind, params, values in (
-            ("weight", net.weights, d["weights"]),
-            ("bias", net.biases, d["biases"]),
-        ):
+        for kind, params, key in (("weight", net.weights, "weights"),
+                                  ("bias", net.biases, "biases")):
+            values = check_list(key, d[key])
             if len(values) != len(params):
                 raise ValueError(
                     f"{len(values)} {kind} arrays for {len(params)} layers "

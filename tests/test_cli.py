@@ -171,6 +171,17 @@ class TestSampleInputValidation:
         err = capsys.readouterr().err
         assert "bad checkpoint" in err and "layer_sizes must be an integer, got 3.9" in err
 
+    def test_scalar_weights_checkpoint_is_usage_error(self, tmp_path, capsys):
+        ckpt = {**ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict(), "weights": 5}
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(ckpt))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 2)),
+                       "--count", "5", "--out", str(out))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "bad checkpoint" in err and "weights must be a list, got 5" in err
+
     def test_non_finite_checkpoint_is_usage_error(self, tmp_path, capsys):
         ckpt = ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()
         ckpt["weights"][0][1][3] = float("nan")
@@ -201,10 +212,10 @@ class TestSampleInputValidation:
         ("init_half_width", float("nan"), "finite and positive"),
         *((key, value, f"{key} must be a real number") for value in (True, "0.5")
           for key in ("step_size", "beta_diff", "init_half_width", "divergence_radius")),
-        ("steps_per_level", 1.5, "steps per level must be an integer"),
-        ("steps_per_level", [5, 2.5], "steps per level must be an integer"),
+        ("steps_per_level", 1.5, "steps_per_level must be an integer, got 1.5"),
+        ("steps_per_level", [5, 2.5], "steps_per_level must be an integer, got 2.5"),
         ("seed", 1.5, "seed must be an integer"), ("seed", True, "seed must be an integer"),
-        ("record_paths", "false", "record_paths must be true or false"),
+        ("record_paths", "false", "record_paths must be a bool, got 'false'"),
         ("beta_diff", 0.005, "beta_diff must be at least 0.00777"),
     ])
     def test_bad_sampler_value_is_usage_error(self, tmp_path, capsys, monkeypatch, key, value,
@@ -594,6 +605,8 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     ("mixture", "means", "ab", "means must be a list, got 'ab'"),
     ("mixture", "stds", 0.5, "stds must be a list, got 0.5"),
     ("mixture", "weights", 1.0, "weights must be a list, got 1.0"),
+    (None, "train", None, "train must be a TrainConfig, got None"),
+    ("train", "schedule", None, "schedule must be a NoiseSchedule, got None"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
                                                  monkeypatch, section, key, value, need):
@@ -881,6 +894,8 @@ class TestExperimentCommand:
         ({"seeds": 3}, "seeds must be a list, got 3"),
         ({"seeds": "01"}, "seeds must be a list, got '01'"),
         ({"metric_names": "prdc"}, "metric_names must be a list, got 'prdc'"),
+        ({"seeds": [0, 0, 1]}, "seeds must be distinct, got [0, 0, 1]"),
+        ({"sampler": None}, "sampler must be a SamplerConfig, got None"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch, cfg,
                                                  message):

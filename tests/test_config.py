@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import types
+import typing
 
 import numpy as np
 import pytest
 
 from htdsm._config import check_int
+from htdsm.distributions import GeneralizedGamma, GeneralizedNormal, NormModel
 from htdsm.experiments import ExperimentConfig, RunRecord
 from htdsm.metrics import MetricReport
 from htdsm.sampler import SamplerConfig
@@ -131,6 +134,25 @@ def test_omitted_keys_keep_their_defaults():
     assert ExperimentConfig.from_dict({}) == ExperimentConfig()
     no_delta = {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0, 0.25]}
     assert NoiseSchedule.from_dict(no_delta) == sched
+
+
+# Every field of configs() and of the distribution dataclasses whose type
+# does not admit None, read from the dataclass, so a field added later is
+# covered as well.
+REQUIRED = [
+    (obj, f.name)
+    for obj in [*configs(), GeneralizedNormal(0.5, 1.5, 1.0), GeneralizedGamma(2.0, 0.5, 1.5),
+                NormModel(3, 1.5, 1.0)]
+    for f in dataclasses.fields(obj)
+    if types.NoneType not in typing.get_args(typing.get_type_hints(type(obj))[f.name])
+]
+
+
+@pytest.mark.parametrize("obj, name", REQUIRED,
+                         ids=[f"{type(obj).__name__}.{name}" for obj, name in REQUIRED])
+def test_every_field_refuses_none_by_name(obj, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        dataclasses.replace(obj, **{name: None})
 
 
 @pytest.mark.parametrize("value, want", [(7, 7), (np.int64(7), 7), (np.uint8(7), 7)])

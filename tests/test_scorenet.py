@@ -102,15 +102,27 @@ class TestScoreNetworkForward:
     @pytest.mark.parametrize("sizes, need", [
         ([3.9, 8.7, 2.2], "layer_sizes must be an integer, got 3.9"),
         ([2, True], "layer_sizes must be an integer, got True"),
-        ("32", "layer_sizes must be an integer, got '3'"),
+        ("32", "layer_sizes must be a list, got '32'"),
         ([3, 0, 2], "layer_sizes must be >= 1, got 0"),
-    ], ids=["floats", "bool", "string", "zero-width"])
+        (32, "layer_sizes must be a list, got 32"),
+    ], ids=["floats", "bool", "string", "zero-width", "scalar"])
     def test_checkpoint_layer_sizes_are_checked_integers(self, sizes, need):
-        # Each was truncated or iterated into a network, or divided by zero.
+        # Each was truncated or iterated into a network, divided by zero, or
+        # failed naming no field.
         ckpt = {**sn.ScoreNetwork([3, 8, 2], np.random.default_rng(4)).to_dict(),
                 "layer_sizes": sizes}
         with pytest.raises(ValueError, match=re.escape(need)):
             sn.ScoreNetwork.from_dict(ckpt)
+
+    @pytest.mark.parametrize("key, value, need", [
+        (None, [], "checkpoint must be an object, got list"),
+        ("weights", 5, "weights must be a list, got 5"),
+        ("biases", 7, "biases must be a list, got 7"),
+    ], ids=["list", "scalar-weights", "scalar-biases"])
+    def test_malformed_checkpoint_names_its_field(self, key, value, need):
+        ckpt = sn.ScoreNetwork([3, 8, 2], np.random.default_rng(4)).to_dict()
+        with pytest.raises((TypeError, ValueError), match=re.escape(need)):
+            sn.ScoreNetwork.from_dict(value if key is None else {**ckpt, key: value})
 
     def test_checkpoint_non_finite_values_rejected(self):
         cases = (("weights", 0, np.nan), ("biases", 2, np.inf), ("weights", 1, -np.inf))

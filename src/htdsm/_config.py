@@ -3,9 +3,10 @@
 Configs are written with fields in declaration order, nested configs as
 objects and tuples as lists. Loading is strict, since a misspelled key would
 otherwise be dropped and its field silently keep the default; omitted keys
-keep theirs. Each field's rule is its type hint, which check_field applies
-when a `Checked` dataclass is built; a class's own __post_init__ keeps only
-the rules that join two or more fields.
+keep theirs. A nested config that is not an object, or has a missing or an
+unknown key, is named by its dotted path. Each field's rule is its type
+hint, which check_field applies when a `Checked` dataclass is built; a
+class's own __post_init__ keeps only the rules that join two fields or more.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
@@ -115,16 +116,21 @@ class Config(Checked):
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, path: str = ""):
+        """cls from its JSON object d, at dotted path (say "train.schedule")."""
         if not isinstance(d, dict):
-            raise TypeError(f"{cls.__name__} config must be an object, got {type(d).__name__}")
+            raise TypeError(f"{path or cls.__name__} must be an object, got {type(d).__name__}")
+        where = f"{cls.__name__} key(s)" + (f" in {path}" if path else "")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+        missing = [f.name for f in fields(cls)
+                   if f.name not in d and f.default is f.default_factory is MISSING]
+        for problem, keys in (("unknown", unknown), ("missing", missing)):
+            if keys:
+                raise ValueError(f"{problem} {where}: {', '.join(map(repr, keys))}")
         hints = _hints(cls)
         kwargs = dict(d)
         for name, value in d.items():
             for hint in get_args(hints[name]) or (hints[name],):
                 if value is not None and isinstance(hint, type) and issubclass(hint, Config):
-                    kwargs[name] = hint.from_dict(value)
+                    kwargs[name] = hint.from_dict(value, f"{path}.{name}" if path else name)
         return cls(**kwargs)

@@ -4,7 +4,9 @@ Subcommands: schedule, noise, train, sample, metrics, experiment, selftest.
 Every command is pure in (config, seed) up to timing fields; outputs are
 JSON or CSV (RFC 4180 with CRLF line ends, floats as their shortest
 round-trip repr). Exit codes: 0 success, 1 numerical/runtime failure,
-2 usage or config error, or a path that cannot be opened or made.
+2 usage or config error, or a path that cannot be opened or made. Flags
+are checked by their config field types (integers >= 0 or >= 1, finite
+reals, finite positive reals), and an error names its flag.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from htdsm import distributions, metrics, sampler, schedule, scorenet, selftest, specfun
-from htdsm._config import Config, Count, Index
+from htdsm._config import Config, Count, Index, Positive, Real, check_field
 from htdsm.experiments import (
     GRID_OWNED,
     ExperimentConfig,
@@ -54,25 +56,33 @@ def _require(ok: bool, flag: str, value, need: str) -> None:
         raise UsageError(f"{flag} must be {need}, got {value!r}")
 
 
-def _require_unit_variance(flag: str, beta: float) -> None:
-    """A UsageError naming flag where distributions.unit_variance_alpha refuses beta."""
-    try:
-        distributions.unit_variance_alpha(beta, flag)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _flag_type(flag: str, hint, rule=None):
+    """An argparse type= for flag: field type hint's rule (check_field), then
+    rule(value, flag) if given; a refused value exits 2 naming the flag."""
+    def parse(text):
+        try:
+            value = hint.__origin__(text)  # the int or float of Annotated hint
+        except ValueError:
+            value = text  # refused by check_field as not a number
+        try:
+            value = check_field(flag, hint, value)
+            if rule:
+                rule(value, flag)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-
-def _load_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise UsageError(f"malformed JSON in {path}: {exc}") from exc
+    return parse
 
 
 def _load_config(load, path, what):
-    """load(the JSON in path), with any config error raised as a UsageError."""
-    raw = _load_json(path)
+    """load(the JSON in path), with malformed JSON or any config error raised
+    as a UsageError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     try:
         return load(raw)
     except (KeyError, TypeError, ValueError) as exc:
@@ -115,7 +125,6 @@ def _load_points_csv(path) -> np.ndarray:
 def _cmd_schedule(args) -> int:
     # The quantile inverse's domain, s = 1/beta in [0.01, 1e3].
     _require(1e-3 <= args.beta <= 100.0, "--beta", args.beta, "in [1e-3, 100]")
-    _require(args.dim >= 1, "--dim", args.dim, ">= 1")
     _require(0.0 < args.delta < 1.0, "--delta", args.delta, "in (0, 1)")
     _require(0.0 < args.sigma_min < args.sigma_max < math.inf, "--sigma-min, --sigma-max",
              (args.sigma_min, args.sigma_max), "0 < sigma_min < sigma_max < inf")
@@ -126,7 +135,6 @@ def _cmd_schedule(args) -> int:
         log_top = 2.0 * _log_largest_draw(1.0, args.beta) + math.log(args.dim)
         _require(log_top <= _LOG_DBL_MAX, "--beta", args.beta,
                  f"large enough that --empirical squared norms stay finite at --dim {args.dim}")
-    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     try:
         sched = schedule.quantile_matched_schedule(
             args.beta, args.dim, args.delta, args.sigma_min, args.sigma_max,
@@ -158,11 +166,6 @@ def _log_largest_draw(alpha: float, beta: float) -> float:
 
 
 def _cmd_noise(args) -> int:
-    _require(math.isfinite(args.mu), "--mu", args.mu, "finite")
-    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
-        _require(0.0 < value < math.inf, flag, value, "finite and positive")
-    _require(args.count >= 0, "--count", args.count, ">= 0")
-    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     log_top = _log_largest_draw(args.alpha, args.beta)
     _require(log_top <= _LOG_DBL_MAX, "--beta", args.beta,
              f"large enough that the draws stay finite at --alpha {args.alpha} "
@@ -216,7 +219,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _require(args.count >= 1, "--count", args.count, ">= 1")
     _require_out_dir(args.out)
     net = _load_config(scorenet.ScoreNetwork.from_dict, args.ckpt, "checkpoint")
     cfg = _load_config(sampler.SamplerConfig.from_dict, args.config, "sampler config")
@@ -236,8 +238,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     real = _load_points_csv(args.real)
     fake = _load_points_csv(args.fake)
     try:
@@ -259,7 +259,6 @@ def _cmd_metrics(args) -> int:
 def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     if args.mode == "demo":
-        _require_unit_variance("--beta", args.beta)
         record = run_convergence_demo(demo_config(args.levels, args.beta), out_dir)
         print(
             f"demo levels={args.levels} beta={args.beta}: "
@@ -268,10 +267,9 @@ def _cmd_experiment(args) -> int:
         )
         print(f"wrote {out_dir}/endpoints.csv, paths.csv, record.json")
         return 0
-    _require(args.workers >= 1, "--workers", args.workers, ">= 1")
-    for beta in args.sweep_betas:
-        _require(0.0 < beta <= 2.0, "--sweep-betas", beta, "in (0, 2]")
-        _require_unit_variance("--sweep-betas", beta)
+    betas = list(args.sweep_betas)
+    _require(max(betas, default=0.0) <= 2.0 and len(set(betas)) == len(betas), "--sweep-betas",
+             betas, "distinct and at most 2")
     cfg = default = ExperimentConfig()
     if args.config:
         cfg = _load_config(ExperimentConfig.from_dict, args.config, "experiment config")
@@ -323,22 +321,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="build a quantile-matched noise schedule")
     p.add_argument("--beta", type=float, required=True, help="noise shape")
-    p.add_argument("--dim", type=int, required=True, help="data dimension n")
+    p.add_argument("--dim", type=_flag_type("--dim", Count), required=True, help="data dimension n")
     p.add_argument("--delta", type=float, required=True, help="non-overlap proportion in (0,1)")
     p.add_argument("--sigma-min", type=float, required=True)
     p.add_argument("--sigma-max", type=float, required=True)
     p.add_argument("--empirical", action="store_true", help="use true-sum Monte Carlo quantiles")
     p.add_argument("--mc-count", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag_type("--seed", Index), default=0)
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("noise", help="draw generalized normal samples")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--beta", type=_flag_type("--beta", Positive), required=True)
+    p.add_argument("--alpha", type=_flag_type("--alpha", Positive), required=True)
+    p.add_argument("--mu", type=_flag_type("--mu", Real), default=0.0)
+    p.add_argument("--count", type=_flag_type("--count", Index), required=True)
+    p.add_argument("--seed", type=_flag_type("--seed", Index), default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_noise)
 
@@ -350,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="run annealed Langevin sampling from a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--config", required=True, help="sampler config JSON")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_flag_type("--count", Count), default=1000)
     p.add_argument("--out", required=True, help="output CSV (endpoints or paths)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("metrics", help="compute PRDC/KID/FID between two point sets")
     p.add_argument("--real", required=True, help="real points CSV")
     p.add_argument("--fake", required=True, help="generated points CSV")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_flag_type("--k", Count), default=5)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_metrics)
 
@@ -366,18 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     pim = psub.add_parser("imbalance", help="the 10:1 {DSM,HTDSM}x{Gaussian,Laplace} grid")
     pim.add_argument("--config", help="ExperimentConfig JSON (defaults used if omitted)")
     pim.add_argument("--out", required=True, help="output directory")
-    pim.add_argument("--workers", type=int, default=1)
-    pim.add_argument(
-        "--sweep-betas",
-        type=float,
-        nargs="*",
-        default=(1.0, 2.0),
-        help="matched noise/diffusion sweep grid (empty to skip)",
-    )
+    pim.add_argument("--workers", type=_flag_type("--workers", Count), default=1)
+    pim.add_argument("--sweep-betas", nargs="*", default=(1.0, 2.0),
+                     type=_flag_type("--sweep-betas", Positive, distributions.unit_variance_alpha),
+                     help="matched noise/diffusion sweep grid (empty to skip)")
     pim.set_defaults(func=_cmd_experiment, mode="imbalance")
     pdemo = psub.add_parser("demo", help="balanced-mixture convergence demo")
     pdemo.add_argument("--levels", type=int, choices=[1, 2], required=True)
-    pdemo.add_argument("--beta", type=float, required=True, help="training noise shape")
+    pdemo.add_argument("--beta", required=True, help="training noise shape",
+                       type=_flag_type("--beta", Positive, distributions.unit_variance_alpha))
     pdemo.add_argument("--out", required=True, help="output directory")
     pdemo.set_defaults(func=_cmd_experiment, mode="demo")
 
@@ -388,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     logging.basicConfig(

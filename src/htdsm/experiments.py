@@ -308,14 +308,14 @@ def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1, sweep_betas=()) 
     seeds lose more than half their particles; divergence is an outcome,
     never an error.
 
-    Each sweep beta in (0, 2] trains and samples with that same shape and
-    becomes one row of grid["sweep"]. The grid and the sweep run as one set
-    of shapes, so beta = 2 reuses the dsm_gaussian cell's run and beta = 1
-    the htdsm_laplace cell's.
+    Each sweep beta, in (0, 2] and unrepeated, trains and samples with that
+    same shape and becomes one row of grid["sweep"]. The grid and the sweep
+    run as one set of shapes, so beta = 2 reuses the dsm_gaussian cell's run
+    and beta = 1 the htdsm_laplace cell's.
     """
     betas = [float(b) for b in sweep_betas]
-    if any(not 0.0 < b <= 2.0 for b in betas):
-        raise ValueError(f"sweep betas must lie in (0, 2], got {betas}")
+    if any(not 0.0 < b <= 2.0 for b in betas) or len(set(betas)) < len(betas):
+        raise ValueError(f"sweep betas must lie in (0, 2] and be distinct, got {betas}")
     cell_shapes = [(f"{row}_{col}", _TRAIN_BETA[row], _DIFF_BETA[col]) for row, col in GRID_CELLS]
     sweep_shapes = [(f"beta_{b!r}", b, b) for b in betas]
     per_shape = _run_shapes(cfg, cell_shapes + sweep_shapes, workers)

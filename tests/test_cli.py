@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -235,15 +236,17 @@ class TestSampleInputValidation:
         err = capsys.readouterr().err
         assert "bad sampler config" in err and need in err
 
-    @pytest.mark.parametrize("count", ["0", "-4"])
-    def test_nonpositive_count_is_usage_error(self, tmp_path, capsys, count):
+    @pytest.mark.parametrize("count, need", [
+        ("0", ">= 1, got 0"), ("-4", ">= 1, got -4"), ("1.5", "an integer, got '1.5'"),
+    ], ids=["0", "-4", "1.5"])
+    def test_nonpositive_count_is_usage_error(self, tmp_path, capsys, count, need):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
         out = tmp_path / "out.csv"
         code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 2)),
                        "--count", count, "--out", str(out))
         assert code == 2 and not out.exists()
-        assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+        assert f"--count must be {need}" in capsys.readouterr().err
 
 
 def _points_csv(path, points):
@@ -299,11 +302,13 @@ class TestMetricsInputValidation:
         assert (f"same.csv: degenerate {side} points: every point has at least k=5 "
                 "exact duplicates") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", [0, -3])
-    def test_nonpositive_k_is_usage_error(self, files, tmp_path, capsys, k):
+    @pytest.mark.parametrize("k, need", [
+        (0, ">= 1, got 0"), (-3, ">= 1, got -3"), ("abc", "an integer, got 'abc'"),
+    ], ids=["0", "-3", "abc"])
+    def test_nonpositive_k_is_usage_error(self, files, tmp_path, capsys, k, need):
         code, out = self._metrics(files, tmp_path, "real", "fake", k)
         assert code == 2 and not out.exists()
-        assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+        assert f"--k must be {need}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_is_usage_error(self, files, tmp_path, capsys, bad):
@@ -411,7 +416,7 @@ class TestScheduleCommand:
         ("--beta", "-1"), ("--beta", "0"), ("--beta", "nan"), ("--beta", "inf"),
         ("--beta", "1e-4"), ("--beta", "1000"),
         ("--dim", "0"), ("--delta", "1.0"), ("--delta", "nan"), ("--mc-count", "5"),
-        ("--seed", "-1"), ("--beta", "0.01"),
+        ("--seed", "-1"), ("--beta", "0.01"), ("--seed", "1e3"), ("--dim", "1.5"),
     ])
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, flag, value):
         args = {"--beta": "1", "--dim": "2", "--delta": "0.9", "--sigma-min": "0.25",
@@ -486,6 +491,8 @@ class TestNoiseCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--count", "-5"), ("--beta", "0"), ("--beta", "nan"), ("--alpha", "-1"),
         ("--alpha", "inf"), ("--mu", "inf"), ("--mu", "nan"), ("--seed", "-1"),
+        ("--count", "1.5"), ("--seed", "1e3"), ("--alpha", "abc"), ("--beta", "abc"),
+        ("--mu", "abc"),
     ])
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, flag, value):
         args = {"--beta": "1", "--alpha": "1", "--count": "10", flag: value}
@@ -607,6 +614,14 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     ("mixture", "weights", 1.0, "weights must be a list, got 1.0"),
     (None, "train", None, "train must be a TrainConfig, got None"),
     ("train", "schedule", None, "schedule must be a NoiseSchedule, got None"),
+    (None, "mixture", 5, "mixture must be an object, got int"),
+    ("train", "schedule", 5, "train.schedule must be an object, got int"),
+    ("train", "schedule", {"sigmas": [1.0]},
+     "missing NoiseSchedule key(s) in train.schedule: 'kind', 'beta', 'n'"),
+    (None, "mixture", {"means": [[1, 1]]},
+     "missing MixtureSpec key(s) in mixture: 'stds', 'weights'"),
+    ("train", "schedule", {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0], "sigma": 1},
+     "unknown NoiseSchedule key(s) in train.schedule: 'sigma'"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
                                                  monkeypatch, section, key, value, need):
@@ -739,8 +754,9 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("beta, need", [
         ("-1", "finite and positive"), ("0", "finite and positive"),
         ("nan", "finite and positive"),
-        ("0.001", "at least 0.00777"),
-    ], ids=["-1", "0", "nan", "0.001"])
+        ("0.001", "at least 0.00777"), ("0.005", "at least 0.00777"),
+        ("abc", "a real number, got 'abc'"),
+    ], ids=["-1", "0", "nan", "0.001", "0.005", "abc"])
     def test_demo_bad_beta_fails_before_any_work(self, tmp_path, capsys, monkeypatch, beta,
                                                  need):
         def no_run(*args, **kwargs):
@@ -811,6 +827,8 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("flags", [
         ["--sweep-betas", "3"], ["--sweep-betas", "1.0", "0"], ["--sweep-betas", "nan"],
         ["--workers", "0"], ["--workers", "-2"], ["--sweep-betas", "1.0", "0.005"],
+        ["--workers", "1.5"], ["--sweep-betas", "abc"], ["--sweep-betas", "1.5", "1.5"],
+        ["--sweep-betas", "1", "2.0", "1.0"],
     ])
     def test_imbalance_bad_flag_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                       flags):
@@ -896,6 +914,13 @@ class TestExperimentCommand:
         ({"metric_names": "prdc"}, "metric_names must be a list, got 'prdc'"),
         ({"seeds": [0, 0, 1]}, "seeds must be distinct, got [0, 0, 1]"),
         ({"sampler": None}, "sampler must be a SamplerConfig, got None"),
+        ({"sampler": 5}, "sampler must be an object, got int"),
+        ({"train": {"schedule": 5}}, "train.schedule must be an object, got int"),
+        ({"train": {"schedule": {"sigmas": [1.0]}}},
+         "missing NoiseSchedule key(s) in train.schedule: 'kind', 'beta', 'n'"),
+        ({"mixture": {"means": [[1, 1]]}},
+         "missing MixtureSpec key(s) in mixture: 'stds', 'weights'"),
+        ([1], "ExperimentConfig must be an object, got list"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch, cfg,
                                                  message):
@@ -911,3 +936,50 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "bad experiment config" in err and message in err
         assert not (tmp_path / "grid").exists()
+
+
+# The smallest value each typed flag accepts: 0 for an Index, 1 for a
+# Count, the smallest double for a Positive, any finite Real, and for a
+# noise shape 0.00777, just above where its unit-variance scale stops being
+# a normal double. The grid and the demo are stubbed: demo training at that
+# beta stops with a non-finite loss at step 0, a limit of training and not
+# of the flag.
+SMALLEST = [
+    ("schedule", ["--dim", "1"], "dim", 1),
+    ("schedule", ["--seed", "0"], "seed", 0),
+    ("noise", ["--count", "0"], "count", 0),
+    ("noise", ["--seed", "0"], "seed", 0),
+    ("noise", ["--alpha", "5e-324"], "alpha", 5e-324),
+    ("noise", ["--mu=-1e308"], "mu", -1e308),
+    ("sample", ["--count", "1"], "count", 1),
+    ("metrics", ["--k", "1"], "k", 1),
+    ("experiment imbalance", ["--workers", "1"], "workers", 1),
+    ("experiment imbalance", ["--sweep-betas", "0.00777"], "sweep_betas", [0.00777]),
+    ("experiment demo", ["--beta", "0.00777"], "beta", 0.00777),
+]
+
+
+@pytest.mark.parametrize("command, flag, dest, value", SMALLEST,
+                         ids=[" ".join([command, *flag]) for command, flag, *_ in SMALLEST])
+def test_smallest_accepted_flag_value_runs(tmp_path, capsys, monkeypatch, command, flag, dest,
+                                           value):
+    record = types.SimpleNamespace(imbalance=1.0, diverged=0, mode_capture=None)
+    monkeypatch.setattr(cli, "run_imbalance_grid", lambda cfg, **kwargs: {"cells": {}})
+    monkeypatch.setattr(cli, "write_grid_outputs", lambda out_dir, grid: None)
+    monkeypatch.setattr(cli, "run_convergence_demo", lambda cfg, out_dir: record)
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()))
+    points = _points_csv(tmp_path / "points.csv", np.random.default_rng(0).standard_normal((4, 2)))
+    given = {
+        "schedule": ["--beta", "1", "--dim", "2", "--delta", "0.9", "--sigma-min", "0.25",
+                     "--sigma-max", "1"],
+        "noise": ["--beta", "1", "--alpha", "1", "--count", "10"],
+        "sample": ["--ckpt", str(ckpt), "--config", str(_sampler_config(tmp_path, 2))],
+        "metrics": ["--real", str(points), "--fake", str(points)],
+        "experiment demo": ["--levels", "1", "--beta", "2"],
+    }
+    # The flag comes after the other arguments, so its value is the one parsed.
+    argv = [*command.split(), *given.get(command, []), *flag, "--out", str(tmp_path / "out")]
+    assert getattr(cli.build_parser().parse_args(argv), dest) == value
+    assert run_cli(*argv) == 0
+    capsys.readouterr()

@@ -128,6 +128,32 @@ def test_nested_unknown_key_is_rejected():
         ExperimentConfig.from_dict(raw)
 
 
+SCHEDULE = {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0, 0.25]}
+
+
+# A nested config's own errors name its dotted path from the top-level config.
+@pytest.mark.parametrize("cls, raw, error, message", [
+    (ExperimentConfig, {"sampler": 5}, TypeError, "sampler must be an object, got int"),
+    (ExperimentConfig, {"train": {"schedule": 5}}, TypeError,
+     "train.schedule must be an object, got int"),
+    (ExperimentConfig, {"train": {"schedule": {"sigmas": [1.0]}}}, ValueError,
+     "missing NoiseSchedule key(s) in train.schedule: 'kind', 'beta', 'n'"),
+    (ExperimentConfig, {"mixture": {"means": [[1, 1]]}}, ValueError,
+     "missing MixtureSpec key(s) in mixture: 'stds', 'weights'"),
+    (ExperimentConfig, {"sampler": {"schedule": {**SCHEDULE, "sigma": 1}}}, ValueError,
+     "unknown NoiseSchedule key(s) in sampler.schedule: 'sigma'"),
+    (NoiseSchedule, {"sigmas": [1.0]}, ValueError,
+     "missing NoiseSchedule key(s): 'kind', 'beta', 'n'"),
+    (SamplerConfig, {}, ValueError, "missing SamplerConfig key(s): 'schedule'"),
+    (SamplerConfig, 5, TypeError, "SamplerConfig must be an object, got int"),
+], ids=["sampler", "train.schedule", "missing-nested", "missing-mixture", "unknown-nested",
+        "missing-top", "missing-only-required", "top-non-object"])
+def test_config_error_names_its_dotted_path(cls, raw, error, message):
+    with pytest.raises(error) as raised:
+        cls.from_dict(raw)
+    assert str(raised.value) == message
+
+
 def test_omitted_keys_keep_their_defaults():
     sched = geometric_schedule(1.0, 0.25, 2)
     assert SamplerConfig.from_dict({"schedule": sched.to_dict()}) == SamplerConfig(schedule=sched)

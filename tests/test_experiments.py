@@ -130,7 +130,7 @@ class TestImbalanceGrid:
         with pytest.raises(ValueError):
             run_imbalance_grid(tiny_config(), sweep_betas=[2.5])
 
-    @pytest.mark.parametrize("beta", [2.5, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("beta", [2.5, 0.0, -1.0, math.nan, 1.0])
     def test_sweep_range_is_checked_before_any_work(self, monkeypatch, beta):
         calls = count_runs(monkeypatch)
         with pytest.raises(ValueError, match="sweep betas must lie in"):
@@ -138,7 +138,7 @@ class TestImbalanceGrid:
         assert calls == {"train": 0, "ald_run": 0}
 
     @pytest.mark.parametrize("betas, trainings, samplings", [
-        ((), 2, 4), ((1.0, 2.0), 2, 4), ((2.0, 1.0, 2.0), 2, 4), ((1.0, 1.5, 2.0), 3, 5),
+        ((), 2, 4), ((1.0, 2.0), 2, 4), ((2.0, 1.0), 2, 4), ((1.0, 1.5, 2.0), 3, 5),
     ])
     def test_each_shape_runs_once_per_seed(self, monkeypatch, betas, trainings, samplings):
         # The grid needs two training shapes and four (training, diffusion)

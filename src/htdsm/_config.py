@@ -4,9 +4,11 @@ Configs are written with fields in declaration order, nested configs as
 objects and tuples as lists. Loading is strict, since a misspelled key would
 otherwise be dropped and its field silently keep the default; omitted keys
 keep theirs. A nested config that is not an object, or has a missing or an
-unknown key, is named by its dotted path. Each field's rule is its type
-hint, which check_field applies when a `Checked` dataclass is built; a
-class's own __post_init__ keeps only the rules that join two fields or more.
+unknown key, is named by its dotted path, and an error in building it is
+prefixed with that path ("sampler: seed must be >= 0, got -1"), its type
+kept. Each field's rule is its type hint, which check_field applies when a
+`Checked` dataclass is built; a class's own __post_init__ keeps only the
+rules that join two fields or more.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class Config(Checked):
 
     @classmethod
     def from_dict(cls, d, path: str = ""):
-        """cls from its JSON object d, at dotted path (say "train.schedule")."""
+        """cls from its JSON object d, at dotted path (say "train.schedule"),
+        which a ValueError in building a nested cls gets before its message."""
         if not isinstance(d, dict):
             raise TypeError(f"{path or cls.__name__} must be an object, got {type(d).__name__}")
         where = f"{cls.__name__} key(s)" + (f" in {path}" if path else "")
@@ -133,4 +136,9 @@ class Config(Checked):
             for hint in get_args(hints[name]) or (hints[name],):
                 if value is not None and isinstance(hint, type) and issubclass(hint, Config):
                     kwargs[name] = hint.from_dict(value, f"{path}.{name}" if path else name)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            if not path:
+                raise
+            raise type(exc)(f"{path}: {exc}") from None

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +49,11 @@ _STREAM_DATA = 0
 _STREAM_TRAIN = 1
 _STREAM_SAMPLE = 2
 
-# Table-shaped grid: training objective rows x diffusion columns.
-GRID_CELLS = (
-    ("dsm", "gaussian"),
-    ("dsm", "laplace"),
-    ("htdsm", "gaussian"),
-    ("htdsm", "laplace"),
-)
+# Table-shaped grid: training objective rows x diffusion columns, each mapped
+# to its shape beta; a cell is one (beta_noise, beta_diff) pair.
 _TRAIN_BETA = {"dsm": 2.0, "htdsm": 1.0}
 _DIFF_BETA = {"gaussian": 2.0, "laplace": 1.0}
+GRID_CELLS = tuple((row, col) for row in _TRAIN_BETA for col in _DIFF_BETA)
 # The endpoint metrics an ExperimentConfig may name.
 _METRICS = ("prdc", "kid", "fid")
 # ExperimentConfig fields the grid sets per cell and seed; training draws
@@ -238,50 +235,38 @@ def _run_cell(cfg: ExperimentConfig, seed: int, trained: dict, beta_noise: float
     return _run_record(cfg, seed, data, losses, result, t0), net, result
 
 
-def _seed_records(args) -> dict:
-    """One seed's records by name, for shapes (name, beta_noise, beta_diff).
+def _seed_records(cfg: ExperimentConfig, seed: int, pairs) -> dict:
+    """One seed's records by (beta_noise, beta_diff) pair.
 
-    Module-level so worker processes can pickle it. Each distinct training
-    shape is trained once and each distinct (training, diffusion) pair is
-    sampled once; a name repeating a pair gets a copy of its record, wall
-    time included.
+    Module-level so worker processes can pickle it. Each distinct pair is
+    sampled once and each distinct training shape trained once.
     """
-    cfg, seed, shapes = args
     trained = {}
-    records = {}
-    out = {}
-    for name, beta_noise, beta_diff in shapes:
-        pair = (beta_noise, beta_diff)
-        if pair not in records:
-            records[pair] = _run_cell(cfg, seed, trained, beta_noise, beta_diff)[0]
-        out[name] = records[pair].to_dict()
-    log.debug("seed %d done (%d shapes)", seed, len(shapes))
-    return out
+    records = {pair: _run_cell(cfg, seed, trained, *pair)[0] for pair in dict.fromkeys(pairs)}
+    log.debug("seed %d done (%d pairs)", seed, len(records))
+    return records
 
 
-def _run_shapes(cfg: ExperimentConfig, shapes, workers: int = 1) -> dict:
-    """Records per shape name, seed-ordered. Seeds fan across workers."""
-    tasks = [(cfg, seed, shapes) for seed in cfg.seeds]
+def _run_pairs(cfg: ExperimentConfig, pairs, workers: int = 1) -> dict:
+    """Records per (beta_noise, beta_diff) pair, seed-ordered. Seeds fan
+    across workers."""
     # A fork pool starts all its workers at the first submit: one per seed at most.
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(cfg.seeds))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(_seed_records, tasks))
-    per_shape = {name: [] for name, *_ in shapes}
-    for res in results:
-        for name, record in res.items():
-            per_shape[name].append(record)
-    return per_shape
+        results = list((pool.map if pool else map)(partial(_seed_records, cfg, pairs=pairs),
+                                                   cfg.seeds))
+    return {pair: [res[pair] for res in results] for pair in pairs}
 
 
 def _aggregate_cell(cfg: ExperimentConfig, records: list) -> dict:
-    imbalances = [r["imbalance"] for r in records if r["imbalance"] is not None]
-    diverged_fracs = [r["diverged"] / cfg.particles for r in records]
+    imbalances = [r.imbalance for r in records if r.imbalance is not None]
+    diverged_fracs = [r.diverged / cfg.particles for r in records]
     divergent = (
         sum(f > 0.5 for f in diverged_fracs) > 0.5 * len(records)
     )
     cell = {
         "divergent": divergent,
-        "per_seed": records,
+        "per_seed": [r.to_dict() for r in records],
         "mean": None,
         "ci_lo": None,
         "ci_hi": None,
@@ -308,21 +293,21 @@ def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1, sweep_betas=()) 
     seeds lose more than half their particles; divergence is an outcome,
     never an error.
 
-    Each sweep beta, in (0, 2] and unrepeated, trains and samples with that
-    same shape and becomes one row of grid["sweep"]. The grid and the sweep
-    run as one set of shapes, so beta = 2 reuses the dsm_gaussian cell's run
-    and beta = 1 the htdsm_laplace cell's.
+    Each sweep beta b, in (0, 2] and unrepeated, is the pair (b, b): it
+    trains and samples with that same shape and becomes one row of
+    grid["sweep"]. Cells and sweep rows read one set of records by pair,
+    each distinct pair sampled once per seed, so beta = 2 reads the
+    dsm_gaussian cell's run and beta = 1 the htdsm_laplace cell's.
     """
     betas = [float(b) for b in sweep_betas]
     if any(not 0.0 < b <= 2.0 for b in betas) or len(set(betas)) < len(betas):
         raise ValueError(f"sweep betas must lie in (0, 2] and be distinct, got {betas}")
-    cell_shapes = [(f"{row}_{col}", _TRAIN_BETA[row], _DIFF_BETA[col]) for row, col in GRID_CELLS]
-    sweep_shapes = [(f"beta_{b!r}", b, b) for b in betas]
-    per_shape = _run_shapes(cfg, cell_shapes + sweep_shapes, workers)
+    cells = {f"{row}_{col}": (_TRAIN_BETA[row], _DIFF_BETA[col]) for row, col in GRID_CELLS}
+    records = _run_pairs(cfg, [*cells.values(), *((b, b) for b in betas)], workers)
     grid = {
-        "rows": ["dsm", "htdsm"],
-        "cols": ["gaussian", "laplace"],
-        "cells": {name: _aggregate_cell(cfg, per_shape[name]) for name, *_ in cell_shapes},
+        "rows": list(_TRAIN_BETA),
+        "cols": list(_DIFF_BETA),
+        "cells": {name: _aggregate_cell(cfg, records[pair]) for name, pair in cells.items()},
         "seeds": list(cfg.seeds),
         "particles": cfg.particles,
         "bootstrap": {
@@ -331,9 +316,7 @@ def run_imbalance_grid(cfg: ExperimentConfig, workers: int = 1, sweep_betas=()) 
         },
     }
     if betas:
-        grid["sweep"] = [
-            {"beta": b, **_aggregate_cell(cfg, per_shape[name])} for name, b, _ in sweep_shapes
-        ]
+        grid["sweep"] = [{"beta": b, **_aggregate_cell(cfg, records[(b, b)])} for b in betas]
     return grid
 
 

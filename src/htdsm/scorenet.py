@@ -286,10 +286,13 @@ class ScoreNetwork:
     @classmethod
     def from_dict(cls, d) -> "ScoreNetwork":
         """Load a checkpoint: an object whose layer_sizes, weights and biases
-        are lists. Every array must match its layer's shape and hold finite
-        values."""
+        are lists, each missing one named; other keys are ignored. Every
+        array must match its layer's shape and hold finite values."""
         if not isinstance(d, dict):
             raise TypeError(f"checkpoint must be an object, got {type(d).__name__}")
+        missing = [key for key in ("layer_sizes", "weights", "biases") if key not in d]
+        if missing:
+            raise ValueError(f"missing checkpoint key(s): {', '.join(map(repr, missing))}")
         net = cls(d["layer_sizes"])
         for kind, params, key in (("weight", net.weights, "weights"),
                                   ("bias", net.biases, "biases")):

@@ -183,6 +183,16 @@ class TestSampleInputValidation:
         err = capsys.readouterr().err
         assert "bad checkpoint" in err and "weights must be a list, got 5" in err
 
+    def test_checkpoint_missing_keys_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"layer_sizes": [3, 8, 2]}))
+        out = tmp_path / "out.csv"
+        code = run_cli("sample", "--ckpt", str(path), "--config", str(_sampler_config(tmp_path, 2)),
+                       "--count", "5", "--out", str(out))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "bad checkpoint" in err and "missing checkpoint key(s): 'weights', 'biases'" in err
+
     def test_non_finite_checkpoint_is_usage_error(self, tmp_path, capsys):
         ckpt = ScoreNetwork([3, 8, 2], np.random.default_rng(0)).to_dict()
         ckpt["weights"][0][1][3] = float("nan")
@@ -622,6 +632,8 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
      "missing MixtureSpec key(s) in mixture: 'stds', 'weights'"),
     ("train", "schedule", {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0], "sigma": 1},
      "unknown NoiseSchedule key(s) in train.schedule: 'sigma'"),
+    ("train", "seed", -1, "train: seed must be >= 0, got -1"),
+    ("mixture", "stds", [0.5], "mixture: means, stds and weights must have equal length"),
 ])
 def test_out_of_range_train_value_is_usage_error(tmp_path, train_config_file, capsys,
                                                  monkeypatch, section, key, value, need):
@@ -819,7 +831,7 @@ class TestExperimentCommand:
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             done = [line for line in proc.stderr.splitlines() if " done (" in line]
-            assert sorted(done) == [f"DEBUG htdsm.experiments: seed {seed} done (4 shapes)"
+            assert sorted(done) == [f"DEBUG htdsm.experiments: seed {seed} done (4 pairs)"
                                     for seed in (0, 1)], proc.stderr
             per_seed.append((out_dir / "per_seed.csv").read_bytes())
         assert per_seed[0] == per_seed[1]
@@ -921,6 +933,12 @@ class TestExperimentCommand:
         ({"mixture": {"means": [[1, 1]]}},
          "missing MixtureSpec key(s) in mixture: 'stds', 'weights'"),
         ([1], "ExperimentConfig must be an object, got list"),
+        ({"sampler": {"schedule": {"kind": "geometric", "beta": 2.0, "n": 2,
+                                   "sigmas": [1.0, 0.25]}, "seed": -1}},
+         "sampler: seed must be >= 0, got -1"),
+        ({"train": {"schedule": {"kind": "geometric", "beta": 2.0, "n": 2,
+                                 "sigmas": [1.0, 1.0]}}},
+         "train.schedule: sigmas must be strictly descending: (1.0, 1.0)"),
     ])
     def test_imbalance_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch, cfg,
                                                  message):

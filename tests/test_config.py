@@ -11,7 +11,7 @@ from htdsm.distributions import GeneralizedGamma, GeneralizedNormal, NormModel
 from htdsm.experiments import ExperimentConfig, RunRecord
 from htdsm.metrics import MetricReport
 from htdsm.sampler import SamplerConfig
-from htdsm.schedule import NoiseSchedule, geometric_schedule
+from htdsm.schedule import NoiseSchedule, ScheduleError, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig
 
 
@@ -146,12 +146,19 @@ SCHEDULE = {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0, 0.25]}
      "missing NoiseSchedule key(s): 'kind', 'beta', 'n'"),
     (SamplerConfig, {}, ValueError, "missing SamplerConfig key(s): 'schedule'"),
     (SamplerConfig, 5, TypeError, "SamplerConfig must be an object, got int"),
+    (ExperimentConfig, {"sampler": {"schedule": SCHEDULE, "seed": -1}}, ValueError,
+     "sampler: seed must be >= 0, got -1"),
+    (ExperimentConfig, {"train": {"schedule": {**SCHEDULE, "sigmas": [1.0, 1.0]}}},
+     ScheduleError, "train.schedule: sigmas must be strictly descending: (1.0, 1.0)"),
+    (ExperimentConfig, {"mixture": {"means": [[1, 1]], "stds": [1.0, 1.0], "weights": [1.0]}},
+     ValueError, "mixture: means, stds and weights must have equal length"),
 ], ids=["sampler", "train.schedule", "missing-nested", "missing-mixture", "unknown-nested",
-        "missing-top", "missing-only-required", "top-non-object"])
+        "missing-top", "missing-only-required", "top-non-object", "field-nested",
+        "field-twice-nested", "cross-field-nested"])
 def test_config_error_names_its_dotted_path(cls, raw, error, message):
     with pytest.raises(error) as raised:
         cls.from_dict(raw)
-    assert str(raised.value) == message
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_omitted_keys_keep_their_defaults():

@@ -154,7 +154,7 @@ class TestImbalanceGrid:
         assert by_beta[1.0] == stripped["cells"]["htdsm_laplace"]
         assert by_beta[2.0] == stripped["cells"]["dsm_gaussian"]
         assert by_beta[1.5]["per_seed"] != by_beta[1.0]["per_seed"]
-        # A repeated pair is a copy of the first record, wall time included.
+        # A repeated pair reads the same records, wall time included, into its own dicts.
         cell_recs = swept_grid["cells"]["dsm_gaussian"]["per_seed"]
         sweep_recs = swept_grid["sweep"][2]["per_seed"]
         assert [r["wall_time"] for r in sweep_recs] == [r["wall_time"] for r in cell_recs]
@@ -292,11 +292,11 @@ def test_workers_never_outnumber_the_seeds(monkeypatch, workers, seeds, pools):
     monkeypatch.setattr(RecordingPool, "made", [])
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "_seed_records",
-                        lambda task: {name: {"seed": task[1]} for name, *_ in task[2]})
-    shapes = [("a", 2.0, 2.0), ("b", 1.0, 1.0)]
-    per_shape = experiments._run_shapes(tiny_config(seeds=seeds), shapes, workers)
+                        lambda cfg, seed, pairs: {pair: {"seed": seed} for pair in pairs})
+    pairs = [(2.0, 2.0), (1.0, 1.0)]
+    per_pair = experiments._run_pairs(tiny_config(seeds=seeds), pairs, workers)
     assert RecordingPool.made == pools
-    assert per_shape == {name: [{"seed": s} for s in seeds] for name in ("a", "b")}
+    assert per_pair == {pair: [{"seed": s} for s in seeds] for pair in pairs}
 
 
 def test_workers_capped_at_the_seeds_give_the_serial_grid(monkeypatch):

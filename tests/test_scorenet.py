@@ -80,6 +80,12 @@ class TestScoreNetworkForward:
         x = np.random.default_rng(5).standard_normal((6, 2))
         assert np.array_equal(net.forward(x, 0.2), clone.forward(x, 0.2))
 
+    def test_checkpoint_extra_keys_are_ignored(self):
+        # htdsm train writes its training config and loss deciles beside the network.
+        net = sn.ScoreNetwork([3, 4, 2], np.random.default_rng(4))
+        ckpt = {**net.to_dict(), "train": {"steps": 10}, "loss_first_decile": 0.5}
+        assert sn.ScoreNetwork.from_dict(ckpt).to_dict() == net.to_dict()
+
     def test_params_finite_sees_every_layer(self):
         net = sn.ScoreNetwork([3, 4, 4, 2], np.random.default_rng(4))
         assert net.params_finite()
@@ -118,7 +124,9 @@ class TestScoreNetworkForward:
         (None, [], "checkpoint must be an object, got list"),
         ("weights", 5, "weights must be a list, got 5"),
         ("biases", 7, "biases must be a list, got 7"),
-    ], ids=["list", "scalar-weights", "scalar-biases"])
+        (None, {"layer_sizes": [3, 8, 2]}, "missing checkpoint key(s): 'weights', 'biases'"),
+        (None, {"weights": [], "biases": []}, "missing checkpoint key(s): 'layer_sizes'"),
+    ], ids=["list", "scalar-weights", "scalar-biases", "missing-arrays", "missing-sizes"])
     def test_malformed_checkpoint_names_its_field(self, key, value, need):
         ckpt = sn.ScoreNetwork([3, 8, 2], np.random.default_rng(4)).to_dict()
         with pytest.raises((TypeError, ValueError), match=re.escape(need)):

@@ -1,14 +1,15 @@
-"""The JSON format of every config dataclass, and the checks on its fields.
+"""The JSON format of every config dataclass, and the one check on values.
 
 Configs are written with fields in declaration order, nested configs as
 objects and tuples as lists. Loading is strict, since a misspelled key would
 otherwise be dropped and its field silently keep the default; omitted keys
-keep theirs. A nested config that is not an object, or has a missing or an
-unknown key, is named by its dotted path, and an error in building it is
-prefixed with that path ("sampler: seed must be >= 0, got -1"), its type
-kept. Each field's rule is its type hint, which check_field applies when a
-`Checked` dataclass is built; a class's own __post_init__ keeps only the
-rules that join two fields or more.
+keep theirs. A nested config that is not an object (null included, unless
+its type admits None), or has a missing or an unknown key, is named by its
+dotted path, and an error in building it is prefixed with that path
+("sampler: seed must be >= 0, got -1"), its type kept. Each field's rule is
+its type hint, which check_field applies when a Config dataclass is built; a
+class's own __post_init__ keeps only the rules that join two fields or more.
+CLI flags, checkpoints and library arguments are checked by check_field too.
 """
 
 from __future__ import annotations
@@ -35,57 +36,39 @@ def _plain(value):
     return value
 
 
-def check_int(name: str, value, minimum: int) -> int:
-    """value as an int, or a ValueError naming the field unless it is an
-    integer of at least minimum. Integers are what operator.index accepts,
-    bools aside; a float is refused rather than truncated."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def check_list(name: str, value) -> tuple:
-    """value as a tuple, or a ValueError naming the field unless it is a list
-    or a tuple; a scalar or a string is refused rather than iterated."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return tuple(value)
-
-
-def check_real(name: str, value, *, positive: bool = False) -> float:
-    """value as a float, or a ValueError naming the field unless it is a
-    finite real, and above 0 when positive is set. Reals are what
-    numbers.Real accepts, bools aside; a string is refused, not parsed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0.0):
-        need = "finite and positive" if positive else "finite"
-        raise ValueError(f"{name} must be {need}, got {value!r}")
-    return value
-
-
 def check_field(name: str, hint, value):
     """value as field `name` of type hint holds it, or a ValueError naming
-    the field. Index and Count are integers of at least 0 and 1 (check_int),
-    Real a finite real and Positive one above 0 (check_real); tuple[T, ...]
-    is a list or a tuple (check_list) of T. T | None also takes None, and a
-    list takes the tuple member of Count | tuple[Count, ...]. Any other class
-    is an isinstance check: a nested config given as null is refused."""
+    the field. Index and Count are integers of at least 0 and 1 (what
+    operator.index takes, bools aside: a float is refused, not truncated);
+    Real is a finite real and Positive one above 0 (what numbers.Real takes,
+    bools aside: a string is refused, not parsed). tuple[T, ...] is a list
+    or a tuple of T, not a scalar or a string. T | None also takes None, and
+    a list takes the tuple member of Count | tuple[Count, ...]. Any other
+    class is an isinstance check, which refuses None."""
     origin = get_origin(hint)
     if origin is Annotated:
         base, rule = get_args(hint)
         if base is int:
-            return check_int(name, value, rule)
-        return check_real(name, value, positive=rule)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < rule:
+                raise ValueError(f"{name} must be >= {rule}, got {value}")
+            return value
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+        if not math.isfinite(value) or (rule and value <= 0.0):
+            need = "finite and positive" if rule else "finite"
+            raise ValueError(f"{name} must be {need}, got {value!r}")
+        return value
     if origin is tuple:
-        return tuple(check_field(name, get_args(hint)[0], v) for v in check_list(name, value))
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return tuple(check_field(name, get_args(hint)[0], v) for v in value)
     if origin is Union or origin is UnionType:
         members = get_args(hint)
         if value is None and NoneType in members:
@@ -102,17 +85,14 @@ def check_field(name: str, hint, value):
 _hints = functools.cache(functools.partial(get_type_hints, include_extras=True))
 
 
-class Checked:
+class Config:
     """Mixin for dataclasses whose fields check_field checks from their type
-    hints when built; a subclass's __post_init__ calls this one first."""
+    hints when built (a subclass's __post_init__ calls this one first), and
+    that round-trip through JSON."""
 
     def __post_init__(self) -> None:
         for name, hint in _hints(type(self)).items():
             object.__setattr__(self, name, check_field(name, hint, getattr(self, name)))
-
-
-class Config(Checked):
-    """Mixin for checked dataclasses that round-trip through JSON."""
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
@@ -133,8 +113,11 @@ class Config(Checked):
         hints = _hints(cls)
         kwargs = dict(d)
         for name, value in d.items():
-            for hint in get_args(hints[name]) or (hints[name],):
-                if value is not None and isinstance(hint, type) and issubclass(hint, Config):
+            members = get_args(hints[name]) or (hints[name],)
+            if value is None and NoneType in members:
+                continue
+            for hint in members:
+                if isinstance(hint, type) and issubclass(hint, Config):
                     kwargs[name] = hint.from_dict(value, f"{path}.{name}" if path else name)
         try:
             return cls(**kwargs)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from htdsm._config import Checked, Count, Positive, Real, check_real
+from htdsm._config import Config, Count, Positive, Real, check_field
 from htdsm.specfun import inv_reg_lower_inc_gamma, log_gamma, reg_lower_inc_gamma
 
 __all__ = [
@@ -52,7 +53,7 @@ class SingularScoreError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneralizedNormal(Checked):
+class GeneralizedNormal(Config):
     """GN(mu, alpha, beta) with density proportional to exp{-(|x-mu|/alpha)^beta}.
 
     (alpha, beta) = (sqrt(2), 2) is the standard normal and (1, 1) the
@@ -65,7 +66,7 @@ class GeneralizedNormal(Checked):
 
 
 @dataclass(frozen=True)
-class GeneralizedGamma(Checked):
+class GeneralizedGamma(Config):
     """GG(a, d, p) on x > 0 with density (p/a^d)/Gamma(d/p) x^{d-1} e^{-(x/a)^p}."""
 
     a: Positive
@@ -74,7 +75,7 @@ class GeneralizedGamma(Checked):
 
 
 @dataclass(frozen=True)
-class NormModel(Checked):
+class NormModel(Config):
     """Scaled GG model of ||X||_2^2 for an n-dimensional GN(0, sigma, beta) vector.
 
     Models the squared norm as GG(a = n sigma^2, d = 1/2, p = beta/2). The
@@ -127,8 +128,8 @@ def gn_score(x_tilde, x, alpha: float, beta: float):
     an exact hit raises SingularScoreError and leaves clamping policy to
     the caller (training clamps |delta| to SCORE_DELTA_FLOOR).
     """
-    alpha = check_real("alpha", alpha, positive=True)
-    beta = check_real("beta", beta, positive=True)
+    alpha = check_field("alpha", Positive, alpha)
+    beta = check_field("beta", Positive, beta)
     delta = np.asarray(x_tilde, dtype=float) - np.asarray(x, dtype=float)
     return _score_of_delta(delta, beta / alpha**beta, beta)
 
@@ -195,14 +196,14 @@ def _row_view(a: np.ndarray) -> np.ndarray:
 
 def gn_variance(alpha: float, beta: float) -> float:
     """Var of GN(., alpha, beta) = alpha^2 Gamma(3/beta) / Gamma(1/beta)."""
-    alpha = check_real("alpha", alpha, positive=True)
+    alpha = check_field("alpha", Positive, alpha)
     return alpha**2 * squared_norm_mean_factor(beta)
 
 
 def unit_variance_alpha(beta: float, name: str = "beta") -> float:
     """Scale alpha such that GN(0, alpha, beta) has per-coordinate variance 1;
     a ValueError naming `name` where it underflows (beta below 0.00777)."""
-    beta = check_real(name, beta, positive=True)
+    beta = check_field(name, Positive, beta)
     alpha = math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
     if alpha < np.finfo(float).tiny:
         raise ValueError(f"{name} must be at least 0.00777 (below it GN's unit-variance "
@@ -270,13 +271,13 @@ def gg_sample(dist: GeneralizedGamma, rng: np.random.Generator, count) -> np.nda
 
 def squared_norm_mean_factor(beta: float) -> float:
     """Gamma(3/beta) / Gamma(1/beta): unit-scale mean of a squared GN coordinate."""
-    beta = check_real("beta", beta, positive=True)
+    beta = check_field("beta", Positive, beta)
     return math.exp(log_gamma(3.0 / beta) - log_gamma(1.0 / beta))
 
 
 def squared_norm_var_factor(beta: float) -> float:
     """Gamma(5/beta)/Gamma(1/beta) - (Gamma(3/beta)/Gamma(1/beta))^2."""
-    beta = check_real("beta", beta, positive=True)
+    beta = check_field("beta", Positive, beta)
     c1 = squared_norm_mean_factor(beta)
     return math.exp(log_gamma(5.0 / beta) - log_gamma(1.0 / beta)) - c1**2
 
@@ -287,7 +288,7 @@ def norm_model_skew(beta: float) -> float:
     C2^{-3/2} (Gamma(7/beta)/Gamma(1/beta) - 3 C1 C2 - C1^3). At beta = 1
     this equals 74 / 5^{3/2} exactly.
     """
-    beta = check_real("beta", beta, positive=True)
+    beta = check_field("beta", Positive, beta)
     c1 = squared_norm_mean_factor(beta)
     c2 = squared_norm_var_factor(beta)
     third = math.exp(log_gamma(7.0 / beta) - log_gamma(1.0 / beta))
@@ -312,10 +313,12 @@ def empirical_norm_quantile(
     n-fold-sum reference the scaled GG model approximates. Each X_i^2 is
     drawn directly as sigma^2 G^{2/beta}, G ~ Gamma(1/beta) (the n = 1
     norm model, which is exact), so one (mc_count, n) gamma draw serves
-    every level in q: a scalar q gives a float, an array q an array.
+    every level in q: a scalar q gives a float, an array q an array. n is a
+    Count and mc_count an integer of at least MIN_MC_COUNT (check_field): a
+    float is refused by name, not truncated.
     """
-    if mc_count < MIN_MC_COUNT:
-        raise ValueError(f"mc_count must be >= {MIN_MC_COUNT}, got {mc_count}")
-    squares = gg_sample(NormModel(1, sigma, beta).gg, rng, (int(mc_count), int(n)))
+    n = check_field("n", Count, n)
+    mc_count = check_field("mc_count", Annotated[int, MIN_MC_COUNT], mc_count)
+    squares = gg_sample(NormModel(1, sigma, beta).gg, rng, (mc_count, n))
     quantiles = np.quantile(squares.sum(axis=1), q)
     return float(quantiles) if np.ndim(q) == 0 else quantiles

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config
+from htdsm._config import Config, Count, check_field
 from htdsm.scorenet import MixtureSpec
 
 # Entries per row block of a pairwise matrix: prdc and kid never hold a full
@@ -313,15 +313,15 @@ def bootstrap_ci(
     level: float,
     rng: np.random.Generator,
 ):
-    """Percentile bootstrap of the mean: returns (mean, lo, hi)."""
+    """Percentile bootstrap of the mean: returns (mean, lo, hi). resamples
+    is a Count (check_field): a float or a bool is refused by name."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("bootstrap_ci needs a nonempty sequence")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    resamples = check_field("resamples", Count, resamples)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    idx = rng.integers(0, values.size, size=(int(resamples), values.size))
+    idx = rng.integers(0, values.size, size=(resamples, values.size))
     means = values[idx].mean(axis=1)
     lo, hi = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
     return float(values.mean()), float(lo), float(hi)

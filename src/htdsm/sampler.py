@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, Count, Index, Positive, Real
+from htdsm._config import Config, Count, Index, Positive, Real, check_field
 from htdsm.distributions import (
     GeneralizedNormal,
     _row_view,
@@ -202,10 +202,10 @@ def ald_run(score_fn, cfg: SamplerConfig, count: int) -> np.recarray:
     and, only when cfg.record_paths is set, `positions` of shape
     (total steps + 1, d), whose row 0 is the initial position and row k the
     position after step k. `result.final` is then the (count, d) array of
-    end positions, and `result[i].status` particle i's status.
+    end positions, and `result[i].status` particle i's status. count is a
+    Count (check_field): a float or a bool is refused by name.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_field("count", Count, count)
     total_steps = sum(cfg.steps_per_level)
     dim = cfg.schedule.n
     fields = [("final", float, (dim,)), ("status", "U9")]

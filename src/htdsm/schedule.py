@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from htdsm._config import Config, Count, Positive, Real, check_int, check_real
+from htdsm._config import Config, Count, Positive, Real, check_field
 from htdsm.distributions import empirical_norm_quantile
 from htdsm.specfun import inv_reg_lower_inc_gamma
 
@@ -107,8 +108,8 @@ def quantile_matched_schedule(
         raise ValueError(
             f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}"
         )
-    n = check_int("n", n, 1)
-    beta = check_real("beta", beta, positive=True)
+    n = check_field("n", Count, n)
+    beta = check_field("beta", Positive, beta)
 
     if empirical:
         if rng is None:
@@ -142,9 +143,10 @@ def geometric_schedule(
     n: int = 2,
     beta: float = 2.0,
 ) -> NoiseSchedule:
-    """Descending schedule sampled linearly in log space between the endpoints."""
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
+    """Descending schedule of count levels, sampled linearly in log space
+    between the endpoints. count is an integer of at least 2 and n a Count
+    (check_field): a float is refused by name, not truncated."""
+    count = check_field("count", Annotated[int, 2], count)
     if not 0.0 < sigma_min < sigma_max:
         raise ValueError(
             f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}"
@@ -154,7 +156,7 @@ def geometric_schedule(
     sigmas[-1] = sigma_min
     return NoiseSchedule(
         sigmas=tuple(float(s) for s in sigmas),
-        beta=float(beta),
-        n=int(n),
+        beta=beta,
+        n=n,
         kind="geometric",
     )

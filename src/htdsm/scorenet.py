@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from htdsm._config import Config, Count, Index, Positive, Real, check_int, check_list
+from htdsm._config import Config, Count, Index, Positive, Real, check_field
 from htdsm.distributions import (
     SCORE_DELTA_FLOOR,
     GeneralizedNormal,
@@ -148,8 +148,7 @@ class ScoreNetwork:
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
-        layer_sizes = [check_int("layer_sizes", s, 1)
-                       for s in check_list("layer_sizes", layer_sizes)]
+        layer_sizes = list(check_field("layer_sizes", tuple[Count, ...], layer_sizes))
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layers")
         if layer_sizes[0] != layer_sizes[-1] + 1:
@@ -296,7 +295,7 @@ class ScoreNetwork:
         net = cls(d["layer_sizes"])
         for kind, params, key in (("weight", net.weights, "weights"),
                                   ("bias", net.biases, "biases")):
-            values = check_list(key, d[key])
+            values = check_field(key, tuple[object, ...], d[key])
             if len(values) != len(params):
                 raise ValueError(
                     f"{len(values)} {kind} arrays for {len(params)} layers "

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from htdsm._config import check_real
+from htdsm._config import Positive, check_field
 
 __all__ = [
     "ConvergenceError",
@@ -55,7 +55,7 @@ class ConvergenceError(RuntimeError):
 
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0, from the C library's lgamma."""
-    return math.lgamma(check_real("x", x, positive=True))
+    return math.lgamma(check_field("x", Positive, x))
 
 
 def _elementwise(fn, values: np.ndarray) -> np.ndarray:
@@ -149,7 +149,7 @@ def reg_lower_inc_gamma(s: float, x, *, complement=False):
     the tail, and from 1 - P only where Q is at least 1e-3 (see _SERIES_X).
     x = +inf gives P = 1 and Q = 0; NaN and negative x raise ValueError.
     """
-    s = check_real("s", s, positive=True)
+    s = check_field("s", Positive, s)
     x = np.asarray(x, dtype=float)
     bad = np.isnan(x) | (x < 0.0)
     if bad.any():
@@ -279,7 +279,7 @@ def inv_reg_lower_inc_gamma(s: float, q):
     accuracy. Each step evaluates P or Q once per element, and iteration
     stops on a relative step below _INV_RTOL.
     """
-    s = check_real("s", s, positive=True)
+    s = check_field("s", Positive, s)
     q = np.asarray(q, dtype=float)
     bad = ~((q >= 0.0) & (q < 1.0))
     if bad.any():

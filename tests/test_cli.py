@@ -622,8 +622,8 @@ def test_misspelled_train_config_key_is_usage_error(tmp_path, train_config_file,
     ("mixture", "means", "ab", "means must be a list, got 'ab'"),
     ("mixture", "stds", 0.5, "stds must be a list, got 0.5"),
     ("mixture", "weights", 1.0, "weights must be a list, got 1.0"),
-    (None, "train", None, "train must be a TrainConfig, got None"),
-    ("train", "schedule", None, "schedule must be a NoiseSchedule, got None"),
+    (None, "train", None, "train must be an object, got NoneType"),
+    ("train", "schedule", None, "train.schedule must be an object, got NoneType"),
     (None, "mixture", 5, "mixture must be an object, got int"),
     ("train", "schedule", 5, "train.schedule must be an object, got int"),
     ("train", "schedule", {"sigmas": [1.0]},
@@ -925,7 +925,7 @@ class TestExperimentCommand:
         ({"seeds": "01"}, "seeds must be a list, got '01'"),
         ({"metric_names": "prdc"}, "metric_names must be a list, got 'prdc'"),
         ({"seeds": [0, 0, 1]}, "seeds must be distinct, got [0, 0, 1]"),
-        ({"sampler": None}, "sampler must be a SamplerConfig, got None"),
+        ({"sampler": None}, "sampler must be an object, got NoneType"),
         ({"sampler": 5}, "sampler must be an object, got int"),
         ({"train": {"schedule": 5}}, "train.schedule must be an object, got int"),
         ({"train": {"schedule": {"sigmas": [1.0]}}},

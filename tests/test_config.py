@@ -6,11 +6,12 @@ import typing
 import numpy as np
 import pytest
 
-from htdsm._config import check_int
-from htdsm.distributions import GeneralizedGamma, GeneralizedNormal, NormModel
+from htdsm._config import Count, check_field
+from htdsm.distributions import (GeneralizedGamma, GeneralizedNormal, NormModel,
+                                 empirical_norm_quantile)
 from htdsm.experiments import ExperimentConfig, RunRecord
-from htdsm.metrics import MetricReport
-from htdsm.sampler import SamplerConfig
+from htdsm.metrics import MetricReport, bootstrap_ci
+from htdsm.sampler import SamplerConfig, ald_run
 from htdsm.schedule import NoiseSchedule, ScheduleError, geometric_schedule
 from htdsm.scorenet import MixtureSpec, TrainConfig
 
@@ -152,9 +153,12 @@ SCHEDULE = {"kind": "geometric", "beta": 2.0, "n": 2, "sigmas": [1.0, 0.25]}
      ScheduleError, "train.schedule: sigmas must be strictly descending: (1.0, 1.0)"),
     (ExperimentConfig, {"mixture": {"means": [[1, 1]], "stds": [1.0, 1.0], "weights": [1.0]}},
      ValueError, "mixture: means, stds and weights must have equal length"),
+    (ExperimentConfig, {"sampler": None}, TypeError, "sampler must be an object, got NoneType"),
+    (ExperimentConfig, {"train": {"schedule": None}}, TypeError,
+     "train.schedule must be an object, got NoneType"),
 ], ids=["sampler", "train.schedule", "missing-nested", "missing-mixture", "unknown-nested",
         "missing-top", "missing-only-required", "top-non-object", "field-nested",
-        "field-twice-nested", "cross-field-nested"])
+        "field-twice-nested", "cross-field-nested", "null-top", "null-nested"])
 def test_config_error_names_its_dotted_path(cls, raw, error, message):
     with pytest.raises(error) as raised:
         cls.from_dict(raw)
@@ -190,11 +194,40 @@ def test_every_field_refuses_none_by_name(obj, name):
 
 @pytest.mark.parametrize("value, want", [(7, 7), (np.int64(7), 7), (np.uint8(7), 7)])
 def test_check_int_accepts_integers(value, want):
-    got = check_int("steps", value, 1)
+    got = check_field("steps", Count, value)
     assert got == want and type(got) is int
 
 
 @pytest.mark.parametrize("value", [7.0, np.float64(7.0), True, np.True_, "7", None])
 def test_check_int_rejects_non_integers_by_name(value):
     with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
-        check_int("steps", value, 1)
+        check_field("steps", Count, value)
+
+
+def test_optional_nested_config_takes_null():
+    record = RunRecord(seed=3, imbalance=1.5, diverged=2, loss_first_decile=0.9,
+                       loss_last_decile=0.4, metrics=None, wall_time=1.25, mode_capture=None)
+    assert record.to_dict()["metrics"] is None and RunRecord.from_dict(record.to_dict()) == record
+
+
+# Library count arguments are Counts (or integers of a larger minimum): a
+# float or a bool is refused by the argument's name, not truncated or passed on.
+RNG = np.random.default_rng(0)
+SAMPLER = SamplerConfig(schedule=geometric_schedule(1.0, 0.25, 2), steps_per_level=(2, 2))
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda v: bootstrap_ci([1.0, 2.0, 3.0], v, 0.9, RNG), "resamples", 10.7),
+    (lambda v: bootstrap_ci([1.0, 2.0, 3.0], v, 0.9, RNG), "resamples", True),
+    (lambda v: empirical_norm_quantile(v, 1.0, 2.0, 0.5, 10_000, RNG), "n", 2.7),
+    (lambda v: empirical_norm_quantile(2, 1.0, 2.0, 0.5, v, RNG), "mc_count", 10000.9),
+    (lambda v: ald_run(lambda x, log_sigma: -x, SAMPLER, v), "count", 2.5),
+    (lambda v: ald_run(lambda x, log_sigma: -x, SAMPLER, v), "count", True),
+    (lambda v: geometric_schedule(1.0, 0.25, v), "count", 2.5),
+], ids=["bootstrap_ci-float", "bootstrap_ci-bool", "empirical_norm_quantile-n",
+        "empirical_norm_quantile-mc_count", "ald_run-float", "ald_run-bool",
+        "geometric_schedule-float"])
+def test_library_count_argument_is_refused_by_name(call, name, value):
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    assert str(raised.value) == f"{name} must be an integer, got {value!r}"
